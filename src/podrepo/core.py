@@ -15,6 +15,7 @@ the test suite checks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -353,7 +354,11 @@ def validate_instance(inst: Instance) -> None:
 
 
 class Replay:
-    """Fast mutable replay engine over a precomputed schedule."""
+    """Fast mutable replay engine over a precomputed schedule.
+
+    ``free`` is the ascending list of free places, kept in step with
+    ``pod_at`` so the admissible set costs O(free places), not O(places).
+    """
 
     def __init__(self, inst: Instance, schedule: Optional[Schedule] = None):
         self.inst = inst
@@ -364,6 +369,7 @@ class Replay:
             if h is not None:
                 self.place_of[h] = p
                 self.pod_at[p] = h
+        self.free = [p for p in range(1, inst.n_places + 1) if self.pod_at[p] == 0]
         self.t = 0
         self.total = 0.0
         self.actions: list[int] = []
@@ -377,20 +383,21 @@ class Replay:
         return self.schedule.steps[self.t]
 
     def admissible(self) -> list[int]:
+        """Admissible actions, ascending: the free places plus the place the
+        departing pod leaves, or ``[NO_OP]`` on a fill step."""
         info = self.schedule.steps[self.t]
         if info.fill:
             return [NO_OP]
+        free = self.free
         dep_place = self.place_of[info.pod]
-        return [p for p in range(1, self.inst.n_places + 1)
-                if self.pod_at[p] == 0 or p == dep_place]
+        i = bisect_left(free, dep_place)
+        return free[:i] + [dep_place] + free[i:]
 
     def step(self, action: int) -> float:
+        """Apply one step.  An infeasible action raises before any state
+        changes, so the replay stays usable."""
         info = self.schedule.steps[self.t]
-        costs = self.inst.costs
         place = self.place_of[info.pod]
-        cost = costs.to_stn(place, info.station)
-        self.pod_at[place] = 0
-        self.place_of[info.pod] = 0
         if info.fill:
             if action != NO_OP:
                 raise InfeasibleActionError(self.t, REASON_PHASE,
@@ -402,11 +409,22 @@ class Replay:
             if not 1 <= action <= self.inst.n_places:
                 raise InfeasibleActionError(self.t, REASON_BUSY,
                                             f"place {action} does not exist")
-            if self.pod_at[action] != 0:
+            if self.pod_at[action] != 0 and action != place:
                 raise InfeasibleActionError(self.t, REASON_BUSY,
                                             f"place {action} holds pod {self.pod_at[action]}")
+        costs = self.inst.costs
+        cost = costs.to_stn(place, info.station)
+        self.pod_at[place] = 0
+        self.place_of[info.pod] = 0
+        if info.fill:
+            insort(self.free, place)
+        else:
             self.pod_at[action] = info.returning_pod
             self.place_of[info.returning_pod] = action
+            if action != place:
+                free = self.free
+                del free[bisect_left(free, action)]
+                insort(free, place)
             cost += costs.from_stn(info.station, action)
         self.t += 1
         self.total += cost

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .core import (NO_OP, Instance, Schedule, departure_schedule,
                    initial_busy_ends)
+from .policies import decision_cost_table
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,13 @@ def derive_bip_parameters(inst: Instance,
 
 
 def decision_weights(inst: Instance, params: BipParameters) -> dict[int, list[float]]:
-    """Per decision step: cost of choosing each place (index p-1)."""
-    weights: dict[int, list[float]] = {}
-    for t in params.decision_steps:
-        s_from = params.from_station[t]
-        s_to = params.to_station[t]
-        row = []
-        for p in range(1, inst.n_places + 1):
-            w = inst.costs.from_stn(s_from, p)
-            if s_to is not None:
-                w += inst.costs.to_stn(p, s_to)
-            row.append(w)
-        weights[t] = row
-    return weights
+    """Per decision step: cost of choosing each place (index p-1).
+
+    Steps with the same (from, to) stations share one row of the decision
+    cost table; the rows are read-only."""
+    rows = {key: row[1:] for key, row in decision_cost_table(inst).items()}
+    return {t: rows[(params.from_station[t], params.to_station[t])]
+            for t in params.decision_steps}
 
 
 @dataclass
@@ -144,8 +139,12 @@ class _Search:
         self.best_path = list(actions)
 
     def run(self) -> None:
-        sys.setrecursionlimit(max(10000, 4 * (self.end - self.start) + 1000))
-        self._rec(self.start, 0.0)
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(previous, 10000, 4 * (self.end - self.start) + 1000))
+        try:
+            self._rec(self.start, 0.0)
+        finally:
+            sys.setrecursionlimit(previous)
 
     def _rec(self, t: int, g: float) -> None:
         if self.exhausted:

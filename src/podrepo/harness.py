@@ -140,7 +140,8 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
     elif name == "fixed":
         assignment = compute_fixed_assignment(inst, schedule)
         run_inst = rearranged_instance(inst, assignment)
-        replay = Replay(run_inst).run(FixedPolicy(assignment))
+        # same departures, queues and stored pods, hence the same schedule
+        replay = Replay(run_inst, schedule).run(FixedPolicy(assignment))
         actions, cost = replay.actions, replay.total
     elif name == "genetic1":
         result = genetic.evolve(inst, genetic.GENETIC1,
@@ -163,7 +164,7 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
     else:
         raise ValueError(f"unknown policy: {name}")
     wall = time.perf_counter() - started
-    check = total_cost(run_inst, actions)
+    check = total_cost(run_inst, actions, schedule)
     if abs(check - cost) > 1e-9:
         raise RuntimeError(f"{name}: reported cost {cost} != replayed cost {check}")
     return actions, cost, wall
@@ -184,16 +185,22 @@ def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
     """Replay every policy on the identical instance.
 
     Costs are reported relative to the random baseline (run with the same
-    seed even when not requested).  When ``out_dir`` is given, writes a
-    deterministic ``results.csv`` plus a ``timings.json`` manifest.
+    seed even when not requested).  Each distinct policy runs once; the
+    random baseline doubles as the ``random`` row.  When ``out_dir`` is
+    given, writes a deterministic ``results.csv`` plus a ``timings.json``
+    manifest.
     """
     schedule = departure_schedule(inst)
     names = list(policy_names)
     decisions = sum(1 for info in schedule.steps if not info.fill)
-    _, random_cost, _ = run_policy(inst, "random", seed, schedule, node_budget)
+    runs = {"random": run_policy(inst, "random", seed, schedule, node_budget)}
+    for name in names:
+        if name not in runs:
+            runs[name] = run_policy(inst, name, seed, schedule, node_budget)
+    random_cost = runs["random"][1]
     rows = []
     for name in names:
-        _, cost, wall = run_policy(inst, name, seed, schedule, node_budget)
+        _, cost, wall = runs[name]
         rows.append(ResultRow(policy=name, cost=cost,
                               relative_cost=cost / random_cost if random_cost else 1.0,
                               wall_time=wall, decisions=decisions))

@@ -4,7 +4,8 @@ and the fixed-place policy with its offline assignment computation.
 A policy is a callable ``decide(replay) -> action`` run against
 :class:`~podrepo.core.Replay`; every returned action is admissible by
 construction.  Ties between equally cheap places are always broken by the
-smallest place id so replays are reproducible.
+smallest place id so replays are reproducible: the admissible set is
+ascending and ``min``/``max`` return its first extreme element.
 """
 
 from __future__ import annotations
@@ -48,6 +49,38 @@ def decision_cost(inst: Instance, place: int, from_station: int,
     return cost
 
 
+DecisionCosts = dict[tuple[int, Optional[int]], list[float]]
+
+
+def decision_cost_table(inst: Instance) -> DecisionCosts:
+    """:func:`decision_cost` of every place, one row per (from-station,
+    next-station-or-``None``) key.
+
+    ``row[p]`` is the cost of place ``p``; ``row[0]`` stands for the no-op
+    and is never read.
+    """
+    places = range(1, inst.n_places + 1)
+    stations = range(1, inst.n_stations + 1)
+    return {(s_from, s_to): [0.0] + [decision_cost(inst, p, s_from, s_to) for p in places]
+            for s_from in stations for s_to in (*stations, None)}
+
+
+class DecisionCostPolicy:
+    """Base of the policies that rank places by the decision-cost table of
+    the replayed instance; the table is built once per instance, not once
+    per decision."""
+
+    _inst: Optional[Instance] = None
+    _table: DecisionCosts
+
+    def decision_row(self, replay: Replay, station: int,
+                     next_station: Optional[int]) -> list[float]:
+        if replay.inst is not self._inst:
+            self._inst = replay.inst
+            self._table = decision_cost_table(replay.inst)
+        return self._table[(station, next_station)]
+
+
 class RandomPolicy:
     """Uniform choice among the admissible free places."""
 
@@ -63,7 +96,7 @@ class RandomPolicy:
         return actions[int(self.rng.integers(len(actions)))]
 
 
-class CheapestPolicy:
+class CheapestPolicy(DecisionCostPolicy):
     """Cheapest available place under one of three cost notions.
 
     ``to-storage`` uses only the return leg, ``avg`` ranks places by their
@@ -75,21 +108,20 @@ class CheapestPolicy:
             raise ValueError(f"unknown cheapest-place variant: {variant}")
         self.variant = variant
         self.name = f"cheapest:{variant}"
-        self._avg = avg_costs(inst) if variant == CHEAPEST_ON_AVERAGE else None
+        # place-indexed like the decision rows
+        self._avg = [0.0] + avg_costs(inst) if variant == CHEAPEST_ON_AVERAGE else None
 
     def __call__(self, replay: Replay) -> int:
-        actions = replay.admissible()
-        if actions == [NO_OP]:
-            return NO_OP
-        inst = replay.inst
         info = replay.current
+        if info.fill:
+            return NO_OP
         if self.variant == CHEAPEST_TO_STORAGE:
-            key = lambda p: inst.costs.from_stn(info.station, p)
+            row = self.decision_row(replay, info.station, None)
         elif self.variant == CHEAPEST_ON_AVERAGE:
-            key = lambda p: self._avg[p - 1]
+            row = self._avg
         else:
-            key = lambda p: decision_cost(inst, p, info.station, info.return_next_station)
-        return min(actions, key=lambda p: (key(p), p))
+            row = self.decision_row(replay, info.station, info.return_next_station)
+        return min(replay.admissible(), key=row.__getitem__)
 
 
 def station_frequencies(inst: Instance,

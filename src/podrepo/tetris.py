@@ -9,12 +9,12 @@ fixed by the departure sequence; only the place coordinate moves.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .core import (NO_OP, Instance, OccupationInterval, Replay, Schedule,
                    departure_schedule, occupation_intervals)
-from .policies import decision_cost
+from .policies import DecisionCostPolicy, decision_cost, decision_cost_table
 
 SORT_FREQUENCY = "frequency"
 SORT_DURATION = "duration"
@@ -30,42 +30,43 @@ def interval_place_cost(inst: Instance, interval: OccupationInterval,
     return decision_cost(inst, p, interval.from_station, interval.to_station)
 
 
-class MostExpensivePlacePolicy:
+class MostExpensivePlacePolicy(DecisionCostPolicy):
     """Reverse cheapest-place: argmax of the decision cost, ties to the
     smallest place id."""
 
     name = "most-expensive"
 
     def __call__(self, replay: Replay) -> int:
-        actions = replay.admissible()
-        if actions == [NO_OP]:
-            return NO_OP
-        inst = replay.inst
         info = replay.current
-        return max(actions,
-                   key=lambda p: (decision_cost(inst, p, info.station,
-                                                info.return_next_station), -p))
+        if info.fill:
+            return NO_OP
+        row = self.decision_row(replay, info.station, info.return_next_station)
+        return max(replay.admissible(), key=row.__getitem__)
 
 
 class _Timeline:
-    """Per-place sorted interval sets with binary-search free-slot queries."""
+    """Per-place disjoint intervals as parallel ``begins``/``ends`` lists, both
+    ascending, with binary-search free-slot queries."""
 
     def __init__(self, n_places: int):
-        self.spans: list[list[tuple[int, int]]] = [[] for _ in range(n_places + 1)]
+        self.begins: list[list[int]] = [[] for _ in range(n_places + 1)]
+        self.ends: list[list[int]] = [[] for _ in range(n_places + 1)]
 
     def add(self, place: int, begin: int, end: int) -> None:
-        insort(self.spans[place], (begin, end))
+        i = bisect_left(self.begins[place], begin)
+        self.begins[place].insert(i, begin)
+        self.ends[place].insert(i, end)
 
     def remove(self, place: int, begin: int, end: int) -> None:
-        spans = self.spans[place]
-        spans.pop(bisect_left(spans, (begin, end)))
+        i = bisect_left(self.begins[place], begin)
+        del self.begins[place][i]
+        del self.ends[place][i]
 
     def free(self, place: int, begin: int, end: int) -> bool:
-        spans = self.spans[place]
-        i = bisect_right(spans, (begin,))
-        if i > 0 and spans[i - 1][1] > begin:
-            return False
-        return i >= len(spans) or spans[i][0] >= end
+        # the first interval ending after ``begin`` must start at or after ``end``
+        ends = self.ends[place]
+        i = bisect_right(ends, begin)
+        return i == len(ends) or self.begins[place][i] >= end
 
 
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY,
@@ -92,32 +93,27 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY,
     else:
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
 
-    # place ids pre-sorted by decision cost for each (from, to) combination
-    order_cache: dict[tuple[int, Optional[int]], list[int]] = {}
+    # (cost, place) pairs in ascending order for each (from, to) combination
+    table = decision_cost_table(inst)
+    places = range(1, inst.n_places + 1)
+    orders = {key: sorted(zip(row[1:], places)) for key, row in table.items()}
 
-    def place_order(s_from: int, s_to: Optional[int]) -> list[int]:
-        key = (s_from, s_to)
-        if key not in order_cache:
-            order_cache[key] = sorted(
-                range(1, inst.n_places + 1),
-                key=lambda p: (decision_cost(inst, p, s_from, s_to), p))
-        return order_cache[key]
-
+    # the first interval on ``p`` that ends after ``begin`` must start at or
+    # after ``end`` (``_Timeline.free``, inlined: the sweep's inner loop)
+    begins_at, ends_at = timeline.begins, timeline.ends
     for iv in movable:
-        here = interval_place_cost(inst, iv)
-        current_place = iv.place
-        for p in place_order(iv.from_station, iv.to_station):
-            cost = interval_place_cost(inst, iv, p)
+        key = (iv.from_station, iv.to_station)
+        here = table[key][iv.place]
+        begin, end = iv.begin, iv.end
+        for cost, p in orders[key]:
             if cost >= here:
                 break
-            if timeline.free(p, iv.begin, iv.end):
-                timeline.remove(current_place, iv.begin, iv.end)
-                timeline.add(p, iv.begin, iv.end)
-                actions[iv.begin - 1] = p
+            ends = ends_at[p]
+            i = bisect_right(ends, begin)
+            if i == len(ends) or begins_at[p][i] >= end:
+                timeline.remove(iv.place, begin, end)
+                timeline.add(p, begin, end)
+                actions[begin - 1] = p
                 total += cost - here
-                iv = OccupationInterval(place=p, pod=iv.pod, begin=iv.begin,
-                                        end=iv.end, from_station=iv.from_station,
-                                        to_station=iv.to_station,
-                                        decision_step=iv.decision_step)
                 break
     return actions, total

@@ -146,6 +146,45 @@ class TestReplay:
             assert sorted(pods) == list(range(1, inst.n_pods + 1))
             state = transition(inst, state, admissible_actions(inst, state)[0])
 
+    def test_rejected_step_leaves_replay_unchanged(self):
+        inst = build_small_system(seed=1, n=60)
+        replay = Replay(inst)
+        while replay.current.fill:
+            replay.step(NO_OP)
+        replay.step(replay.admissible()[0])
+        while replay.current.fill:
+            replay.step(NO_OP)
+        info = replay.current
+        busy = next(p for p in range(1, inst.n_places + 1)
+                    if replay.pod_at[p] not in (0, info.pod))
+        snapshot = (replay.t, replay.total, list(replay.actions),
+                    list(replay.pod_at), list(replay.place_of), replay.admissible())
+        for bad, reason in ((busy, REASON_BUSY), (NO_OP, REASON_PHASE),
+                            (inst.n_places + 1, REASON_BUSY), (-1, REASON_BUSY)):
+            with pytest.raises(InfeasibleActionError) as err:
+                replay.step(bad)
+            assert err.value.reason == reason
+            assert (replay.t, replay.total, replay.actions, replay.pod_at,
+                    replay.place_of, replay.admissible()) == snapshot
+        good = replay.admissible()[-1]
+        replay.step(good)
+        assert replay.t == snapshot[0] + 1
+        assert replay.pod_at[good] == info.returning_pod
+
+    def test_rejected_fill_step_leaves_replay_unchanged(self):
+        inst = build_small_system(seed=1, n=60)
+        replay = Replay(inst)
+        snapshot = (replay.t, replay.total, list(replay.actions),
+                    list(replay.pod_at), list(replay.place_of), replay.admissible())
+        assert replay.current.fill
+        with pytest.raises(InfeasibleActionError) as err:
+            replay.step(1)
+        assert err.value.reason == REASON_PHASE
+        assert (replay.t, replay.total, replay.actions, replay.pod_at,
+                replay.place_of, replay.admissible()) == snapshot
+        replay.step(NO_OP)
+        assert replay.t == 1
+
 
 class TestCheckFeasible:
     def test_length_mismatch(self):

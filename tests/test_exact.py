@@ -78,6 +78,18 @@ class TestSolveExact:
         assert not result.optimal
         assert check_feasible(inst, result.actions).ok
 
+    def test_recursion_limit_restored(self):
+        import sys
+        outer = sys.getrecursionlimit()
+        sys.setrecursionlimit(3000)  # a value no solve would pick
+        try:
+            inst = build_small_system(n=300)
+            solve_exact(inst, node_budget=2000)
+            solve_iterative(inst, 10, node_budget=2000)
+            assert sys.getrecursionlimit() == 3000
+        finally:
+            sys.setrecursionlimit(outer)
+
 
 class TestSolveIterative:
     @pytest.mark.parametrize("seed", range(8))

@@ -1,0 +1,114 @@
+"""The fast paths against their reference definitions.
+
+``Replay.admissible`` keeps a free-place list instead of scanning every place,
+and the greedy policies and the tetris sweep read one decision-cost table per
+cost model instead of calling ``decision_cost`` per candidate.  Both must
+agree with the functional reference model and a brute-force argmin/argmax,
+including the tie-break to the smallest place id.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from podrepo import harness
+from podrepo.core import (NO_OP, CostModel, Replay, admissible_actions,
+                          initial_state, transition)
+from podrepo.instances import build_medium_system, build_small_system
+from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
+                              CHEAPEST_TO_STORAGE, CheapestPolicy, avg_costs,
+                              decision_cost, decision_cost_table)
+from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
+                            MostExpensivePlacePolicy, tetris)
+
+
+def tied_costs(inst):
+    """The instance with every cost folded onto {1, 2}, so most places tie."""
+    costs = CostModel(
+        to_station=tuple(tuple(1.0 + c % 2 for c in row) for row in inst.costs.to_station),
+        from_station=tuple(tuple(1.0 + c % 2 for c in row) for row in inst.costs.from_station))
+    return replace(inst, costs=costs)
+
+
+def tiny_instance(kind: str, seed: int):
+    if kind == "random":
+        return harness.build_tiny_random(seed)
+    if kind == "tied":
+        return tied_costs(harness.build_tiny_random(seed))
+    return build_small_system(seed=seed + 1, n=40)
+
+
+@given(kind=st.sampled_from(["random", "tied", "small"]),
+       seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fast_paths_match_reference_model(kind, seed, data):
+    inst = tiny_instance(kind, seed)
+    replay = Replay(inst)
+    state = initial_state(inst)
+    cheapest = {v: CheapestPolicy(inst, v)
+                for v in (CHEAPEST_DECISION, CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE)}
+    most_expensive = MostExpensivePlacePolicy()
+    avg = avg_costs(inst)
+    while not replay.done:
+        admissible = replay.admissible()
+        assert admissible == list(admissible_actions(inst, state))
+        assert replay.free == [p for p in range(1, inst.n_places + 1)
+                               if state.storage[p - 1] is None]
+        if admissible == [NO_OP]:
+            assert most_expensive(replay) == NO_OP
+            assert all(policy(replay) == NO_OP for policy in cheapest.values())
+        else:
+            info = replay.current
+            cost = {p: decision_cost(inst, p, info.station, info.return_next_station)
+                    for p in admissible}
+            back = {p: decision_cost(inst, p, info.station, None) for p in admissible}
+            assert cheapest[CHEAPEST_DECISION](replay) == min(
+                admissible, key=lambda p: (cost[p], p))
+            assert cheapest[CHEAPEST_TO_STORAGE](replay) == min(
+                admissible, key=lambda p: (back[p], p))
+            assert cheapest[CHEAPEST_ON_AVERAGE](replay) == min(
+                admissible, key=lambda p: (avg[p - 1], p))
+            assert most_expensive(replay) == max(
+                admissible, key=lambda p: (cost[p], -p))
+        action = data.draw(st.sampled_from(admissible))
+        replay.step(action)
+        state = transition(inst, state, action)
+    assert replay.storage_tuple() == state.storage
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decision_cost_table_matches_decision_cost(seed):
+    inst = harness.build_tiny_random(seed)
+    table = decision_cost_table(inst)
+    stations = range(1, inst.n_stations + 1)
+    assert set(table) == {(s, t) for s in stations for t in (*stations, None)}
+    for (s_from, s_to), row in table.items():
+        assert len(row) == inst.n_places + 1
+        assert row[1:] == [decision_cost(inst, p, s_from, s_to)
+                           for p in range(1, inst.n_places + 1)]
+
+
+def test_policy_follows_the_replayed_instance():
+    """One policy object replaying two cost models uses each one's table."""
+    inst = harness.build_tiny_random(2)
+    policy = MostExpensivePlacePolicy()
+    first = Replay(inst).run(policy).actions
+    flipped = replace(inst, costs=CostModel(
+        to_station=tuple(tuple(10.0 - c for c in row) for row in inst.costs.to_station),
+        from_station=tuple(tuple(10.0 - c for c in row) for row in inst.costs.from_station)))
+    assert Replay(flipped).run(policy).actions == Replay(flipped).run(
+        MostExpensivePlacePolicy()).actions
+    assert Replay(inst).run(policy).actions == first
+
+
+@pytest.fixture(scope="module")
+def medium():
+    return build_medium_system(1)
+
+
+@pytest.mark.parametrize("mode, expected", [(SORT_FREQUENCY, 597196.0),
+                                            (SORT_DURATION, 631449.0)])
+def test_tetris_cost_pinned_on_medium_system(medium, mode, expected):
+    _, cost = tetris(medium, mode)
+    assert cost == expected

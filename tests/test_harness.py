@@ -59,8 +59,37 @@ class TestRunPolicy:
         _, cost, _ = harness.run_policy(inst, "exact")
         assert cost == brute_cost
 
+    def test_rearranged_instance_keeps_the_schedule(self):
+        """``fixed`` replays and re-verifies the rearranged instance on the
+        schedule of the original one."""
+        from podrepo.policies import compute_fixed_assignment, rearranged_instance
+        moved_any = False
+        for inst in [build_small_system(n=200)] + [harness.build_tiny_random(s)
+                                                   for s in range(10)]:
+            moved = rearranged_instance(inst, compute_fixed_assignment(inst))
+            moved_any |= moved.initial_storage != inst.initial_storage
+            assert departure_schedule(moved) == departure_schedule(inst)
+        assert moved_any
+
 
 class TestRunComparison:
+    def test_each_policy_runs_once(self, monkeypatch):
+        calls = []
+        run_policy = harness.run_policy
+
+        def counting(inst, name, *args, **kwargs):
+            calls.append(name)
+            return run_policy(inst, name, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_policy", counting)
+        inst = build_small_system(n=150)
+        rows = harness.run_comparison(inst, ["cheapest:decision", "random"], seed=3)
+        assert sorted(calls) == ["cheapest:decision", "random"]
+        assert [row.policy for row in rows] == ["cheapest:decision", "random"]
+        assert rows[1].relative_cost == 1.0
+        _, random_cost, _ = run_policy(inst, "random", seed=3)
+        assert rows[0].relative_cost == rows[0].cost / random_cost
+
     def test_relative_cost_of_random_is_one(self):
         inst = build_small_system(n=150)
         rows = harness.run_comparison(inst, ["random", "cheapest:decision"])
