@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Instance, Replay, Schedule, departure_schedule
+from .core import Instance, Replay, Schedule
 
 RAMP_START = (0, 0, 139)   # dark blue
 RAMP_END = (139, 0, 0)     # dark red
@@ -25,7 +25,6 @@ class RunTrace:
     instance: Instance
     actions: tuple[int, ...]
     snapshots: tuple[tuple[Optional[int], ...], ...]  # length horizon + 1
-    queues: tuple[tuple[tuple[int, ...], ...], ...]
     step_costs: tuple[float, ...]
 
     @property
@@ -46,21 +45,12 @@ def record_trace(inst: Instance, actions: Sequence[int],
     """Replay ``actions`` and record every intermediate state."""
     replay = Replay(inst, schedule)
     snapshots = [replay.storage_tuple()]
-    queue_snaps = [tuple(tuple(q) for q in inst.initial_queues)]
-    queues = [list(q) for q in inst.initial_queues]
     costs = []
     for action in actions:
-        info = replay.current
         costs.append(replay.step(action))
-        q = queues[info.station - 1]
-        if len(q) >= inst.station_capacities[info.station - 1]:
-            q.pop(0)
-        q.append(info.pod)
         snapshots.append(replay.storage_tuple())
-        queue_snaps.append(tuple(tuple(qq) for qq in queues))
     return RunTrace(instance=inst, actions=tuple(actions),
-                    snapshots=tuple(snapshots), queues=tuple(queue_snaps),
-                    step_costs=tuple(costs))
+                    snapshots=tuple(snapshots), step_costs=tuple(costs))
 
 
 def usage_ranks(inst: Instance) -> list[int]:

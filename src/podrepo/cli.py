@@ -78,10 +78,9 @@ def run(instance: str, policy: str, seed: int, out_dir: str,
     inst = load_instance(instance)
     rows = harness.run_comparison(inst, [policy], seed=seed,
                                   out_dir=Path(out_dir) if out_dir else None)
-    if actions_out:
-        actions, _, _ = harness.run_policy(inst, policy, seed=seed)
-        save_actions(actions, actions_out)
     row = rows[0]
+    if actions_out:
+        save_actions(row.actions, actions_out)
     click.echo(f"{row.policy}: cost {row.cost:.6f} "
                f"(relative {row.relative_cost:.4f}, {row.decisions} decisions)")
 

@@ -58,7 +58,6 @@ class CostModel:
     to_station: tuple[tuple[float, ...], ...]
     from_station: tuple[tuple[float, ...], ...]
     terminal: str = TERMINAL_ZERO
-    discount: float = 1.0
 
     def to_stn(self, place: int, station: int) -> float:
         return self.to_station[place - 1][station - 1]

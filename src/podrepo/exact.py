@@ -20,8 +20,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (NO_OP, Instance, Schedule, departure_schedule,
-                   initial_busy_ends)
+from .core import (NO_OP, TERMINAL_ZERO, Instance, Replay, Schedule,
+                   departure_schedule, initial_busy_ends)
 from .policies import decision_cost_table
 
 
@@ -103,25 +103,24 @@ class SolveResult:
 
 
 class _Search:
-    """Depth-first branch and bound over one step segment.
+    """Depth-first branch and bound over the steps ``[replay.t, end)``.
 
-    The admissible lower bound relaxes place-disjointness: every remaining
-    decision is charged its cheapest place over all places.  Equal-cost optima
-    are resolved to the lexicographically smallest action sequence, so pruning
-    is strict (bound > incumbent).
+    The search runs on the replay's occupancy arrays and restores them before
+    it returns.  The admissible lower bound relaxes place-disjointness: every
+    remaining decision is charged its cheapest place over all places.
+    Equal-cost optima are resolved to the lexicographically smallest action
+    sequence, so pruning is strict (bound > incumbent).
     """
 
-    def __init__(self, inst: Instance, schedule: Schedule,
-                 weights: dict[int, list[float]], start: int, end: int,
-                 pod_at: list[int], place_of: list[int],
-                 node_budget: Optional[int]):
-        self.inst = inst
-        self.steps = schedule.steps
+    def __init__(self, replay: Replay, weights: dict[int, list[float]],
+                 end: int, node_budget: Optional[int]):
+        self.inst = replay.inst
+        self.steps = replay.schedule.steps
         self.weights = weights
-        self.start = start
+        self.start = start = replay.t
         self.end = end
-        self.pod_at = pod_at
-        self.place_of = place_of
+        self.pod_at = replay.pod_at
+        self.place_of = replay.place_of
         self.node_budget = node_budget
         self.nodes = 0
         self.exhausted = False
@@ -194,23 +193,39 @@ class _Search:
             place_of[info.pod] = dep_place
 
 
-def _occupancy_arrays(inst: Instance) -> tuple[list[int], list[int]]:
-    pod_at = [0] * (inst.n_places + 1)
-    place_of = [0] * (inst.n_pods + 1)
-    for p, h in enumerate(inst.initial_storage, start=1):
-        if h is not None:
-            pod_at[p] = h
-            place_of[h] = p
-    return pod_at, place_of
-
-
-def _segment_cost(weights: dict[int, list[float]], schedule: Schedule,
-                  actions: Sequence[int], start: int) -> float:
-    total = 0.0
-    for t, a in enumerate(actions, start=start):
-        if not schedule.steps[t].fill:
-            total += weights[t][a - 1]
-    return total
+def _solve_windows(inst: Instance, window_size: int, node_budget: Optional[int],
+                   warm_start: Optional[Sequence[int]] = None) -> SolveResult:
+    """Search each window of ``window_size`` steps exactly and commit its best
+    path to one replay, which carries the occupancy into the next window."""
+    if inst.costs.terminal != TERMINAL_ZERO:
+        raise ValueError(f"exact solvers assume zero terminal cost, "
+                         f"not {inst.costs.terminal!r}")
+    schedule = departure_schedule(inst)
+    params = derive_bip_parameters(inst, schedule)
+    weights = decision_weights(inst, params)
+    replay = Replay(inst, schedule)
+    cost = params.base_cost
+    nodes = 0
+    optimal = True
+    while not replay.done:
+        search = _Search(replay, weights, min(replay.t + window_size, inst.horizon),
+                         node_budget)
+        if warm_start is not None:
+            search.seed(warm_start, sum(weights[t][a - 1]
+                                        for t, a in enumerate(warm_start)
+                                        if not schedule.steps[t].fill))
+        search.run()
+        if search.best_cost is None:
+            raise RuntimeError("node budget exhausted before any solution was found")
+        nodes += search.nodes
+        optimal = optimal and not search.exhausted
+        cost += search.best_cost
+        for a in search.best_path:
+            replay.step(a)
+    # the place-disjointness relaxation, summed back to front like _Search.suffix
+    bound = sum(min(weights[t]) for t in reversed(params.decision_steps))
+    return SolveResult(actions=replay.actions, cost=cost, optimal=optimal,
+                       nodes=nodes, lower_bound=params.base_cost + bound)
 
 
 def solve_exact(inst: Instance, node_budget: Optional[int] = None,
@@ -221,24 +236,7 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None,
     returned with ``optimal=False``; ``warm_start`` (a feasible action
     sequence) seeds the incumbent.
     """
-    schedule = departure_schedule(inst)
-    params = derive_bip_parameters(inst, schedule)
-    weights = decision_weights(inst, params)
-    pod_at, place_of = _occupancy_arrays(inst)
-    search = _Search(inst, schedule, weights, 0, inst.horizon,
-                     pod_at, place_of, node_budget)
-    if warm_start is not None:
-        search.seed(warm_start, _segment_cost(weights, schedule, warm_start, 0))
-    search.run()
-    if search.best_cost is None:
-        raise RuntimeError("node budget exhausted before any solution was found")
-    return SolveResult(
-        actions=list(search.best_path),
-        cost=params.base_cost + search.best_cost,
-        optimal=not search.exhausted,
-        nodes=search.nodes,
-        lower_bound=params.base_cost + search.suffix[0],
-    )
+    return _solve_windows(inst, max(inst.horizon, 1), node_budget, warm_start)
 
 
 def solve_iterative(inst: Instance, window_size: int,
@@ -249,34 +247,7 @@ def solve_iterative(inst: Instance, window_size: int,
     into every window."""
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    schedule = departure_schedule(inst)
-    params = derive_bip_parameters(inst, schedule)
-    weights = decision_weights(inst, params)
-    pod_at, place_of = _occupancy_arrays(inst)
-    actions: list[int] = []
-    total = params.base_cost
-    nodes = 0
-    optimal = True
-    for start in range(0, inst.horizon, window_size):
-        end = min(start + window_size, inst.horizon)
-        search = _Search(inst, schedule, weights, start, end,
-                         pod_at, place_of, node_budget)
-        search.run()
-        if search.best_cost is None:
-            raise RuntimeError("node budget exhausted before any window solution")
-        nodes += search.nodes
-        optimal = optimal and not search.exhausted
-        total += search.best_cost
-        for t, a in enumerate(search.best_path, start=start):
-            info = schedule.steps[t]
-            pod_at[place_of[info.pod]] = 0
-            place_of[info.pod] = 0
-            if not info.fill:
-                pod_at[a] = info.returning_pod
-                place_of[info.returning_pod] = a
-        actions.extend(search.best_path)
-    return SolveResult(actions=actions, cost=total, optimal=optimal,
-                       nodes=nodes, lower_bound=params.base_cost)
+    return _solve_windows(inst, window_size, node_budget)
 
 
 def export_bip(inst: Instance, path) -> None:

@@ -53,6 +53,21 @@ def place_order(inst: Instance, name: str) -> list[int]:
     raise ValueError(f"unknown place order: {name}")
 
 
+def _decode2_replay(inst: Instance, genes: Sequence[int], gamma: Sequence[int],
+                    schedule: Schedule) -> Replay:
+    rank = [0] * (inst.n_places + 1)
+    for i, p in enumerate(gamma):
+        rank[p] = i
+    replay = Replay(inst, schedule)
+    for gene in genes:
+        if replay.current.fill:
+            replay.step(NO_OP)
+        else:
+            admissible = sorted(replay.admissible(), key=rank.__getitem__)
+            replay.step(admissible[gene % len(admissible)])
+    return replay
+
+
 def decode2(inst: Instance, genes: Sequence[int], gamma: Sequence[int],
             schedule: Optional[Schedule] = None) -> list[int]:
     """Decode free-place indices into actions by co-simulating the game.
@@ -62,20 +77,7 @@ def decode2(inst: Instance, genes: Sequence[int], gamma: Sequence[int],
     """
     if schedule is None:
         schedule = departure_schedule(inst)
-    rank = [0] * (inst.n_places + 1)
-    for i, p in enumerate(gamma):
-        rank[p] = i
-    replay = Replay(inst, schedule)
-    actions = []
-    for gene in genes:
-        if replay.current.fill:
-            a = NO_OP
-        else:
-            admissible = sorted(replay.admissible(), key=lambda p: rank[p])
-            a = admissible[gene % len(admissible)]
-        replay.step(a)
-        actions.append(a)
-    return actions
+    return _decode2_replay(inst, genes, gamma, schedule).actions
 
 
 @dataclass
@@ -104,45 +106,31 @@ class GaResult:
 
 
 class _Evaluator:
-    """Replay-based fitness: average cost per time step, infinity sentinel
-    for infeasible genetic-1 decodes."""
+    """Replay-based fitness: the replayed total cost, infinity sentinel for
+    infeasible genetic-1 decodes."""
 
     def __init__(self, inst: Instance, encoding: str, gamma: Optional[Sequence[int]],
                  schedule: Schedule):
         self.inst = inst
         self.encoding = encoding
+        self.gamma = gamma
         self.schedule = schedule
-        self.rank = None
-        if encoding == GENETIC2:
-            self.rank = [0] * (inst.n_places + 1)
-            for i, p in enumerate(gamma):
-                self.rank[p] = i
         self.evaluations = 0
         self.infeasible = 0
 
     def __call__(self, genes: Sequence[int]) -> tuple[float, Optional[list[int]]]:
         self.evaluations += 1
-        replay = Replay(self.inst, self.schedule)
-        actions: list[int] = []
         if self.encoding == GENETIC2:
-            rank = self.rank
-            for gene in genes:
-                if replay.current.fill:
-                    a = NO_OP
-                else:
-                    admissible = sorted(replay.admissible(), key=lambda p: rank[p])
-                    a = admissible[gene % len(admissible)]
-                replay.step(a)
-                actions.append(a)
+            replay = _decode2_replay(self.inst, genes, self.gamma, self.schedule)
         else:
+            replay = Replay(self.inst, self.schedule)
             for gene in genes:
                 try:
                     replay.step(gene)
                 except InfeasibleActionError:
                     self.infeasible += 1
                     return INFEASIBLE, None
-                actions.append(gene)
-        return replay.total / self.inst.horizon, actions
+        return replay.total, replay.actions
 
 
 def evolve(inst: Instance, encoding: str = GENETIC2,
@@ -224,10 +212,10 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
             if f < best_fitness:
                 best_fitness, best_genes, best_actions = f, genes, actions
                 improved = True
-        history.append(best_fitness * n)
+        history.append(best_fitness)
         stall = 0 if improved else stall + 1
     if best_actions is None:
         raise RuntimeError("no feasible individual was ever evaluated")
-    return GaResult(actions=best_actions, cost=best_fitness * n, history=history,
+    return GaResult(actions=best_actions, cost=best_fitness, history=history,
                     generations=generation, evaluations=evaluate.evaluations,
                     infeasible_evaluations=evaluate.infeasible)

@@ -18,8 +18,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exact, genetic, tetris
-from .core import (Instance, CostModel, Replay, Schedule, departure_schedule,
-                   total_cost, validate_instance)
+from .core import (TERMINAL_ZERO, Instance, CostModel, Replay, Schedule,
+                   departure_schedule, terminal_cost, total_cost,
+                   validate_instance)
 from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
                         co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
@@ -109,60 +110,68 @@ def brute_force_optimum(inst: Instance, cap: int = 5_000_000,
     return best_path, best_cost
 
 
-# --- policy registry -------------------------------------------------------
+# --- policy names ----------------------------------------------------------
+
+_ONLINE_POLICIES = ("random", "cheapest", "most-expensive", "fixed")
+_SOLVERS = ("tetris", "genetic1", "genetic2", "exact", "iterative", "brute-force")
+_PARAMETRIC = ("cheapest", "tetris", "genetic2", "iterative")
+
 
 def run_policy(inst: Instance, name: str, seed: int = 0,
                schedule: Optional[Schedule] = None,
                node_budget: Optional[int] = None) -> tuple[list[int], float, float]:
     """Run one named policy or solver; returns (actions, cost, wall_seconds).
 
-    The reported cost is re-verified against an independent replay.  The
+    A name is ``base`` or ``base:param``; only cheapest, tetris, genetic2
+    and iterative take a parameter, and it must not be empty.  The online
+    policies report their replay total plus the terminal cost; the solvers
+    optimise under zero terminal cost and refuse any other cost model.  The
+    reported cost is re-verified against an independent replay.  The
     ``fixed`` policy replays a cost-free rearranged initial state and is
     therefore not directly comparable with the others.
     """
+    base, colon, param = name.partition(":")
+    if (base not in _ONLINE_POLICIES + _SOLVERS
+            or colon and (base not in _PARAMETRIC or not param)):
+        raise ValueError(f"unknown policy: {name}")
     if schedule is None:
         schedule = departure_schedule(inst)
     run_inst = inst
     started = time.perf_counter()
-    if name == "random":
-        replay = Replay(inst, schedule).run(RandomPolicy(seed))
-        actions, cost = replay.actions, replay.total
-    elif name.startswith("cheapest"):
-        variant = name.split(":", 1)[1] if ":" in name else CHEAPEST_DECISION
-        replay = Replay(inst, schedule).run(CheapestPolicy(inst, variant))
-        actions, cost = replay.actions, replay.total
-    elif name == "most-expensive":
-        replay = Replay(inst, schedule).run(tetris.MostExpensivePlacePolicy())
-        actions, cost = replay.actions, replay.total
-    elif name.startswith("tetris"):
-        mode = name.split(":", 1)[1] if ":" in name else tetris.SORT_FREQUENCY
-        actions, cost = tetris.tetris(inst, mode, schedule)
-    elif name == "fixed":
-        assignment = compute_fixed_assignment(inst, schedule)
-        run_inst = rearranged_instance(inst, assignment)
-        # same departures, queues and stored pods, hence the same schedule
-        replay = Replay(run_inst, schedule).run(FixedPolicy(assignment))
-        actions, cost = replay.actions, replay.total
-    elif name == "genetic1":
-        result = genetic.evolve(inst, genetic.GENETIC1,
+    if base in _ONLINE_POLICIES:
+        if base == "random":
+            policy = RandomPolicy(seed)
+        elif base == "cheapest":
+            policy = CheapestPolicy(inst, param or CHEAPEST_DECISION)
+        elif base == "most-expensive":
+            policy = tetris.MostExpensivePlacePolicy()
+        else:
+            assignment = compute_fixed_assignment(inst, schedule)
+            run_inst = rearranged_instance(inst, assignment)
+            # same departures, queues and stored pods, hence the same schedule
+            policy = FixedPolicy(assignment)
+        replay = Replay(run_inst, schedule).run(policy)
+        actions = replay.actions
+        cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
+                                            schedule.final_queues)
+    elif inst.costs.terminal != TERMINAL_ZERO:
+        raise ValueError(f"{name} optimises under zero terminal cost, "
+                         f"not {inst.costs.terminal!r}")
+    elif base == "tetris":
+        actions, cost = tetris.tetris(inst, param or tetris.SORT_FREQUENCY, schedule)
+    elif base in ("genetic1", "genetic2"):
+        result = genetic.evolve(inst, base, gamma_name=param or genetic.GAMMA_AVG_COST,
                                 config=genetic.GaConfig(seed=seed), schedule=schedule)
         actions, cost = result.actions, result.cost
-    elif name.startswith("genetic2"):
-        gamma = name.split(":", 1)[1] if ":" in name else genetic.GAMMA_AVG_COST
-        result = genetic.evolve(inst, genetic.GENETIC2, gamma_name=gamma,
-                                config=genetic.GaConfig(seed=seed), schedule=schedule)
-        actions, cost = result.actions, result.cost
-    elif name == "exact":
+    elif base == "exact":
         result = exact.solve_exact(inst, node_budget=node_budget)
         actions, cost = result.actions, result.cost
-    elif name.startswith("iterative"):
-        window = int(name.split(":", 1)[1]) if ":" in name else 10
-        result = exact.solve_iterative(inst, window, node_budget=node_budget)
+    elif base == "iterative":
+        result = exact.solve_iterative(inst, int(param) if param else 10,
+                                       node_budget=node_budget)
         actions, cost = result.actions, result.cost
-    elif name == "brute-force":
-        actions, cost = brute_force_optimum(inst, schedule=schedule)
     else:
-        raise ValueError(f"unknown policy: {name}")
+        actions, cost = brute_force_optimum(inst, schedule=schedule)
     wall = time.perf_counter() - started
     check = total_cost(run_inst, actions, schedule)
     if abs(check - cost) > 1e-9:
@@ -177,6 +186,7 @@ class ResultRow:
     relative_cost: float
     wall_time: float
     decisions: int
+    actions: list[int] = field(repr=False)
 
 
 def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
@@ -200,10 +210,10 @@ def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
     random_cost = runs["random"][1]
     rows = []
     for name in names:
-        _, cost, wall = runs[name]
+        actions, cost, wall = runs[name]
         rows.append(ResultRow(policy=name, cost=cost,
                               relative_cost=cost / random_cost if random_cost else 1.0,
-                              wall_time=wall, decisions=decisions))
+                              wall_time=wall, decisions=decisions, actions=actions))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

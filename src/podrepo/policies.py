@@ -143,13 +143,15 @@ def fixed_assignment_costs(inst: Instance,
                            schedule: Optional[Schedule] = None) -> np.ndarray:
     """Cost of permanently assigning pod h to place p (pods x places)."""
     f_to, f_from = station_frequencies(inst, schedule)
+    to_station = np.array(inst.costs.to_station).T  # stations x places
+    from_station = np.array(inst.costs.from_station)
     matrix = np.zeros((inst.n_pods, inst.n_places))
+    # one pod row at a time, summed station by station in the order of the
+    # per-cell definition, so every entry is the same float
     for h in range(inst.n_pods):
-        for p in range(1, inst.n_places + 1):
-            matrix[h, p - 1] = sum(
-                f_to[h][s - 1] * inst.costs.to_stn(p, s)
-                + f_from[h][s - 1] * inst.costs.from_stn(s, p)
-                for s in range(1, inst.n_stations + 1))
+        row = matrix[h]
+        for s in range(inst.n_stations):
+            row += f_to[h][s] * to_station[s] + f_from[h][s] * from_station[s]
     return matrix
 
 

@@ -7,7 +7,7 @@ import pytest
 from podrepo.chart import (ChartSpec, chart_svg, distinct_pods_per_place,
                            emit_chart, pod_color, record_trace, trace_csv,
                            usage_ranks)
-from podrepo.core import Replay, departure_schedule
+from podrepo.core import Replay
 from podrepo.instances import build_small_system
 from podrepo.policies import (CheapestPolicy, FixedPolicy,
                               compute_fixed_assignment, rearranged_instance)
@@ -53,11 +53,6 @@ class TestRecordTrace:
         replay = Replay(inst).run(CheapestPolicy(inst))
         assert trace.cumulative_cost == pytest.approx(replay.total)
         assert trace.snapshots[-1] == replay.storage_tuple()
-
-    def test_queue_snapshots_track_schedule(self):
-        inst, trace = cheapest_trace()
-        schedule = departure_schedule(inst)
-        assert trace.queues[-1] == schedule.final_queues
 
 
 class TestChartSvg:

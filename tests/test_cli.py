@@ -1,11 +1,14 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from podrepo import harness
 from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
-from podrepo.core import load_actions, load_instance, save_instance
+from podrepo.core import (TERMINAL_RETURN_ALL, load_actions, load_instance,
+                          save_instance)
 from podrepo.harness import build_tiny_random
 from podrepo.instances import build_small_system
 
@@ -61,6 +64,34 @@ class TestRun:
         assert "cheapest:decision" in csv
         inst = load_instance(small_path)
         assert len(load_actions(actions)) == inst.horizon
+
+    def test_actions_out_runs_the_policy_once(self, small_path, tmp_path,
+                                             monkeypatch):
+        calls = []
+        run_policy = harness.run_policy
+
+        def counting(inst, name, *args, **kwargs):
+            calls.append(name)
+            return run_policy(inst, name, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_policy", counting)
+        actions = tmp_path / "actions.json"
+        assert main(["run", str(small_path), "--policy", "cheapest:decision",
+                     "--actions-out", str(actions)]) == EXIT_OK
+        # the policy plus the random baseline
+        assert sorted(calls) == ["cheapest:decision", "random"]
+        inst = load_instance(small_path)
+        assert load_actions(actions) == run_policy(inst, "cheapest:decision")[0]
+
+    def test_solver_on_return_all_pods_is_config_error(self, tmp_path):
+        inst = build_small_system(n=150)
+        path = tmp_path / "return-all.json"
+        save_instance(replace(inst, costs=replace(inst.costs,
+                                                  terminal=TERMINAL_RETURN_ALL)), path)
+        assert main(["run", str(path), "--policy", "tetris"]) == EXIT_CONFIG
+        assert main(["solve", str(path), "--exact",
+                     "--node-budget", "1"]) == EXIT_CONFIG
+        assert main(["run", str(path), "--policy", "cheapest"]) == EXIT_OK
 
     def test_unknown_policy_is_config_error(self, small_path):
         assert main(["run", str(small_path), "--policy", "magic"]) == EXIT_CONFIG

@@ -120,6 +120,24 @@ class TestSolveIterative:
                                                                  abs=1e-9)
 
 
+class TestLowerBound:
+    """Both solvers report the place-disjointness relaxation: the base cost
+    plus every decision's cheapest weight."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_iterative_bound_equals_exact_bound(self, seed):
+        inst = harness.build_tiny_random(seed)
+        params = derive_bip_parameters(inst)
+        weights = decision_weights(inst, params)
+        relaxed = params.base_cost + sum(min(weights[t]) for t in params.decision_steps)
+        bound = solve_exact(inst).lower_bound
+        assert bound == pytest.approx(relaxed, abs=1e-9)
+        for window in (1, 3):
+            result = solve_iterative(inst, window)
+            assert result.lower_bound == bound
+            assert result.lower_bound <= result.cost + 1e-9
+
+
 def _solve_lp_model(inst):
     """Independent optimum of the exported model via mixed-integer scipy."""
     from scipy.optimize import LinearConstraint, milp

@@ -3,7 +3,8 @@
 import pytest
 
 from podrepo import harness
-from podrepo.core import CostModel, Instance, Replay, check_feasible
+from podrepo.core import (CostModel, Instance, Replay, check_feasible,
+                          total_cost)
 from podrepo.genetic import (GAMMA_AVG_COST, GAMMA_CLOSE, GAMMA_FAR,
                              GAMMA_ZIGZAG, GENETIC1, GENETIC2, GaConfig,
                              decode2, evolve, place_order)
@@ -99,6 +100,14 @@ class TestEvolve:
         assert result.cost >= optimum - 1e-9
         random_total = Replay(inst).run(RandomPolicy(0)).total
         assert result.cost <= max(random_total, optimum) + 1e-9
+
+    @pytest.mark.parametrize("encoding", [GENETIC1, GENETIC2])
+    def test_cost_is_the_replay_total(self, encoding):
+        inst = build_small_system(n=120)
+        result = evolve(inst, encoding,
+                        config=GaConfig(population=10, max_generations=3, seed=2))
+        assert result.cost == total_cost(inst, result.actions)
+        assert result.history[-1] == result.cost
 
     def test_history_is_nonincreasing(self):
         inst = harness.build_tiny_random(2)

@@ -1,10 +1,15 @@
 """Experiment orchestration, the exhaustive oracle, and the studies."""
 
+from dataclasses import replace
+
 import pytest
 
 from podrepo import harness
-from podrepo.core import check_feasible, departure_schedule, total_cost
+from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
+                          departure_schedule, total_cost)
+from podrepo.exact import solve_exact, solve_iterative
 from podrepo.instances import REGIME_PERIODIC, build_small_system
+from podrepo.policies import compute_fixed_assignment, rearranged_instance
 
 
 class TestBruteForce:
@@ -40,8 +45,12 @@ class TestBruteForce:
 
 class TestRunPolicy:
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            harness.run_policy(build_small_system(n=50), "telepathy")
+        inst = build_small_system(n=50)
+        # only cheapest, tetris, genetic2 and iterative take a non-empty :param
+        for name in ("telepathy", "cheapestx", "tetris-frequency", "genetic2abc",
+                     "iterativeX", "random:1", "exact:5", "cheapest:"):
+            with pytest.raises(ValueError, match="unknown policy"):
+                harness.run_policy(inst, name)
 
     @pytest.mark.parametrize("name", ["random", "cheapest:decision",
                                       "cheapest:to-storage", "most-expensive",
@@ -70,6 +79,42 @@ class TestRunPolicy:
             moved_any |= moved.initial_storage != inst.initial_storage
             assert departure_schedule(moved) == departure_schedule(inst)
         assert moved_any
+
+
+@pytest.fixture(scope="module")
+def return_all_pods():
+    inst = build_small_system(n=200)
+    return replace(inst, costs=replace(inst.costs, terminal=TERMINAL_RETURN_ALL))
+
+
+class TestReturnAllPods:
+    """The online policies add the terminal cost; the solvers refuse the
+    cost model, because they optimise under zero terminal cost."""
+
+    @pytest.mark.parametrize("name", ["random", "cheapest:decision",
+                                      "most-expensive", "fixed"])
+    def test_online_cost_includes_terminal(self, return_all_pods, name):
+        inst = return_all_pods
+        actions, cost, _ = harness.run_policy(inst, name, seed=1)
+        if name == "fixed":
+            inst = rearranged_instance(inst, compute_fixed_assignment(inst))
+        assert cost == total_cost(inst, actions)
+        replay = Replay(inst)
+        for a in actions:
+            replay.step(a)
+        assert cost > replay.total
+
+    @pytest.mark.parametrize("name", ["tetris:frequency", "genetic1", "genetic2",
+                                      "exact", "iterative:5", "brute-force"])
+    def test_solvers_refuse(self, return_all_pods, name):
+        with pytest.raises(ValueError, match="return-all-pods"):
+            harness.run_policy(return_all_pods, name, node_budget=1)
+
+    def test_exact_solvers_refuse(self, return_all_pods):
+        with pytest.raises(ValueError, match="return-all-pods"):
+            solve_exact(return_all_pods, node_budget=1)
+        with pytest.raises(ValueError, match="return-all-pods"):
+            solve_iterative(return_all_pods, 5, node_budget=1)
 
 
 class TestRunComparison:
