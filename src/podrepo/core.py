@@ -15,8 +15,11 @@ the test suite checks.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 NO_OP = 0
@@ -52,7 +55,8 @@ class CostModel:
 
     ``to_station[p-1][s-1]`` is the cost of moving a pod from place ``p`` to
     station ``s``; ``from_station[s-1][p-1]`` the cost of the return leg.
-    ``discount`` exists for completeness but only 1.0 is exercised.
+    ``terminal`` selects the end-of-horizon cost (``TERMINAL_ZERO`` or
+    ``TERMINAL_RETURN_ALL``).  Every cost is finite and non-negative.
     """
 
     to_station: tuple[tuple[float, ...], ...]
@@ -74,10 +78,10 @@ class CostModel:
             raise InvalidInstanceError("from_station table has wrong station count")
         if any(len(row) != n_places for row in self.from_station):
             raise InvalidInstanceError("from_station table has wrong place count")
-        if any(c < 0 for row in self.to_station for c in row):
-            raise InvalidInstanceError("negative cost in to_station table")
-        if any(c < 0 for row in self.from_station for c in row):
-            raise InvalidInstanceError("negative cost in from_station table")
+        if not all(0 <= c < math.inf for row in self.to_station for c in row):
+            raise InvalidInstanceError("negative or non-finite cost in to_station table")
+        if not all(0 <= c < math.inf for row in self.from_station for c in row):
+            raise InvalidInstanceError("negative or non-finite cost in from_station table")
         if self.terminal not in (TERMINAL_ZERO, TERMINAL_RETURN_ALL):
             raise InvalidInstanceError(f"unknown terminal cost: {self.terminal}")
 
@@ -551,22 +555,48 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a bool, float or string is rejected."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise InvalidInstanceError(f"{what} must be integers, not {bad!r}")
+    return values
+
+
+def _cost_table(rows, what: str) -> tuple[tuple[float, ...], ...]:
+    """``rows`` as a float table; each entry must be a finite int or float."""
+    table = tuple(tuple(row) for row in rows)
+    for row in table:
+        for c in row:
+            if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:
+                raise InvalidInstanceError(f"{what} costs must be finite numbers, not {c!r}")
+    return tuple(tuple(float(c) for c in row) for row in table)
+
+
 def instance_from_dict(doc: dict) -> Instance:
+    """Parse an instance document; a malformed field raises
+    ``InvalidInstanceError`` naming it."""
+    _ints((s["id"] for s in doc["stations"]), "station ids")
     stations = sorted(doc["stations"], key=lambda s: s["id"])
     if [s["id"] for s in stations] != list(range(1, len(stations) + 1)):
         raise InvalidInstanceError("station ids must be 1..n")
+    n_pods, n_places = _ints((doc["pods"], doc["places"]), "pod and place counts")
+    departures = tuple((h, s) for h, s in doc["departures"])
+    _ints(chain.from_iterable(departures), "departure pods and stations")
     inst = Instance(
-        n_pods=doc["pods"],
-        n_places=doc["places"],
-        station_capacities=tuple(s["capacity"] for s in stations),
+        n_pods=n_pods,
+        n_places=n_places,
+        station_capacities=_ints((s["capacity"] for s in stations), "station capacities"),
         costs=CostModel(
-            to_station=tuple(tuple(float(c) for c in row) for row in doc["cost_to_station"]),
-            from_station=tuple(tuple(float(c) for c in row) for row in doc["cost_from_station"]),
+            to_station=_cost_table(doc["cost_to_station"], "cost_to_station"),
+            from_station=_cost_table(doc["cost_from_station"], "cost_from_station"),
             terminal=doc.get("terminal_cost", TERMINAL_ZERO),
         ),
-        initial_storage=tuple(h if h != 0 else None for h in doc["initial_storage"]),
-        initial_queues=tuple(tuple(q) for q in doc["initial_queues"]),
-        departures=tuple((h, s) for h, s in doc["departures"]),
+        initial_storage=tuple(h if h != 0 else None
+                              for h in _ints(doc["initial_storage"], "initial_storage pods")),
+        initial_queues=tuple(_ints(q, "initial_queues pods") for q in doc["initial_queues"]),
+        departures=departures,
     )
     validate_instance(inst)
     return inst

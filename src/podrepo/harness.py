@@ -1,4 +1,4 @@
-"""Experiment orchestration: policy registry, comparisons, the uniformity and
+"""Experiment orchestration: named policy runs, comparisons, the uniformity and
 seasonal studies, result persistence, and the exhaustive-enumeration oracle.
 
 Every persisted result is reproducible from (instance, policy names, seed):
@@ -22,6 +22,7 @@ from .core import (TERMINAL_ZERO, Instance, CostModel, Replay, Schedule,
                    departure_schedule, terminal_cost, total_cost,
                    validate_instance)
 from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
+                        _draw_pod, _pick, _pod_weight_vector, _station_cdf,
                         co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
                         random_initial_storage, rng_from_seed,
@@ -352,21 +353,20 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000,
     symmetric Dirichlet, so a few dozen pods dominate the demand of every
     season and the dominant set changes completely between seasons.
     """
-    sw = np.asarray(MEDIUM_STATION_WEIGHTS)
+    stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
     alpha = [concentration] * MEDIUM_N_PODS
 
     def make_draw(rng):
-        state = {"weights": rng.dirichlet(alpha), "epoch": 0}
+        # the tiny floor keeps every stored pod drawable in every season
+        state = {"weights": _pod_weight_vector(rng.dirichlet(alpha) + 1e-300),
+                 "epoch": 0}
 
-        def draw(t: int, storage: set[int]) -> tuple[int, int]:
+        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
             if t // epoch != state["epoch"]:
                 state["epoch"] = t // epoch
-                state["weights"] = rng.dirichlet(alpha)
-            pods = sorted(storage)
-            w = state["weights"][np.array(pods) - 1] + 1e-300
-            pod = pods[int(rng.choice(len(pods), p=w / w.sum()))]
-            station = int(rng.choice(2, p=sw)) + 1
-            return pod, station
+                state["weights"] = _pod_weight_vector(rng.dirichlet(alpha) + 1e-300)
+            pod = _draw_pod(state["weights"], in_storage, rng)
+            return pod, _pick(stations, rng) + 1
 
         return draw
 
@@ -376,17 +376,14 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000,
 def plain_medium_instance(seed: int, n: int = 10000, ratio: float = 20.0) -> Instance:
     """Medium system with fixed geometric weights (no seasonal changes)."""
     base = np.asarray(geometric_weights(MEDIUM_N_PODS, ratio))
-    sw = np.asarray(MEDIUM_STATION_WEIGHTS)
+    stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
 
     def make_draw(rng):
-        weights = base[rng.permutation(MEDIUM_N_PODS)]
+        weights = _pod_weight_vector(base[rng.permutation(MEDIUM_N_PODS)])
 
-        def draw(t: int, storage: set[int]) -> tuple[int, int]:
-            pods = sorted(storage)
-            w = weights[np.array(pods) - 1]
-            pod = pods[int(rng.choice(len(pods), p=w / w.sum()))]
-            station = int(rng.choice(2, p=sw)) + 1
-            return pod, station
+        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
+            pod = _draw_pod(weights, in_storage, rng)
+            return pod, _pick(stations, rng) + 1
 
         return draw
 

@@ -45,17 +45,59 @@ def geometric_weights(n_pods: int, ratio: float) -> list[float]:
     return [w / total for w in raw]
 
 
+def _pod_weight_vector(pod_weights: Sequence[float]) -> np.ndarray:
+    """Pod weights as an array indexed by pod id (entry 0 unused), checked
+    once: every weight must be finite and non-negative."""
+    weights = np.concatenate(([0.0], np.asarray(pod_weights, dtype=float)))
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("pod weights must be finite and non-negative")
+    return weights
+
+
+def _station_cdf(station_weights: Sequence[float]) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice(k, p=station_weights)``
+    builds, after the same check that the weights are probabilities."""
+    p = np.asarray(station_weights, dtype=float)
+    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
+        raise ValueError("station weights must be non-negative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _pick(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn from ``cdf`` with one double, as ``Generator.choice`` does."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _draw_pod(weights: np.ndarray, in_storage: np.ndarray,
+              rng: np.random.Generator) -> int:
+    """A stored pod drawn with probability proportional to its weight.
+
+    ``weights`` and the bool mask ``in_storage`` are indexed by pod id.  The
+    draw is bit-identical to ``pods[rng.choice(len(pods), p=w / w.sum())]``
+    over ``pods = sorted(storage)``: boolean indexing keeps pod ids
+    ascending, and the cdf is built with ``choice``'s own arithmetic.
+    """
+    w = weights[in_storage]
+    if not w.size:
+        raise ValueError("storage is empty")
+    total = w.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError("the stored pods' weights must have a positive, finite sum")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    return int(in_storage.nonzero()[0][_pick(cdf, rng)])
+
+
 def next_departure(storage_pods: Sequence[int], pod_weights: Sequence[float],
                    station_weights: Sequence[float],
                    rng: np.random.Generator) -> tuple[int, int]:
     """Sample one departure: station by weight, pod by weight among storage."""
-    pods = sorted(storage_pods)
-    if not pods:
-        raise ValueError("storage is empty")
-    station = int(rng.choice(len(station_weights), p=np.asarray(station_weights))) + 1
-    w = np.array([pod_weights[h - 1] for h in pods], dtype=float)
-    pod = pods[int(rng.choice(len(pods), p=w / w.sum()))]
-    return pod, station
+    in_storage = np.zeros(len(pod_weights) + 1, dtype=bool)
+    in_storage[list(storage_pods)] = True
+    station = _pick(_station_cdf(station_weights), rng) + 1
+    return _draw_pod(_pod_weight_vector(pod_weights), in_storage, rng), station
 
 
 def co_simulated_departures(
@@ -64,24 +106,31 @@ def co_simulated_departures(
         initial_storage: Sequence[Optional[int]],
         initial_queues: Sequence[Sequence[int]],
         n: int,
-        draw: Callable[[int, set[int]], tuple[int, int]],
+        draw: Callable[[int, np.ndarray], tuple[int, int]],
 ) -> tuple[tuple[int, int], ...]:
     """Build a departure sequence by co-simulating the (action-independent)
-    storage membership and queue dynamics; ``draw(t, storage_set)`` must
-    return a departure whose pod is in ``storage_set``."""
-    in_storage = {h for h in initial_storage if h is not None}
+    storage membership and queue dynamics.
+
+    Membership is a bool mask indexed by pod id (entry 0 unused), updated in
+    place; ``draw(t, in_storage)`` must return a departure whose pod is set
+    in it, and must not change it.
+    """
+    in_storage = np.zeros(n_pods + 1, dtype=bool)
+    in_storage[[h for h in initial_storage if h is not None]] = True
     queues = [list(q) for q in initial_queues]
     departures: list[tuple[int, int]] = []
     for t in range(n):
         pod, station = draw(t, in_storage)
-        if pod not in in_storage:
+        if not (0 < pod <= n_pods and in_storage[pod]):
             raise InvalidInstanceError(f"draw at step {t} chose pod {pod} not in storage")
-        in_storage.discard(pod)
+        if not 0 < station <= len(queues):
+            raise InvalidInstanceError(f"draw at step {t} chose unknown station {station}")
+        in_storage[pod] = False
         q = queues[station - 1]
         if len(q) < station_capacities[station - 1]:
             q.append(pod)
         else:
-            in_storage.add(q.pop(0))
+            in_storage[q.pop(0)] = True
             q.append(pod)
         departures.append((pod, station))
     return tuple(departures)
@@ -107,14 +156,16 @@ def generate_departures(
         return tuple(((t % n_pods) + 1, (t % n_stations) + 1) for t in range(n))
 
     rng = rng_from_seed(seed)
-    sw = np.asarray(station_weights, dtype=float)
+    stations = _station_cdf(station_weights)
 
     if regime in (REGIME_RANDOM_GEOMETRIC, REGIME_RANDOM_UNIFORM):
         if regime == REGIME_RANDOM_UNIFORM or pod_weights is None:
             pod_weights = [1.0 / n_pods] * n_pods
+        weights = _pod_weight_vector(pod_weights)
 
-        def draw(t: int, storage: set[int]) -> tuple[int, int]:
-            return next_departure(storage, pod_weights, sw, rng)
+        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
+            station = _pick(stations, rng) + 1
+            return _draw_pod(weights, in_storage, rng), station
 
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
                                        initial_queues, n, draw)
@@ -122,19 +173,19 @@ def generate_departures(
     if regime == REGIME_PERIODIC_RANDOM:
         block: list[int] = []
 
-        def draw(t: int, storage: set[int]) -> tuple[int, int]:
+        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
             nonlocal block
             while True:
                 if not block:
-                    block = list(rng.permutation(n_pods) + 1)
+                    block = (rng.permutation(n_pods) + 1).tolist()
                 pod = block[0]
-                if pod in storage:
+                if in_storage[pod]:
                     block.pop(0)
                     break
                 # correction rule: swap with the next in-storage pod in the
                 # block, skip to a fresh block when there is none
                 for j in range(1, len(block)):
-                    if block[j] in storage:
+                    if in_storage[block[j]]:
                         block[0], block[j] = block[j], block[0]
                         break
                 else:
@@ -142,8 +193,7 @@ def generate_departures(
                     continue
                 pod = block.pop(0)
                 break
-            station = int(rng.choice(n_stations, p=sw)) + 1
-            return pod, station
+            return pod, _pick(stations, rng) + 1
 
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
                                        initial_queues, n, draw)

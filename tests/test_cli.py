@@ -44,6 +44,12 @@ class TestGen:
                      "--out", str(out)]) == EXIT_OK
         assert load_instance(out) == build_tiny_random(4)
 
+    def test_periodic_random_instance_is_saved(self, tmp_path):
+        out = tmp_path / "pr.json"
+        assert main(["gen", "--system", "small", "--steps", "60",
+                     "--regime", "periodic-random", "--out", str(out)]) == EXIT_OK
+        assert load_instance(out) == build_small_system(n=60, regime="periodic-random")
+
     def test_unwritable_output_is_config_error(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "x.json"
         assert main(["gen", "--out", str(out)]) == EXIT_CONFIG
@@ -104,6 +110,27 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"pods\": 1}")
         assert main(["run", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda d: d["cost_to_station"][0].__setitem__(0, float("nan")),
+                     "cost_to_station", id="nan-cost"),
+        pytest.param(lambda d: d["cost_from_station"][0].__setitem__(0, float("inf")),
+                     "cost_from_station", id="inf-cost"),
+        pytest.param(lambda d: d["departures"][0].__setitem__(0, True),
+                     "departure", id="bool-pod"),
+        pytest.param(lambda d: d["departures"][0].__setitem__(0, 1.5),
+                     "departure", id="float-pod"),
+        pytest.param(lambda d: d["initial_storage"].__setitem__(0, 2.0),
+                     "initial_storage", id="float-stored-pod"),
+    ])
+    def test_hostile_instance_is_config_error(self, tiny_path, tmp_path, capsys,
+                                              edit, field):
+        doc = json.loads(tiny_path.read_text())
+        edit(doc)
+        bad = tmp_path / "hostile.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
 
 
 class TestCompare:

@@ -284,3 +284,56 @@ def test_any_admissible_path_is_feasible(seed, data):
         choice = data.draw(st.sampled_from(replay.admissible()))
         replay.step(choice)
     assert check_feasible(inst, replay.actions).ok
+
+
+class TestHostileInstanceFiles:
+    """Malformed instance documents raise InvalidInstanceError, never a
+    TypeError or a silently wrong cost."""
+
+    def doc(self):
+        return instance_to_dict(harness.build_tiny_random(5))
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf"),
+                                      True, "3", None,
+                                      pytest.param(10 ** 400, id="huge-int")])
+    @pytest.mark.parametrize("table", ["cost_to_station", "cost_from_station"])
+    def test_bad_cost(self, table, cost):
+        doc = self.doc()
+        doc[table][0][0] = cost
+        with pytest.raises(InvalidInstanceError):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [True, 1.0, 1.5, "1"])
+    def test_non_integer_pod_id(self, value):
+        for field in ("initial_storage", "departures"):
+            doc = self.doc()
+            if field == "initial_storage":
+                doc[field][doc[field].index(1)] = value
+            else:
+                doc[field][0][0] = value
+            with pytest.raises(InvalidInstanceError):
+                instance_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_non_integer_counts_and_ids(self, value):
+        for edit in (lambda d: d.update(pods=value), lambda d: d.update(places=value),
+                     lambda d: d["stations"][0].update(id=value),
+                     lambda d: d["stations"][0].update(capacity=value),
+                     lambda d: d["departures"][0].__setitem__(1, value)):
+            doc = self.doc()
+            edit(doc)
+            with pytest.raises(InvalidInstanceError):
+                instance_from_dict(doc)
+
+    def test_queued_pod_must_be_integer(self):
+        doc = self.doc()
+        pod = doc["initial_storage"].index(1)
+        doc["initial_storage"][pod] = 0
+        doc["initial_queues"][0] = [1.0]
+        with pytest.raises(InvalidInstanceError):
+            instance_from_dict(doc)
+
+    def test_programmatic_nan_cost_rejected(self):
+        costs = CostModel(to_station=((float("nan"),),), from_station=((1.0,),))
+        with pytest.raises(InvalidInstanceError):
+            costs.validate(1, 1)

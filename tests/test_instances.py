@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from podrepo.core import validate_instance
+from podrepo.core import InvalidInstanceError, validate_instance
 from podrepo.instances import (MEDIUM_N_PLACES, MEDIUM_N_PODS,
                                MEDIUM_STATION_WEIGHTS, REGIMES,
                                build_medium_system, build_small_system,
+                               co_simulated_departures,
                                generate_departures, geometric_weights,
                                next_departure, rng_from_seed,
                                small_cost_model)
@@ -157,3 +158,65 @@ class TestMediumSystem:
         inst = build_medium_system(seed=1, n=100)
         assert any(inst.costs.to_stn(p, 1) != inst.costs.to_stn(p, 2)
                    for p in range(1, inst.n_places + 1))
+
+
+class TestDrawErrors:
+    """The hand-written draw keeps ``Generator.choice``'s error behaviour."""
+
+    @pytest.mark.parametrize("weights", [[-0.5, 1.5, 1.0], [np.nan, 1.0, 1.0],
+                                         [np.inf, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    def test_bad_weights_among_stored_pods(self, weights):
+        with pytest.raises(ValueError):
+            next_departure([1, 2], weights, [0.5, 0.5], rng_from_seed(0))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_weight_sum_overflow(self):
+        with pytest.raises(ValueError):
+            next_departure([1, 2], [1e308, 1e308], [1.0], rng_from_seed(0))
+
+    @pytest.mark.parametrize("station_weights", [[0.5, 0.6], [-0.5, 1.5], [np.nan, 1.0]])
+    def test_bad_station_weights(self, station_weights):
+        with pytest.raises(ValueError):
+            next_departure([1], [1.0], station_weights, rng_from_seed(0))
+
+    def test_generate_checks_pod_weights(self):
+        with pytest.raises(ValueError):
+            generate_departures(3, (1,), (1, 2, 3), ((),), regime="random-geometric",
+                                seed=0, n=5, pod_weights=[1.0, -1.0, 1.0])
+
+    def test_empty_storage_in_generation(self):
+        # one place, one pod, and a queue of two: the second draw finds
+        # storage empty
+        with pytest.raises(ValueError, match="storage is empty"):
+            generate_departures(1, (2,), (1,), ((),), regime="random-uniform",
+                                seed=0, n=2)
+
+    @pytest.mark.parametrize("pod", [0, -1, 4, 2])
+    def test_draw_outside_storage_is_invalid(self, pod):
+        # pod 2 sits in the queue, 0, -1 and 4 are no pods at all
+        with pytest.raises(InvalidInstanceError, match="not in storage"):
+            co_simulated_departures(3, (1,), (1, None, 3), ((2,),), 1,
+                                    lambda t, in_storage: (pod, 1))
+
+    @pytest.mark.parametrize("station", [0, -1, 2])
+    def test_draw_with_unknown_station_is_invalid(self, station):
+        with pytest.raises(InvalidInstanceError, match="unknown station"):
+            co_simulated_departures(3, (1,), (1, 2, 3), ((),), 1,
+                                    lambda t, in_storage: (1, station))
+
+    def test_draw_sees_membership_mask(self):
+        seen = []
+
+        def draw(t, in_storage):
+            seen.append(np.flatnonzero(in_storage).tolist())
+            return seen[-1][0], 1
+
+        deps = co_simulated_departures(3, (1,), (1, None, 3), ((2,),), 3, draw)
+        assert seen == [[1, 3], [2, 3], [1, 3]]
+        assert deps == ((1, 1), (2, 1), (1, 1))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_departures_are_plain_ints(self, regime):
+        deps = generate_departures(6, (1, 1), tuple(range(1, 7)), ((), ()),
+                                   regime=regime, seed=3, n=30)
+        assert all(type(h) is int and type(s) is int for h, s in deps)
