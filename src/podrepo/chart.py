@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Instance, Replay, Schedule
+from .core import Instance, Replay
 
 RAMP_START = (0, 0, 139)   # dark blue
 RAMP_END = (139, 0, 0)     # dark red
@@ -40,10 +40,9 @@ class ChartSpec:
     cell_height: int = 10
 
 
-def record_trace(inst: Instance, actions: Sequence[int],
-                 schedule: Optional[Schedule] = None) -> RunTrace:
+def record_trace(inst: Instance, actions: Sequence[int]) -> RunTrace:
     """Replay ``actions`` and record every intermediate state."""
-    replay = Replay(inst, schedule)
+    replay = Replay(inst)
     snapshots = [replay.storage_tuple()]
     costs = []
     for action in actions:

@@ -15,8 +15,8 @@ import click
 
 from . import chart as chartmod
 from . import exact, harness, instances
-from .core import (GameError, check_feasible, departure_schedule, load_actions,
-                   load_instance, save_actions, save_instance, total_cost)
+from .core import (GameError, check_feasible, load_actions, load_instance,
+                   save_actions, save_instance, total_cost)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -10,6 +10,9 @@ All public state objects are immutable; :func:`transition` returns a new
 state.  :class:`Replay` is the fast mutable engine the policies and solvers
 run on -- it must stay behaviourally identical to the functional API, which
 the test suite checks.
+
+The queue dynamics do not depend on the actions: :func:`departure_schedule`
+simulates them once per :class:`Instance` object and caches the result on it.
 """
 
 from __future__ import annotations
@@ -88,7 +91,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class Instance:
-    """A full problem instance: layout, costs, initial state, departures."""
+    """A full problem instance: layout, costs, initial state, departures.
+
+    :func:`departure_schedule` caches the schedule in ``_schedule``, which is
+    not a field: no ``__init__`` argument, and not in ``repr``, ``==`` or hash.
+    """
 
     n_pods: int
     n_places: int
@@ -274,11 +281,28 @@ def step_cost(inst: Instance, state: SystemState, action: int) -> float:
 
 
 def departure_schedule(inst: Instance) -> Schedule:
-    """Simulate the action-independent queue dynamics once.
+    """The action-independent queue dynamics, simulated on the first call for
+    an instance object; later calls return the same cached object.
 
     Raises :class:`InvalidInstanceError` when a departure names a pod that is
     not in storage at its departure time.
     """
+    # not inst.__dict__: reading it materializes the instance dict, which makes
+    # every later attribute load on the instance about 3x slower (CPython 3.11)
+    schedule = getattr(inst, "_schedule", None)
+    if schedule is None:
+        schedule = _simulate_queues(inst)
+        object.__setattr__(inst, "_schedule", schedule)
+    return schedule
+
+
+def _share_schedule(copy: Instance, original: Instance) -> None:
+    """Cache the schedule of ``original`` on ``copy``, which must have the same
+    departures, queues and set of stored pods."""
+    object.__setattr__(copy, "_schedule", departure_schedule(original))
+
+
+def _simulate_queues(inst: Instance) -> Schedule:
     dep_steps: list[list[int]] = [[] for _ in range(inst.n_pods)]
     for t, (pod, _) in enumerate(inst.departures):
         dep_steps[pod - 1].append(t)
@@ -363,9 +387,9 @@ class Replay:
     ``pod_at`` so the admissible set costs O(free places), not O(places).
     """
 
-    def __init__(self, inst: Instance, schedule: Optional[Schedule] = None):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.schedule = schedule if schedule is not None else departure_schedule(inst)
+        self.schedule = departure_schedule(inst)
         self.place_of = [0] * (inst.n_pods + 1)  # 0 = not in storage
         self.pod_at: list[int] = [0] * (inst.n_places + 1)  # 0 = free
         for p, h in enumerate(inst.initial_storage, start=1):
@@ -387,8 +411,11 @@ class Replay:
 
     def admissible(self) -> list[int]:
         """Admissible actions, ascending: the free places plus the place the
-        departing pod leaves, or ``[NO_OP]`` on a fill step."""
-        info = self.schedule.steps[self.t]
+        departing pod leaves, or ``[NO_OP]`` on a fill step or past the end."""
+        try:
+            info = self.schedule.steps[self.t]
+        except IndexError:
+            return [NO_OP]
         if info.fill:
             return [NO_OP]
         free = self.free
@@ -397,9 +424,12 @@ class Replay:
         return free[:i] + [dep_place] + free[i:]
 
     def step(self, action: int) -> float:
-        """Apply one step.  An infeasible action raises before any state
-        changes, so the replay stays usable."""
-        info = self.schedule.steps[self.t]
+        """Apply one step.  An infeasible action (any action past the end)
+        raises before any state changes, so the replay stays usable."""
+        try:
+            info = self.schedule.steps[self.t]
+        except IndexError:
+            raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
         place = self.place_of[info.pod]
         if info.fill:
             if action != NO_OP:
@@ -462,25 +492,23 @@ def terminal_cost(inst: Instance, final_storage: Sequence[Optional[int]],
     return float(matrix[rows, cols].sum())
 
 
-def total_cost(inst: Instance, actions: Sequence[int],
-               schedule: Optional[Schedule] = None) -> float:
+def total_cost(inst: Instance, actions: Sequence[int]) -> float:
     """Total cost of a feasible action sequence, terminal cost included."""
     if len(actions) != inst.horizon:
         raise InfeasibleActionError(0, REASON_LENGTH,
                                     f"expected {inst.horizon} actions, got {len(actions)}")
-    replay = Replay(inst, schedule)
+    replay = Replay(inst)
     for a in actions:
         replay.step(a)
     return replay.total + terminal_cost(inst, replay.storage_tuple(),
                                         replay.schedule.final_queues)
 
 
-def check_feasible(inst: Instance, actions: Sequence[int],
-                   schedule: Optional[Schedule] = None) -> Verdict:
+def check_feasible(inst: Instance, actions: Sequence[int]) -> Verdict:
     """Replay ``actions`` and report OK or the first violation."""
     if len(actions) != inst.horizon:
         return Verdict(ok=False, step=None, reason=REASON_LENGTH)
-    replay = Replay(inst, schedule)
+    replay = Replay(inst)
     for a in actions:
         try:
             replay.step(a)
@@ -489,15 +517,13 @@ def check_feasible(inst: Instance, actions: Sequence[int],
     return Verdict(ok=True)
 
 
-def occupation_intervals(inst: Instance, actions: Sequence[int],
-                         schedule: Optional[Schedule] = None) -> list[OccupationInterval]:
+def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[OccupationInterval]:
     """Interval view of a feasible replay, initial occupancy included."""
-    if schedule is None:
-        schedule = departure_schedule(inst)
-    verdict = check_feasible(inst, actions, schedule)
+    verdict = check_feasible(inst, actions)
     if not verdict.ok:
         raise InfeasibleActionError(verdict.step if verdict.step is not None else 0,
                                     verdict.reason, "cannot build intervals")
+    schedule = departure_schedule(inst)
     horizon = inst.horizon
     intervals: list[OccupationInterval] = []
     for p, h in enumerate(inst.initial_storage, start=1):
@@ -523,10 +549,9 @@ def occupation_intervals(inst: Instance, actions: Sequence[int],
     return intervals
 
 
-def initial_busy_ends(inst: Instance, schedule: Optional[Schedule] = None) -> list[int]:
+def initial_busy_ends(inst: Instance) -> list[int]:
     """First time each place becomes free; horizon+1 when it never does."""
-    if schedule is None:
-        schedule = departure_schedule(inst)
+    schedule = departure_schedule(inst)
     horizon = inst.horizon
     ends = []
     for h in inst.initial_storage:

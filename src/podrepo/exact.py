@@ -20,8 +20,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (NO_OP, TERMINAL_ZERO, Instance, Replay, Schedule,
-                   departure_schedule, initial_busy_ends)
+from .core import (NO_OP, TERMINAL_ZERO, Instance, Replay, departure_schedule,
+                   initial_busy_ends)
 from .policies import decision_cost_table
 
 
@@ -45,10 +45,8 @@ class BipParameters:
     base_cost: float
 
 
-def derive_bip_parameters(inst: Instance,
-                          schedule: Optional[Schedule] = None) -> BipParameters:
-    if schedule is None:
-        schedule = departure_schedule(inst)
+def derive_bip_parameters(inst: Instance) -> BipParameters:
+    schedule = departure_schedule(inst)
     horizon = inst.horizon
     decision_steps = []
     from_station: dict[int, int] = {}
@@ -77,7 +75,7 @@ def derive_bip_parameters(inst: Instance,
         busy_start=busy_start,
         busy_end=busy_end,
         to_station=to_station,
-        initial_busy_end=tuple(initial_busy_ends(inst, schedule)),
+        initial_busy_end=tuple(initial_busy_ends(inst)),
         big_m=horizon + 2,
         base_cost=base,
     )
@@ -193,17 +191,21 @@ class _Search:
             place_of[info.pod] = dep_place
 
 
+def _require_zero_terminal(inst: Instance) -> None:
+    """The placement model has no terminal-cost term; refuse any other model."""
+    if inst.costs.terminal != TERMINAL_ZERO:
+        raise ValueError(f"exact solvers assume zero terminal cost, "
+                         f"not {inst.costs.terminal!r}")
+
+
 def _solve_windows(inst: Instance, window_size: int, node_budget: Optional[int],
                    warm_start: Optional[Sequence[int]] = None) -> SolveResult:
     """Search each window of ``window_size`` steps exactly and commit its best
     path to one replay, which carries the occupancy into the next window."""
-    if inst.costs.terminal != TERMINAL_ZERO:
-        raise ValueError(f"exact solvers assume zero terminal cost, "
-                         f"not {inst.costs.terminal!r}")
-    schedule = departure_schedule(inst)
-    params = derive_bip_parameters(inst, schedule)
+    _require_zero_terminal(inst)
+    params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
-    replay = Replay(inst, schedule)
+    replay = Replay(inst)
     cost = params.base_cost
     nodes = 0
     optimal = True
@@ -213,7 +215,7 @@ def _solve_windows(inst: Instance, window_size: int, node_budget: Optional[int],
         if warm_start is not None:
             search.seed(warm_start, sum(weights[t][a - 1]
                                         for t, a in enumerate(warm_start)
-                                        if not schedule.steps[t].fill))
+                                        if not replay.schedule.steps[t].fill))
         search.run()
         if search.best_cost is None:
             raise RuntimeError("node budget exhausted before any solution was found")
@@ -255,10 +257,10 @@ def export_bip(inst: Instance, path) -> None:
 
     Only the reduced busy-place constraints are emitted (previous decisions
     whose busy interval can still overlap the current arrival time).  The
-    objective omits the constant ``base_cost``, noted in a comment.
-    """
-    schedule = departure_schedule(inst)
-    params = derive_bip_parameters(inst, schedule)
+    objective omits the constant ``base_cost``, noted in a comment.  Like the
+    solvers, it refuses a non-zero terminal cost."""
+    _require_zero_terminal(inst)
+    params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
     m = params.big_m
     lines = [

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (NO_OP, InfeasibleActionError, Instance, Replay, Schedule,
-                   departure_schedule)
+from .core import NO_OP, InfeasibleActionError, Instance, Replay
+from .core import departure_schedule  # noqa: F401 -- perfbench/spans.py wraps it here
 from .instances import rng_from_seed
 from .policies import RandomPolicy, avg_costs
 
@@ -53,12 +53,11 @@ def place_order(inst: Instance, name: str) -> list[int]:
     raise ValueError(f"unknown place order: {name}")
 
 
-def _decode2_replay(inst: Instance, genes: Sequence[int], gamma: Sequence[int],
-                    schedule: Schedule) -> Replay:
+def _decode2_replay(inst: Instance, genes: Sequence[int], gamma: Sequence[int]) -> Replay:
     rank = [0] * (inst.n_places + 1)
     for i, p in enumerate(gamma):
         rank[p] = i
-    replay = Replay(inst, schedule)
+    replay = Replay(inst)
     for gene in genes:
         if replay.current.fill:
             replay.step(NO_OP)
@@ -68,16 +67,13 @@ def _decode2_replay(inst: Instance, genes: Sequence[int], gamma: Sequence[int],
     return replay
 
 
-def decode2(inst: Instance, genes: Sequence[int], gamma: Sequence[int],
-            schedule: Optional[Schedule] = None) -> list[int]:
+def decode2(inst: Instance, genes: Sequence[int], gamma: Sequence[int]) -> list[int]:
     """Decode free-place indices into actions by co-simulating the game.
 
     Genes are reduced modulo the admissible-set size, so decoding is total;
     fill-phase genes are ignored.
     """
-    if schedule is None:
-        schedule = departure_schedule(inst)
-    return _decode2_replay(inst, genes, gamma, schedule).actions
+    return _decode2_replay(inst, genes, gamma).actions
 
 
 @dataclass
@@ -109,21 +105,19 @@ class _Evaluator:
     """Replay-based fitness: the replayed total cost, infinity sentinel for
     infeasible genetic-1 decodes."""
 
-    def __init__(self, inst: Instance, encoding: str, gamma: Optional[Sequence[int]],
-                 schedule: Schedule):
+    def __init__(self, inst: Instance, encoding: str, gamma: Optional[Sequence[int]]):
         self.inst = inst
         self.encoding = encoding
         self.gamma = gamma
-        self.schedule = schedule
         self.evaluations = 0
         self.infeasible = 0
 
     def __call__(self, genes: Sequence[int]) -> tuple[float, Optional[list[int]]]:
         self.evaluations += 1
         if self.encoding == GENETIC2:
-            replay = _decode2_replay(self.inst, genes, self.gamma, self.schedule)
+            replay = _decode2_replay(self.inst, genes, self.gamma)
         else:
-            replay = Replay(self.inst, self.schedule)
+            replay = Replay(self.inst)
             for gene in genes:
                 try:
                     replay.step(gene)
@@ -135,26 +129,23 @@ class _Evaluator:
 
 def evolve(inst: Instance, encoding: str = GENETIC2,
            gamma_name: str = GAMMA_AVG_COST,
-           config: Optional[GaConfig] = None,
-           schedule: Optional[Schedule] = None) -> GaResult:
+           config: Optional[GaConfig] = None) -> GaResult:
     """Generational GA; returns the best feasible individual found, with the
     per-generation best-cost history."""
     if encoding not in (GENETIC1, GENETIC2):
         raise ValueError(f"unknown encoding: {encoding}")
     cfg = config or GaConfig()
-    if schedule is None:
-        schedule = departure_schedule(inst)
     n = inst.horizon
     rng = rng_from_seed(cfg.seed)
     gamma = place_order(inst, gamma_name) if encoding == GENETIC2 else None
-    evaluate = _Evaluator(inst, encoding, gamma, schedule)
+    evaluate = _Evaluator(inst, encoding, gamma)
     mutation_rate = cfg.mutations_per_chromosome / n
 
     def random_individual() -> list[int]:
         if encoding == GENETIC2:
             return [int(g) for g in rng.integers(0, inst.n_places, size=n)]
         policy = RandomPolicy(seed=int(rng.integers(2 ** 62)))
-        return Replay(inst, schedule).run(policy).actions
+        return Replay(inst).run(policy).actions
 
     def mutate(genes: list[int]) -> list[int]:
         mask = rng.random(n) < mutation_rate

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exact, genetic, tetris
-from .core import (TERMINAL_ZERO, Instance, CostModel, Replay, Schedule,
+from .core import (TERMINAL_ZERO, Instance, CostModel, Replay,
                    departure_schedule, terminal_cost, total_cost,
                    validate_instance)
 from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
@@ -39,13 +39,11 @@ class BudgetExceededError(Exception):
 
 # --- exhaustive oracle -----------------------------------------------------
 
-def estimate_brute_leaves(inst: Instance, schedule: Optional[Schedule] = None) -> int:
+def estimate_brute_leaves(inst: Instance) -> int:
     """Exact leaf count of the exhaustive enumeration (action-independent)."""
-    if schedule is None:
-        schedule = departure_schedule(inst)
     stored = sum(1 for h in inst.initial_storage if h is not None)
     leaves = 1
-    for info in schedule.steps:
+    for info in departure_schedule(inst).steps:
         stored -= 1
         if not info.fill:
             leaves *= inst.n_places - stored
@@ -53,17 +51,14 @@ def estimate_brute_leaves(inst: Instance, schedule: Optional[Schedule] = None) -
     return leaves
 
 
-def brute_force_optimum(inst: Instance, cap: int = 5_000_000,
-                        schedule: Optional[Schedule] = None) -> tuple[list[int], float]:
+def brute_force_optimum(inst: Instance, cap: int = 5_000_000) -> tuple[list[int], float]:
     """Exhaustive depth-first enumeration of all feasible action sequences,
     accumulating step costs in time order.  Ties resolve to the
     lexicographically smallest sequence (actions tried in ascending order)."""
-    if schedule is None:
-        schedule = departure_schedule(inst)
-    leaves = estimate_brute_leaves(inst, schedule)
+    leaves = estimate_brute_leaves(inst)
     if leaves > cap:
         raise BudgetExceededError(f"about {leaves} leaves exceeds cap {cap}")
-    steps = schedule.steps
+    steps = departure_schedule(inst).steps
     horizon = inst.horizon
     costs = inst.costs
     pod_at = [0] * (inst.n_places + 1)
@@ -119,7 +114,6 @@ _PARAMETRIC = ("cheapest", "tetris", "genetic2", "iterative")
 
 
 def run_policy(inst: Instance, name: str, seed: int = 0,
-               schedule: Optional[Schedule] = None,
                node_budget: Optional[int] = None) -> tuple[list[int], float, float]:
     """Run one named policy or solver; returns (actions, cost, wall_seconds).
 
@@ -135,8 +129,6 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
     if (base not in _ONLINE_POLICIES + _SOLVERS
             or colon and (base not in _PARAMETRIC or not param)):
         raise ValueError(f"unknown policy: {name}")
-    if schedule is None:
-        schedule = departure_schedule(inst)
     run_inst = inst
     started = time.perf_counter()
     if base in _ONLINE_POLICIES:
@@ -147,22 +139,21 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
         elif base == "most-expensive":
             policy = tetris.MostExpensivePlacePolicy()
         else:
-            assignment = compute_fixed_assignment(inst, schedule)
+            assignment = compute_fixed_assignment(inst)
             run_inst = rearranged_instance(inst, assignment)
-            # same departures, queues and stored pods, hence the same schedule
             policy = FixedPolicy(assignment)
-        replay = Replay(run_inst, schedule).run(policy)
+        replay = Replay(run_inst).run(policy)
         actions = replay.actions
         cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
-                                            schedule.final_queues)
+                                            replay.schedule.final_queues)
     elif inst.costs.terminal != TERMINAL_ZERO:
         raise ValueError(f"{name} optimises under zero terminal cost, "
                          f"not {inst.costs.terminal!r}")
     elif base == "tetris":
-        actions, cost = tetris.tetris(inst, param or tetris.SORT_FREQUENCY, schedule)
+        actions, cost = tetris.tetris(inst, param or tetris.SORT_FREQUENCY)
     elif base in ("genetic1", "genetic2"):
         result = genetic.evolve(inst, base, gamma_name=param or genetic.GAMMA_AVG_COST,
-                                config=genetic.GaConfig(seed=seed), schedule=schedule)
+                                config=genetic.GaConfig(seed=seed))
         actions, cost = result.actions, result.cost
     elif base == "exact":
         result = exact.solve_exact(inst, node_budget=node_budget)
@@ -172,9 +163,9 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
                                        node_budget=node_budget)
         actions, cost = result.actions, result.cost
     else:
-        actions, cost = brute_force_optimum(inst, schedule=schedule)
+        actions, cost = brute_force_optimum(inst)
     wall = time.perf_counter() - started
-    check = total_cost(run_inst, actions, schedule)
+    check = total_cost(run_inst, actions)
     if abs(check - cost) > 1e-9:
         raise RuntimeError(f"{name}: reported cost {cost} != replayed cost {check}")
     return actions, cost, wall
@@ -201,13 +192,12 @@ def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
     given, writes a deterministic ``results.csv`` plus a ``timings.json``
     manifest.
     """
-    schedule = departure_schedule(inst)
     names = list(policy_names)
-    decisions = sum(1 for info in schedule.steps if not info.fill)
-    runs = {"random": run_policy(inst, "random", seed, schedule, node_budget)}
+    decisions = sum(1 for info in departure_schedule(inst).steps if not info.fill)
+    runs = {"random": run_policy(inst, "random", seed, node_budget=node_budget)}
     for name in names:
         if name not in runs:
-            runs[name] = run_policy(inst, name, seed, schedule, node_budget)
+            runs[name] = run_policy(inst, name, seed, node_budget=node_budget)
     random_cost = runs["random"][1]
     rows = []
     for name in names:
@@ -309,9 +299,8 @@ def uniformity_study(seeds: Sequence[int], n_pods: int = 6,
     for regime in REGIMES:
         for seed in seeds:
             inst = build_tiny_symmetric(n_pods, regime=regime, seed=seed, n=n)
-            schedule = departure_schedule(inst)
-            replay = Replay(inst, schedule).run(CheapestPolicy(inst, CHEAPEST_DECISION))
-            _, optimum = brute_force_optimum(inst, schedule=schedule)
+            replay = Replay(inst).run(CheapestPolicy(inst, CHEAPEST_DECISION))
+            _, optimum = brute_force_optimum(inst)
             report.ratios[regime].append(replay.total / optimum if optimum else 1.0)
     return report
 
@@ -397,11 +386,9 @@ def seasonal_study(seeds: Sequence[int], n: int = 10000,
     report = SeasonalReport()
     for seed in seeds:
         inst = seasonal_medium_instance(seed, n=n, epoch=epoch)
-        schedule = departure_schedule(inst)
-        report.seasonal_frequency.append(tetris.tetris(inst, tetris.SORT_FREQUENCY, schedule)[1])
-        report.seasonal_duration.append(tetris.tetris(inst, tetris.SORT_DURATION, schedule)[1])
+        report.seasonal_frequency.append(tetris.tetris(inst, tetris.SORT_FREQUENCY)[1])
+        report.seasonal_duration.append(tetris.tetris(inst, tetris.SORT_DURATION)[1])
         inst = plain_medium_instance(seed, n=n)
-        schedule = departure_schedule(inst)
-        report.plain_frequency.append(tetris.tetris(inst, tetris.SORT_FREQUENCY, schedule)[1])
-        report.plain_duration.append(tetris.tetris(inst, tetris.SORT_DURATION, schedule)[1])
+        report.plain_frequency.append(tetris.tetris(inst, tetris.SORT_FREQUENCY)[1])
+        report.plain_duration.append(tetris.tetris(inst, tetris.SORT_DURATION)[1])
     return report

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import NO_OP, Instance, Replay, Schedule, departure_schedule
+from .core import NO_OP, Instance, Replay, _share_schedule, departure_schedule
 from .instances import rng_from_seed
 
 CHEAPEST_TO_STORAGE = "to-storage"
@@ -124,25 +124,21 @@ class CheapestPolicy(DecisionCostPolicy):
         return min(replay.admissible(), key=row.__getitem__)
 
 
-def station_frequencies(inst: Instance,
-                        schedule: Optional[Schedule] = None) -> tuple[list[list[int]], list[list[int]]]:
+def station_frequencies(inst: Instance) -> tuple[list[list[int]], list[list[int]]]:
     """Per pod and station: departure counts and return counts, both derived
     from the departure sequence alone."""
-    if schedule is None:
-        schedule = departure_schedule(inst)
     f_to = [[0] * inst.n_stations for _ in range(inst.n_pods)]
     f_from = [[0] * inst.n_stations for _ in range(inst.n_pods)]
-    for info in schedule.steps:
+    for info in departure_schedule(inst).steps:
         f_to[info.pod - 1][info.station - 1] += 1
         if not info.fill:
             f_from[info.returning_pod - 1][info.station - 1] += 1
     return f_to, f_from
 
 
-def fixed_assignment_costs(inst: Instance,
-                           schedule: Optional[Schedule] = None) -> np.ndarray:
+def fixed_assignment_costs(inst: Instance) -> np.ndarray:
     """Cost of permanently assigning pod h to place p (pods x places)."""
-    f_to, f_from = station_frequencies(inst, schedule)
+    f_to, f_from = station_frequencies(inst)
     to_station = np.array(inst.costs.to_station).T  # stations x places
     from_station = np.array(inst.costs.from_station)
     matrix = np.zeros((inst.n_pods, inst.n_places))
@@ -155,23 +151,20 @@ def fixed_assignment_costs(inst: Instance,
     return matrix
 
 
-def compute_fixed_assignment(inst: Instance,
-                             schedule: Optional[Schedule] = None) -> dict[int, int]:
+def compute_fixed_assignment(inst: Instance) -> dict[int, int]:
     """Optimal injective pod-to-place mapping, solved as a rectangular
     assignment problem."""
     if inst.n_pods > inst.n_places:
         raise ValueError("more pods than places: fixed assignment infeasible")
-    matrix = fixed_assignment_costs(inst, schedule)
+    matrix = fixed_assignment_costs(inst)
     rows, cols = linear_sum_assignment(matrix)
     return {int(h) + 1: int(p) + 1 for h, p in zip(rows, cols)}
 
 
-def sorted_fixed_assignment(inst: Instance,
-                            schedule: Optional[Schedule] = None) -> dict[int, int]:
+def sorted_fixed_assignment(inst: Instance) -> dict[int, int]:
     """Sort-based shortcut: pods by usage frequency, places by average cost,
     paired index by index.  Optimal when all pods share the station mix."""
-    if schedule is None:
-        schedule = departure_schedule(inst)
+    schedule = departure_schedule(inst)
     freq = [len(schedule.pod_departure_steps[h - 1]) for h in range(1, inst.n_pods + 1)]
     pods = sorted(range(1, inst.n_pods + 1), key=lambda h: (-freq[h - 1], h))
     avg = avg_costs(inst)
@@ -188,7 +181,10 @@ def rearranged_instance(inst: Instance, assignment: dict[int, int]) -> Instance:
         if h is not None:
             storage[assignment[h] - 1] = h
     from dataclasses import replace
-    return replace(inst, initial_storage=tuple(storage))
+    arranged = replace(inst, initial_storage=tuple(storage))
+    # same departures, queues and stored pods, hence the same schedule
+    _share_schedule(arranged, inst)
+    return arranged
 
 
 class FixedPolicy:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import (NO_OP, Instance, OccupationInterval, Replay, Schedule,
+from .core import (NO_OP, Instance, OccupationInterval, Replay,
                    departure_schedule, occupation_intervals)
 from .policies import DecisionCostPolicy, decision_cost, decision_cost_table
 
@@ -69,26 +69,23 @@ class _Timeline:
         return i == len(ends) or self.begins[place][i] >= end
 
 
-def tetris(inst: Instance, mode: str = SORT_FREQUENCY,
-           schedule: Optional[Schedule] = None) -> tuple[list[int], float]:
+def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
     """Run the heuristic; returns the action sequence and its total cost."""
     if mode not in (SORT_FREQUENCY, SORT_DURATION):
         raise ValueError(f"unknown tetris mode: {mode}")
-    if schedule is None:
-        schedule = departure_schedule(inst)
 
-    replay = Replay(inst, schedule).run(MostExpensivePlacePolicy())
+    replay = Replay(inst).run(MostExpensivePlacePolicy())
     actions = list(replay.actions)
     total = replay.total
 
-    intervals = occupation_intervals(inst, actions, schedule)
+    intervals = occupation_intervals(inst, actions)
     timeline = _Timeline(inst.n_places)
     for iv in intervals:
         timeline.add(iv.place, iv.begin, iv.end)
 
     movable = [iv for iv in intervals if iv.decision_step is not None]
     if mode == SORT_FREQUENCY:
-        freq = [len(d) for d in schedule.pod_departure_steps]
+        freq = [len(d) for d in departure_schedule(inst).pod_departure_steps]
         movable.sort(key=lambda iv: (-freq[iv.pod - 1], iv.begin, iv.pod))
     else:
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))

@@ -46,7 +46,7 @@ def test_criterion_1_exact_matches_exhaustive_oracle(report):
         inst = harness.build_tiny_random(seed)
         schedule = departure_schedule(inst)
         brute_actions, brute_cost = harness.brute_force_optimum(
-            inst, schedule=schedule)
+            inst)
         result = solve_exact(inst)
         assert result.optimal
         assert result.cost == pytest.approx(brute_cost, abs=1e-9)
@@ -64,9 +64,9 @@ def test_criterion_2_cheapest_is_optimal_under_periodic_departures(report):
         inst = harness.build_tiny_symmetric(
             4 + seed % 3, regime=REGIME_PERIODIC, seed=seed, n=6 + seed % 3)
         schedule = departure_schedule(inst)
-        greedy = Replay(inst, schedule).run(
+        greedy = Replay(inst).run(
             CheapestPolicy(inst, CHEAPEST_DECISION))
-        _, optimum = harness.brute_force_optimum(inst, schedule=schedule)
+        _, optimum = harness.brute_force_optimum(inst)
         assert greedy.total == optimum
     report(2, "10 periodic instances, greedy cost == exhaustive optimum")
 
@@ -89,11 +89,11 @@ def test_criterion_4_solver_hierarchy_on_small_system(report):
     as good as cheapest; every reported cost survives an independent replay."""
     inst = build_small_system()
     schedule = departure_schedule(inst)
-    random_total = Replay(inst, schedule).run(RandomPolicy(0)).total
-    cheapest_total = Replay(inst, schedule).run(
+    random_total = Replay(inst).run(RandomPolicy(0)).total
+    cheapest_total = Replay(inst).run(
         CheapestPolicy(inst, CHEAPEST_DECISION)).total
     search = solve_exact(inst, node_budget=200_000)
-    tetris_actions, tetris_total = tetris(inst, SORT_FREQUENCY, schedule)
+    tetris_actions, tetris_total = tetris(inst, SORT_FREQUENCY)
     assert search.cost < cheapest_total < random_total
     assert tetris_total <= cheapest_total
     assert total_cost(inst, search.actions) == pytest.approx(search.cost, abs=1e-9)
@@ -125,10 +125,10 @@ def test_criterion_6_tetris_sandwich_and_medium_runtime(report):
     for seed in range(50):
         inst = harness.build_tiny_random(seed)
         schedule = departure_schedule(inst)
-        init = Replay(inst, schedule).run(MostExpensivePlacePolicy())
-        _, optimum = harness.brute_force_optimum(inst, schedule=schedule)
+        init = Replay(inst).run(MostExpensivePlacePolicy())
+        _, optimum = harness.brute_force_optimum(inst)
         for mode in (SORT_FREQUENCY, SORT_DURATION):
-            _, cost = tetris(inst, mode, schedule)
+            _, cost = tetris(inst, mode)
             assert optimum - 1e-9 <= cost <= init.total + 1e-9
     medium = build_medium_system(seed=1)
     started = time.perf_counter()
@@ -177,8 +177,8 @@ def test_criterion_8_fixed_place_assignment(report):
     for seed in range(20):
         tiny = harness.build_tiny_random(seed)
         schedule = departure_schedule(tiny)
-        matrix = fixed_assignment_costs(tiny, schedule)
-        best_cost = objective(matrix, compute_fixed_assignment(tiny, schedule))
+        matrix = fixed_assignment_costs(tiny)
+        best_cost = objective(matrix, compute_fixed_assignment(tiny))
         brute = min(sum(matrix[h, p] for h, p in enumerate(places))
                     for places in itertools.permutations(
                         range(tiny.n_places), tiny.n_pods))
@@ -187,9 +187,9 @@ def test_criterion_8_fixed_place_assignment(report):
         sym = harness.build_tiny_symmetric(5, regime=REGIME_PERIODIC,
                                            seed=seed, n=8)
         schedule = departure_schedule(sym)
-        matrix = fixed_assignment_costs(sym, schedule)
-        optimal = objective(matrix, compute_fixed_assignment(sym, schedule))
-        shortcut = objective(matrix, sorted_fixed_assignment(sym, schedule))
+        matrix = fixed_assignment_costs(sym)
+        optimal = objective(matrix, compute_fixed_assignment(sym))
+        shortcut = objective(matrix, sorted_fixed_assignment(sym))
         assert shortcut == pytest.approx(optimal, abs=1e-9)
     report(8, "one place per pod; optimizer == permutation search; "
               "frequency-sort shortcut matches on symmetric systems")

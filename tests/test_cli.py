@@ -164,6 +164,15 @@ class TestSolve:
         assert main(["solve", str(tiny_path), "--export-lp", str(lp)]) == EXIT_OK
         assert "Minimize" in lp.read_text()
 
+    def test_export_lp_refuses_return_all_pods(self, tmp_path):
+        inst = build_tiny_random(1)
+        path = tmp_path / "return-all.json"
+        save_instance(replace(inst, costs=replace(inst.costs,
+                                                  terminal=TERMINAL_RETURN_ALL)), path)
+        lp = tmp_path / "model.lp"
+        assert main(["solve", str(path), "--export-lp", str(lp)]) == EXIT_CONFIG
+        assert not lp.exists()
+
 
 class TestChart:
     def test_renders_svg_and_csv(self, tiny_path, tmp_path):

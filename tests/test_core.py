@@ -1,11 +1,12 @@
 """Game engine: transition dynamics, admissibility, costs, serialization."""
 
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from podrepo import harness
+from podrepo import core, harness
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           TERMINAL_RETURN_ALL, CostModel, InfeasibleActionError,
                           Instance, InvalidInstanceError, Replay,
@@ -17,7 +18,8 @@ from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           terminal_cost, total_cost, transition,
                           validate_instance)
 from podrepo.instances import build_small_system
-from podrepo.policies import RandomPolicy
+from podrepo.policies import (RandomPolicy, compute_fixed_assignment,
+                              rearranged_instance)
 
 
 def six_pod_instance() -> Instance:
@@ -118,6 +120,62 @@ class TestSchedule:
         schedule = departure_schedule(inst)
         listed = sorted(t for steps in schedule.pod_departure_steps for t in steps)
         assert listed == list(range(inst.horizon))
+
+
+class TestScheduleCache:
+    """The queues are simulated once per instance object."""
+
+    @pytest.fixture()
+    def simulations(self, monkeypatch):
+        calls = []
+        simulate = core._simulate_queues
+
+        def counting(inst):
+            calls.append(inst)
+            return simulate(inst)
+
+        monkeypatch.setattr(core, "_simulate_queues", counting)
+        return calls
+
+    def test_validated_and_loaded_instances_keep_their_schedule(self, simulations,
+                                                                tmp_path):
+        built = build_small_system(n=120)
+        assert len(simulations) == 1
+        save_instance(built, tmp_path / "inst.json")
+        loaded = load_instance(tmp_path / "inst.json")
+        assert len(simulations) == 2
+        for inst in (built, loaded):
+            assert departure_schedule(inst) is departure_schedule(inst)
+            assert Replay(inst).schedule is departure_schedule(inst)
+            harness.run_comparison(inst, ["cheapest", "tetris", "fixed"])
+        assert len(simulations) == 2
+
+    def test_a_copy_computes_its_own(self, simulations):
+        inst = harness.build_tiny_random(4)
+        schedule = departure_schedule(inst)
+        same = replace(inst)
+        assert departure_schedule(same) is not schedule
+        assert departure_schedule(same) == schedule
+        shorter = replace(inst, departures=inst.departures[:-1])
+        assert len(departure_schedule(shorter).steps) == inst.horizon - 1
+        assert len(simulations) == 3
+
+    def test_cache_is_not_a_field(self):
+        inst = harness.build_tiny_random(5)
+        fresh = Instance(**{f.name: getattr(inst, f.name) for f in fields(Instance)})
+        assert departure_schedule(inst) is departure_schedule(inst)
+        assert "_schedule" not in {f.name for f in fields(Instance)}
+        assert repr(fresh) == repr(inst)
+        assert fresh == inst and hash(fresh) == hash(inst)
+        departure_schedule(fresh)
+        assert repr(fresh) == repr(inst)
+
+    def test_rearranged_instance_shares_a_correct_schedule(self):
+        for seed in range(10):
+            inst = harness.build_tiny_random(seed)
+            moved = rearranged_instance(inst, compute_fixed_assignment(inst))
+            assert departure_schedule(moved) is departure_schedule(inst)
+            assert departure_schedule(replace(moved)) == departure_schedule(moved)
 
 
 class TestReplay:

@@ -1,10 +1,13 @@
 """Branch-and-bound solver, windowed variant, model export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from podrepo import harness
-from podrepo.core import Replay, check_feasible, departure_schedule, total_cost
+from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
+                          departure_schedule, total_cost)
 from podrepo.exact import (decision_weights, derive_bip_parameters, export_bip,
                            solve_exact, solve_iterative)
 from podrepo.instances import build_small_system
@@ -18,9 +21,9 @@ class TestCostDecomposition:
     def test_matches_replay_total(self, seed):
         inst = harness.build_tiny_random(seed)
         schedule = departure_schedule(inst)
-        params = derive_bip_parameters(inst, schedule)
+        params = derive_bip_parameters(inst)
         weights = decision_weights(inst, params)
-        replay = Replay(inst, schedule).run(RandomPolicy(seed))
+        replay = Replay(inst).run(RandomPolicy(seed))
         decomposed = params.base_cost + sum(
             weights[t][a - 1] for t, a in enumerate(replay.actions)
             if not schedule.steps[t].fill)
@@ -29,9 +32,9 @@ class TestCostDecomposition:
     def test_matches_on_small_system(self):
         inst = build_small_system(n=400)
         schedule = departure_schedule(inst)
-        params = derive_bip_parameters(inst, schedule)
+        params = derive_bip_parameters(inst)
         weights = decision_weights(inst, params)
-        replay = Replay(inst, schedule).run(CheapestPolicy(inst))
+        replay = Replay(inst).run(CheapestPolicy(inst))
         decomposed = params.base_cost + sum(
             weights[t][a - 1] for t, a in enumerate(replay.actions)
             if not schedule.steps[t].fill)
@@ -143,7 +146,7 @@ def _solve_lp_model(inst):
     from scipy.optimize import LinearConstraint, milp
 
     schedule = departure_schedule(inst)
-    params = derive_bip_parameters(inst, schedule)
+    params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
     steps = list(params.decision_steps)
     n_p = inst.n_places
@@ -205,3 +208,12 @@ class TestModelExport:
             assert f"assign_{t}:" in text
         n_vars = len(params.decision_steps) * inst.n_places
         assert sum(line.startswith(" x_") for line in text.splitlines()) == n_vars
+
+    def test_refuses_return_all_pods(self, tmp_path):
+        """The model has no terminal-cost term, like the solvers."""
+        inst = harness.build_tiny_random(0)
+        inst = replace(inst, costs=replace(inst.costs, terminal=TERMINAL_RETURN_ALL))
+        path = tmp_path / "model.lp"
+        with pytest.raises(ValueError, match="return-all-pods"):
+            export_bip(inst, path)
+        assert not path.exists()

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from podrepo import harness
-from podrepo.core import (NO_OP, CostModel, Replay, admissible_actions,
-                          initial_state, transition)
+from podrepo.core import (NO_OP, REASON_LENGTH, CostModel, InfeasibleActionError,
+                          Replay, admissible_actions, initial_state, transition)
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                               CHEAPEST_TO_STORAGE, CheapestPolicy, avg_costs,
@@ -75,6 +75,14 @@ def test_fast_paths_match_reference_model(kind, seed, data):
         replay.step(action)
         state = transition(inst, state, action)
     assert replay.storage_tuple() == state.storage
+    # past the horizon: only the no-op is admissible, and it is a length mismatch
+    assert replay.admissible() == list(admissible_actions(inst, state)) == [NO_OP]
+    with pytest.raises(InfeasibleActionError) as expected:
+        transition(inst, state, NO_OP)
+    with pytest.raises(InfeasibleActionError) as err:
+        replay.step(NO_OP)
+    assert (err.value.step, err.value.reason) == (expected.value.step, REASON_LENGTH)
+    assert replay.t == inst.horizon and len(replay.actions) == inst.horizon
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -6,7 +6,8 @@ import pytest
 
 from podrepo import harness
 from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
-                          departure_schedule, total_cost)
+                          departure_schedule, initial_state, step_cost,
+                          terminal_cost, total_cost, transition)
 from podrepo.exact import solve_exact, solve_iterative
 from podrepo.instances import REGIME_PERIODIC, build_small_system
 from podrepo.policies import compute_fixed_assignment, rearranged_instance
@@ -115,6 +116,64 @@ class TestReturnAllPods:
             solve_exact(return_all_pods, node_budget=1)
         with pytest.raises(ValueError, match="return-all-pods"):
             solve_iterative(return_all_pods, 5, node_budget=1)
+
+
+def reference_cost(inst, actions):
+    """Cost of ``actions`` stepped through the functional reference model,
+    terminal cost included."""
+    state = initial_state(inst)
+    cost = 0.0
+    for a in actions:
+        cost += step_cost(inst, state, a)
+        state = transition(inst, state, a)
+    assert not state.future_departures
+    return cost + terminal_cost(inst, state.storage, state.queues)
+
+
+# every policy run_policy accepts: each base name, each cheapest variant,
+# tetris mode and genetic-2 place order, and a few iterative windows
+ONLINE_NAMES = ("random", "cheapest", "cheapest:to-storage", "cheapest:avg",
+                "cheapest:decision", "most-expensive", "fixed")
+SOLVER_NAMES = ("tetris", "tetris:frequency", "tetris:duration", "exact",
+                "iterative", "iterative:1", "iterative:3", "brute-force")
+# about 0.4 s per tiny run with the default GaConfig, so only a few seeds
+GENETIC_RUNS = (("genetic1", (0, 1)), ("genetic2", (0, 1)),
+                ("genetic2:close", (2,)), ("genetic2:far", (3,)),
+                ("genetic2:zigzag", (4,)), ("genetic2:avg-cost", (5,)))
+
+
+class TestReferenceDifferential:
+    """The actions every policy reports, stepped through the reference
+    ``transition``/``step_cost``, give the reported cost."""
+
+    @staticmethod
+    def check(inst, name, seed):
+        actions, cost, _ = harness.run_policy(inst, name, seed=seed)
+        if name == "fixed":
+            inst = rearranged_instance(inst, compute_fixed_assignment(inst))
+        assert abs(reference_cost(inst, actions) - cost) <= 1e-9
+
+    def test_every_policy_is_covered(self):
+        names = ONLINE_NAMES + SOLVER_NAMES + tuple(n for n, _ in GENETIC_RUNS)
+        assert ({n.partition(":")[0] for n in names}
+                == set(harness._ONLINE_POLICIES + harness._SOLVERS))
+
+    @pytest.mark.parametrize("name", ONLINE_NAMES + SOLVER_NAMES)
+    def test_zero_terminal(self, name):
+        for seed in range(10):
+            self.check(harness.build_tiny_random(seed), name, seed)
+
+    @pytest.mark.parametrize("name", ONLINE_NAMES)
+    def test_return_all_pods(self, name):
+        for seed in range(10):
+            inst = harness.build_tiny_random(seed)
+            costs = replace(inst.costs, terminal=TERMINAL_RETURN_ALL)
+            self.check(replace(inst, costs=costs), name, seed)
+
+    @pytest.mark.parametrize("name, seeds", GENETIC_RUNS)
+    def test_genetic(self, name, seeds):
+        for seed in seeds:
+            self.check(harness.build_tiny_random(seed), name, seed)
 
 
 class TestRunComparison:

@@ -84,9 +84,9 @@ class TestTetris:
     def test_sandwich_between_optimum_and_init(self, mode, seed):
         inst = harness.build_tiny_random(seed)
         schedule = departure_schedule(inst)
-        init = Replay(inst, schedule).run(MostExpensivePlacePolicy())
-        _, optimum = harness.brute_force_optimum(inst, schedule=schedule)
-        actions, cost = tetris(inst, mode, schedule)
+        init = Replay(inst).run(MostExpensivePlacePolicy())
+        _, optimum = harness.brute_force_optimum(inst)
+        actions, cost = tetris(inst, mode)
         assert optimum - 1e-9 <= cost <= init.total + 1e-9
 
     @pytest.mark.parametrize("mode", [SORT_FREQUENCY, SORT_DURATION])
@@ -108,12 +108,12 @@ class TestTetris:
         # two sort orders process the intervals identically
         inst = harness.build_tiny_symmetric(3, regime="periodic", seed=0, n=8)
         schedule = departure_schedule(inst)
-        a_freq, c_freq = tetris(inst, SORT_FREQUENCY, schedule)
-        ivs = [iv for iv in occupation_intervals(inst, a_freq, schedule)
+        a_freq, c_freq = tetris(inst, SORT_FREQUENCY)
+        ivs = [iv for iv in occupation_intervals(inst, a_freq)
                if iv.decision_step is not None]
         lengths = {min(iv.end, inst.horizon + 1) - iv.begin for iv in ivs}
         assert len(lengths) == 1
-        a_dur, c_dur = tetris(inst, SORT_DURATION, schedule)
+        a_dur, c_dur = tetris(inst, SORT_DURATION)
         assert c_freq == pytest.approx(c_dur, abs=1e-12)
         assert a_freq == a_dur
 
@@ -123,9 +123,9 @@ class TestTetris:
         # while the frequency sort is unaffected
         inst = harness.build_tiny_symmetric(4, regime="periodic", seed=0, n=8)
         schedule = departure_schedule(inst)
-        c_freq = tetris(inst, SORT_FREQUENCY, schedule)[1]
-        c_dur = tetris(inst, SORT_DURATION, schedule)[1]
-        _, optimum = harness.brute_force_optimum(inst, schedule=schedule)
+        c_freq = tetris(inst, SORT_FREQUENCY)[1]
+        c_dur = tetris(inst, SORT_DURATION)[1]
+        _, optimum = harness.brute_force_optimum(inst)
         assert c_freq == optimum
         assert c_dur > c_freq
 
