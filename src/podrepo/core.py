@@ -407,7 +407,11 @@ class Replay:
 
     @property
     def current(self) -> StepInfo:
-        return self.schedule.steps[self.t]
+        """The pending step; past the end it raises like :meth:`step`."""
+        try:
+            return self.schedule.steps[self.t]
+        except IndexError:
+            raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
 
     def admissible(self) -> list[int]:
         """Admissible actions, ascending: the free places plus the place the

@@ -2,10 +2,14 @@
 
 The full-horizon problem is solved by depth-first branch and bound over the
 decision tree, which is equivalent to the 0/1 integer program over placement
-variables (the program encodes exactly the feasible action sequences).  The
-windowed variant solves each time window exactly and carries busy-ends
-forward; the integer model itself can be exported in LP text format for
-verification with an external solver.
+variables ``x_t_p`` (the program encodes exactly the feasible action
+sequences).  Decision ``t`` holds its place over the busy interval
+``[t + 1, busy_end[t])``; the program picks one place per decision and allows
+at most one live interval per place at each decision's start, the clique
+rows of the interval graph (Arkin & Silverberg 1987).  The windowed variant
+solves each time window exactly and carries busy-ends forward;
+:func:`export_bip` writes the program in LP text format for verification
+with an external solver.
 
 Cost bookkeeping: the to-station legs of pods that start in storage are fixed
 by the departure sequence (``base_cost``); every decision then contributes
@@ -29,39 +33,23 @@ from .policies import decision_cost_table
 class BipParameters:
     """Interval-view parameters of the placement program.
 
-    Keyed by decision step: the station the placed pod comes from, its busy
-    interval ``[busy_start, busy_end)`` and its next destination (``None``
-    when it stays).  ``initial_busy_end[p-1]`` is the first time place ``p``
-    becomes free; ``base_cost`` collects the uninfluenceable to-station legs.
+    The decision at step ``t`` holds its place over ``[t + 1, busy_end[t])``,
+    up to the placed pod's next departure (``horizon + 1`` when it stays).
+    ``initial_busy_end[p-1]`` is the first time place ``p`` becomes free;
+    ``base_cost`` collects the uninfluenceable to-station legs.
     """
 
     decision_steps: tuple[int, ...]
-    from_station: dict[int, int]
-    busy_start: dict[int, int]
     busy_end: dict[int, int]
-    to_station: dict[int, Optional[int]]
     initial_busy_end: tuple[int, ...]
-    big_m: int
     base_cost: float
 
 
 def derive_bip_parameters(inst: Instance) -> BipParameters:
     schedule = departure_schedule(inst)
-    horizon = inst.horizon
-    decision_steps = []
-    from_station: dict[int, int] = {}
-    busy_start: dict[int, int] = {}
-    busy_end: dict[int, int] = {}
-    to_station: dict[int, Optional[int]] = {}
-    for t, info in enumerate(schedule.steps):
-        if info.fill:
-            continue
-        decision_steps.append(t)
-        from_station[t] = info.station
-        busy_start[t] = t + 1
-        busy_end[t] = (info.return_next_step + 1
-                       if info.return_next_step is not None else horizon + 1)
-        to_station[t] = info.return_next_station
+    stay = inst.horizon + 1
+    busy_end = {t: info.return_next_step + 1 if info.return_next_step is not None else stay
+                for t, info in enumerate(schedule.steps) if not info.fill}
     base = 0.0
     for p, h in enumerate(inst.initial_storage, start=1):
         if h is None:
@@ -70,13 +58,9 @@ def derive_bip_parameters(inst: Instance) -> BipParameters:
         if deps:
             base += inst.costs.to_stn(p, inst.departures[deps[0]][1])
     return BipParameters(
-        decision_steps=tuple(decision_steps),
-        from_station=from_station,
-        busy_start=busy_start,
+        decision_steps=tuple(busy_end),
         busy_end=busy_end,
-        to_station=to_station,
         initial_busy_end=tuple(initial_busy_ends(inst)),
-        big_m=horizon + 2,
         base_cost=base,
     )
 
@@ -87,7 +71,8 @@ def decision_weights(inst: Instance, params: BipParameters) -> dict[int, list[fl
     Steps with the same (from, to) stations share one row of the decision
     cost table; the rows are read-only."""
     rows = {key: row[1:] for key, row in decision_cost_table(inst).items()}
-    return {t: rows[(params.from_station[t], params.to_station[t])]
+    steps = departure_schedule(inst).steps
+    return {t: rows[(steps[t].station, steps[t].return_next_station)]
             for t in params.decision_steps}
 
 
@@ -255,46 +240,37 @@ def solve_iterative(inst: Instance, window_size: int,
 def export_bip(inst: Instance, path) -> None:
     """Write the 0/1 placement model in LP text format.
 
-    Only the reduced busy-place constraints are emitted (previous decisions
-    whose busy interval can still overlap the current arrival time).  The
-    objective omits the constant ``base_cost``, noted in a comment.  Like the
-    solvers, it refuses a non-zero terminal cost."""
+    One ``assign_t`` row per decision picks one place.  One ``place_t_p`` row
+    per decision and place allows at most one interval on ``p`` at ``t + 1``:
+    the earlier decisions whose busy interval still covers ``t + 1`` plus
+    ``x_t_p`` sum to at most 1, or to 0 while the initial pod holds ``p``;
+    rows that only say ``x <= 1`` are left out.  The objective omits the
+    constant ``base_cost``, noted in a comment.  Like the solvers, it refuses
+    a non-zero terminal cost."""
     _require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
-    m = params.big_m
+    places = range(1, inst.n_places + 1)
     lines = [
         "\\ pod repositioning placement model",
         f"\\ constant cost not in objective: {params.base_cost}",
         "Minimize",
+        " obj: " + " + ".join(f"{weights[t][p - 1]:.17g} x_{t}_{p}"
+                              for t in params.decision_steps for p in places),
+        "Subject To",
     ]
-    terms = []
+    alive: list[int] = []  # earlier decisions whose interval covers t + 1
     for t in params.decision_steps:
-        for p in range(1, inst.n_places + 1):
-            terms.append(f"{weights[t][p - 1]:g} x_{t}_{p}")
-    lines.append(" obj: " + " + ".join(terms))
-    lines.append("Subject To")
-    for t in params.decision_steps:
-        row = " + ".join(f"x_{t}_{p}" for p in range(1, inst.n_places + 1))
-        lines.append(f" assign_{t}: {row} = 1")
-    for t in params.decision_steps:
-        arrive = params.busy_start[t]
-        for p in range(1, inst.n_places + 1):
-            e = params.initial_busy_end[p - 1]
-            if e > arrive:
-                lines.append(f" init_{t}_{p}: {m - arrive:g} x_{t}_{p} <= {m - e:g}")
-    for i, t in enumerate(params.decision_steps):
-        arrive = params.busy_start[t]
-        for tau in params.decision_steps[:i]:
-            if params.busy_end[tau] > arrive:
-                for p in range(1, inst.n_places + 1):
-                    lines.append(
-                        f" prev_{tau}_{t}_{p}: {params.busy_end[tau]:g} x_{tau}_{p}"
-                        f" + {m - arrive:g} x_{t}_{p} <= {m:g}")
+        alive = [tau for tau in alive if params.busy_end[tau] > t + 1]
+        lines.append(f" assign_{t}: " + " + ".join(f"x_{t}_{p}" for p in places) + " = 1")
+        for p in places:
+            bound = 0 if params.initial_busy_end[p - 1] > t + 1 else 1
+            if alive or not bound:
+                row = "".join(f"x_{tau}_{p} + " for tau in alive)
+                lines.append(f" place_{t}_{p}: {row}x_{t}_{p} <= {bound}")
+        alive.append(t)
     lines.append("Binary")
-    for t in params.decision_steps:
-        for p in range(1, inst.n_places + 1):
-            lines.append(f" x_{t}_{p}")
+    lines.extend(f" x_{t}_{p}" for t in params.decision_steps for p in places)
     lines.append("End")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -22,8 +22,8 @@ from .core import (TERMINAL_ZERO, Instance, CostModel, Replay,
                    departure_schedule, terminal_cost, total_cost,
                    validate_instance)
 from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
-                        _draw_pod, _pick, _pod_weight_vector, _station_cdf,
-                        co_simulated_departures, generate_departures,
+                        _draw_pod, _line_system, _pick, _pod_weight_vector,
+                        _station_cdf, co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
                         random_initial_storage, rng_from_seed,
                         MEDIUM_N_PODS, MEDIUM_N_PLACES, MEDIUM_QUEUE_CAPACITY,
@@ -258,24 +258,7 @@ def build_tiny_symmetric(n_pods: int, base_cost: int = 4,
                          n: int = 8, ratio: float = 20.0) -> Instance:
     """Scaled-down line system (pods = places, two symmetric stations of
     capacity 1, cost p + base), with departures under any regime."""
-    n_places = n_pods
-    capacities = (1, 1)
-    to_station = tuple((float(p + base_cost),) * 2 for p in range(1, n_places + 1))
-    from_station = tuple(tuple(float(p + base_cost) for p in range(1, n_places + 1))
-                         for _ in range(2))
-    initial_storage = tuple(range(1, n_pods + 1))
-    initial_queues = ((), ())
-    pod_weights = geometric_weights(n_pods, ratio)
-    departures = generate_departures(
-        n_pods, capacities, initial_storage, initial_queues,
-        regime=regime, seed=seed, n=n, pod_weights=pod_weights,
-        station_weights=(0.5, 0.5))
-    inst = Instance(n_pods=n_pods, n_places=n_places, station_capacities=capacities,
-                    costs=CostModel(to_station=to_station, from_station=from_station),
-                    initial_storage=initial_storage, initial_queues=initial_queues,
-                    departures=departures)
-    validate_instance(inst)
-    return inst
+    return _line_system(n_pods, base_cost, 1, regime, seed, n, ratio)
 
 
 # --- studies ---------------------------------------------------------------

@@ -201,46 +201,53 @@ def generate_departures(
     raise ValueError(f"unknown regime: {regime}")
 
 
-# --- small test system -----------------------------------------------------
+# --- line systems ----------------------------------------------------------
 
 SMALL_N_PODS = 10
 SMALL_N_PLACES = 10
 SMALL_QUEUE_CAPACITY = 2
 SMALL_WEIGHT_RATIO = 20.0
+SMALL_BASE_COST = 4
+
+
+def _line_costs(n_places: int, base_cost: int) -> CostModel:
+    """1-D line storage, two symmetric stations: cost(p, s) = p + base both ways."""
+    to_station = tuple((float(p + base_cost),) * 2 for p in range(1, n_places + 1))
+    from_station = tuple(tuple(float(p + base_cost) for p in range(1, n_places + 1))
+                         for _ in range(2))
+    return CostModel(to_station=to_station, from_station=from_station)
 
 
 def small_cost_model() -> CostModel:
-    """1-D line storage, two symmetric stations: cost(p, s) = p + 4 both ways."""
-    to_station = tuple((float(p + 4), float(p + 4)) for p in range(1, SMALL_N_PLACES + 1))
-    from_station = tuple(tuple(float(p + 4) for p in range(1, SMALL_N_PLACES + 1))
-                         for _ in range(2))
-    return CostModel(to_station=to_station, from_station=from_station)
+    """The small system's line costs: cost(p, s) = p + 4 both ways."""
+    return _line_costs(SMALL_N_PLACES, SMALL_BASE_COST)
+
+
+def _line_system(n_pods: int, base_cost: int, queue_capacity: int, regime: str,
+                 seed: int, n: int, ratio: float) -> Instance:
+    """Line system with pods = places, pre-sorted pods, geometric weights and
+    two symmetric stations of equal weight, with departures under ``regime``."""
+    initial_storage = tuple(range(1, n_pods + 1))
+    initial_queues = ((), ())
+    capacities = (queue_capacity, queue_capacity)
+    departures = generate_departures(
+        n_pods, capacities, initial_storage, initial_queues,
+        regime=regime, seed=seed, n=n, pod_weights=geometric_weights(n_pods, ratio),
+        station_weights=(0.5, 0.5))
+    inst = Instance(n_pods=n_pods, n_places=n_pods, station_capacities=capacities,
+                    costs=_line_costs(n_pods, base_cost),
+                    initial_storage=initial_storage, initial_queues=initial_queues,
+                    departures=departures)
+    validate_instance(inst)
+    return inst
 
 
 def build_small_system(seed: int = 1, n: int = 1000,
                        regime: str = REGIME_RANDOM_GEOMETRIC) -> Instance:
     """The 10-place/10-pod system: pre-sorted pods, geometric ratio-20 weights,
     two symmetric stations of capacity 2, equal station weights."""
-    initial_storage = tuple(range(1, SMALL_N_PODS + 1))
-    initial_queues = ((), ())
-    capacities = (SMALL_QUEUE_CAPACITY, SMALL_QUEUE_CAPACITY)
-    departures = generate_departures(
-        SMALL_N_PODS, capacities, initial_storage, initial_queues,
-        regime=regime, seed=seed, n=n,
-        pod_weights=geometric_weights(SMALL_N_PODS, SMALL_WEIGHT_RATIO),
-        station_weights=(0.5, 0.5),
-    )
-    inst = Instance(
-        n_pods=SMALL_N_PODS,
-        n_places=SMALL_N_PLACES,
-        station_capacities=capacities,
-        costs=small_cost_model(),
-        initial_storage=initial_storage,
-        initial_queues=initial_queues,
-        departures=departures,
-    )
-    validate_instance(inst)
-    return inst
+    return _line_system(SMALL_N_PODS, SMALL_BASE_COST, SMALL_QUEUE_CAPACITY,
+                        regime, seed, n, SMALL_WEIGHT_RATIO)
 
 
 # --- medium test system ----------------------------------------------------

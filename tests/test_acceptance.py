@@ -12,7 +12,7 @@ import pytest
 from podrepo import harness
 from podrepo.chart import (ChartSpec, distinct_pods_per_place, emit_chart,
                            record_trace)
-from podrepo.core import Replay, check_feasible, departure_schedule, total_cost
+from podrepo.core import Replay, check_feasible, total_cost
 from podrepo.exact import solve_exact, solve_iterative
 from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
 from podrepo.instances import (REGIME_PERIODIC, build_medium_system,
@@ -44,7 +44,6 @@ def test_criterion_1_exact_matches_exhaustive_oracle(report):
     started = time.perf_counter()
     for seed in range(50):
         inst = harness.build_tiny_random(seed)
-        schedule = departure_schedule(inst)
         brute_actions, brute_cost = harness.brute_force_optimum(
             inst)
         result = solve_exact(inst)
@@ -63,7 +62,6 @@ def test_criterion_2_cheapest_is_optimal_under_periodic_departures(report):
     for seed in range(10):
         inst = harness.build_tiny_symmetric(
             4 + seed % 3, regime=REGIME_PERIODIC, seed=seed, n=6 + seed % 3)
-        schedule = departure_schedule(inst)
         greedy = Replay(inst).run(
             CheapestPolicy(inst, CHEAPEST_DECISION))
         _, optimum = harness.brute_force_optimum(inst)
@@ -88,7 +86,6 @@ def test_criterion_4_solver_hierarchy_on_small_system(report):
     cheapest beats random, and the frequency tetris heuristic is at least
     as good as cheapest; every reported cost survives an independent replay."""
     inst = build_small_system()
-    schedule = departure_schedule(inst)
     random_total = Replay(inst).run(RandomPolicy(0)).total
     cheapest_total = Replay(inst).run(
         CheapestPolicy(inst, CHEAPEST_DECISION)).total
@@ -124,7 +121,6 @@ def test_criterion_6_tetris_sandwich_and_medium_runtime(report):
     steps it finishes in under a minute."""
     for seed in range(50):
         inst = harness.build_tiny_random(seed)
-        schedule = departure_schedule(inst)
         init = Replay(inst).run(MostExpensivePlacePolicy())
         _, optimum = harness.brute_force_optimum(inst)
         for mode in (SORT_FREQUENCY, SORT_DURATION):
@@ -176,7 +172,6 @@ def test_criterion_8_fixed_place_assignment(report):
 
     for seed in range(20):
         tiny = harness.build_tiny_random(seed)
-        schedule = departure_schedule(tiny)
         matrix = fixed_assignment_costs(tiny)
         best_cost = objective(matrix, compute_fixed_assignment(tiny))
         brute = min(sum(matrix[h, p] for h, p in enumerate(places))
@@ -186,7 +181,6 @@ def test_criterion_8_fixed_place_assignment(report):
     for seed in range(6):
         sym = harness.build_tiny_symmetric(5, regime=REGIME_PERIODIC,
                                            seed=seed, n=8)
-        schedule = departure_schedule(sym)
         matrix = fixed_assignment_costs(sym)
         optimal = objective(matrix, compute_fixed_assignment(sym))
         shortcut = objective(matrix, sorted_fixed_assignment(sym))

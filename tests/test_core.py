@@ -67,9 +67,9 @@ class TestTransition:
 
     def test_fill_phase_forces_noop(self):
         inst = six_pod_instance()
-        inst = Instance(**{**inst.__dict__, "initial_queues": ((5,), (4, 6)),
-                           "initial_storage": (1, 2, 3, None, None, None),
-                           "departures": ((3, 1), (1, 2))})
+        inst = replace(inst, initial_queues=((5,), (4, 6)),
+                       initial_storage=(1, 2, 3, None, None, None),
+                       departures=((3, 1), (1, 2)))
         state = initial_state(inst)
         assert admissible_actions(inst, state) == (NO_OP,)
         nxt = transition(inst, state, NO_OP)
@@ -111,7 +111,7 @@ class TestSchedule:
 
     def test_departing_pod_must_be_stored(self):
         inst = six_pod_instance()
-        bad = Instance(**{**inst.__dict__, "departures": ((5, 1), (1, 2))})
+        bad = replace(inst, departures=((5, 1), (1, 2)))
         with pytest.raises(InvalidInstanceError):
             departure_schedule(bad)
 

@@ -44,9 +44,7 @@ class TestCostDecomposition:
         inst = harness.build_tiny_random(1)
         params = derive_bip_parameters(inst)
         for t in params.decision_steps:
-            assert params.busy_start[t] == t + 1
-            assert params.busy_end[t] > params.busy_start[t]
-            assert params.busy_end[t] <= inst.horizon + 1
+            assert t + 1 < params.busy_end[t] <= inst.horizon + 1
 
 
 class TestSolveExact:
@@ -141,60 +139,83 @@ class TestLowerBound:
             assert result.lower_bound <= result.cost + 1e-9
 
 
-def _solve_lp_model(inst):
-    """Independent optimum of the exported model via mixed-integer scipy."""
-    from scipy.optimize import LinearConstraint, milp
+def _terms(expr):
+    """``{variable: coefficient}`` of an LP expression ``[c] x + [c] x ...``."""
+    terms = {}
+    for term in expr.split(" + "):
+        coef, _, var = term.rpartition(" ")
+        terms[var] = float(coef) if coef else 1.0
+    return terms
 
-    schedule = departure_schedule(inst)
-    params = derive_bip_parameters(inst)
-    weights = decision_weights(inst, params)
-    steps = list(params.decision_steps)
-    n_p = inst.n_places
-    index = {(t, p): i * n_p + (p - 1) for i, t in enumerate(steps)
-             for p in range(1, n_p + 1)}
-    c = np.array([weights[t][p - 1] for t in steps for p in range(1, n_p + 1)])
-    rows, lb, ub = [], [], []
-    for t in steps:
-        row = np.zeros(len(c))
-        for p in range(1, n_p + 1):
-            row[index[(t, p)]] = 1.0
-        rows.append(row)
-        lb.append(1.0)
-        ub.append(1.0)
-    m = params.big_m
-    for t in steps:
-        arrive = params.busy_start[t]
-        for p in range(1, n_p + 1):
-            e = params.initial_busy_end[p - 1]
-            if e > arrive:
-                row = np.zeros(len(c))
-                row[index[(t, p)]] = m - arrive
-                rows.append(row)
-                lb.append(-np.inf)
-                ub.append(m - e)
-    for i, t in enumerate(steps):
-        arrive = params.busy_start[t]
-        for tau in steps[:i]:
-            if params.busy_end[tau] > arrive:
-                for p in range(1, n_p + 1):
-                    row = np.zeros(len(c))
-                    row[index[(tau, p)]] = params.busy_end[tau]
-                    row[index[(t, p)]] = m - arrive
-                    rows.append(row)
-                    lb.append(-np.inf)
-                    ub.append(m)
-    res = milp(c, constraints=LinearConstraint(np.array(rows), lb, ub),
+
+def _read_lp(path):
+    """Objective, rows, binaries and constant cost of an LP file as
+    :func:`export_bip` writes it."""
+    lines = path.read_text().splitlines()
+    comment = "\\ constant cost not in objective: "
+    assert lines[1].startswith(comment)
+    base = float(lines[1][len(comment):])
+    objective, rows, binary, section = {}, [], [], None
+    for line in lines[2:]:
+        if line in ("Minimize", "Subject To", "Binary", "End"):
+            section = line
+        elif section == "Minimize":
+            objective = _terms(line.partition(": ")[2])
+        elif section == "Subject To":
+            expr, sense, rhs = line.partition(": ")[2].rsplit(" ", 2)
+            rows.append((_terms(expr), sense, float(rhs)))
+        elif section == "Binary":
+            binary.append(line.strip())
+    assert section == "End"
+    return objective, rows, binary, base
+
+
+def _solve_lp_file(path):
+    """Integer optimum of the written model, constant cost included."""
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    objective, rows, binary, base = _read_lp(path)
+    column = {var: j for j, var in enumerate(binary)}
+    assert set(objective) <= set(column)
+    c = np.array([objective.get(var, 0.0) for var in binary])
+    i, j, a, lb, ub = [], [], [], [], []
+    for r, (terms, sense, rhs) in enumerate(rows):
+        assert sense in ("=", "<=")
+        for var, coef in terms.items():
+            i.append(r)
+            j.append(column[var])
+            a.append(coef)
+        lb.append(rhs if sense == "=" else -np.inf)
+        ub.append(rhs)
+    matrix = coo_array((a, (i, j)), shape=(len(rows), len(binary)))
+    res = milp(c, constraints=LinearConstraint(matrix, lb, ub),
                integrality=np.ones(len(c)), bounds=(0, 1))
     assert res.success
-    return params.base_cost + res.fun
+    return base + res.fun
 
 
 class TestModelExport:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_external_solver_agreement(self, seed):
+    @pytest.mark.parametrize("seed", range(12))
+    def test_external_solver_agreement(self, seed, tmp_path):
         inst = harness.build_tiny_random(seed)
-        assert _solve_lp_model(inst) == pytest.approx(solve_exact(inst).cost,
-                                                      abs=1e-6)
+        path = tmp_path / "model.lp"
+        export_bip(inst, path)
+        assert _solve_lp_file(path) == pytest.approx(solve_exact(inst).cost,
+                                                     abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fractional_costs_written_exactly(self, seed, tmp_path):
+        """Weights are written to full precision, not rounded to six digits."""
+        inst = harness.build_tiny_random(seed)
+        costs = inst.costs
+        inst = replace(inst, costs=replace(
+            costs, to_station=tuple(tuple(c / 7 for c in row) for row in costs.to_station),
+            from_station=tuple(tuple(c / 7 for c in row) for row in costs.from_station)))
+        path = tmp_path / "model.lp"
+        export_bip(inst, path)
+        assert _solve_lp_file(path) == pytest.approx(solve_exact(inst).cost,
+                                                     abs=1e-9)
 
     def test_lp_file_structure(self, tmp_path):
         inst = harness.build_tiny_random(0)
@@ -208,6 +229,8 @@ class TestModelExport:
             assert f"assign_{t}:" in text
         n_vars = len(params.decision_steps) * inst.n_places
         assert sum(line.startswith(" x_") for line in text.splitlines()) == n_vars
+        rows = text.partition("Subject To\n")[2].partition("Binary\n")[0]
+        assert all(row.startswith((" assign_", " place_")) for row in rows.splitlines())
 
     def test_refuses_return_all_pods(self, tmp_path):
         """The model has no terminal-cost term, like the solvers."""

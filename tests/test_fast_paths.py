@@ -83,6 +83,9 @@ def test_fast_paths_match_reference_model(kind, seed, data):
         replay.step(NO_OP)
     assert (err.value.step, err.value.reason) == (expected.value.step, REASON_LENGTH)
     assert replay.t == inst.horizon and len(replay.actions) == inst.horizon
+    with pytest.raises(InfeasibleActionError) as err:
+        replay.current
+    assert (err.value.step, err.value.reason) == (inst.horizon, REASON_LENGTH)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -3,8 +3,8 @@
 import pytest
 
 from podrepo import harness
-from podrepo.core import (Replay, check_feasible, departure_schedule,
-                          occupation_intervals, total_cost)
+from podrepo.core import (Replay, check_feasible, occupation_intervals,
+                          total_cost)
 from podrepo.instances import build_small_system
 from podrepo.policies import CheapestPolicy, decision_cost
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
@@ -83,7 +83,6 @@ class TestTetris:
     @pytest.mark.parametrize("seed", range(6))
     def test_sandwich_between_optimum_and_init(self, mode, seed):
         inst = harness.build_tiny_random(seed)
-        schedule = departure_schedule(inst)
         init = Replay(inst).run(MostExpensivePlacePolicy())
         _, optimum = harness.brute_force_optimum(inst)
         actions, cost = tetris(inst, mode)
@@ -107,7 +106,6 @@ class TestTetris:
         # three pods every decided interval also has the same length, so the
         # two sort orders process the intervals identically
         inst = harness.build_tiny_symmetric(3, regime="periodic", seed=0, n=8)
-        schedule = departure_schedule(inst)
         a_freq, c_freq = tetris(inst, SORT_FREQUENCY)
         ivs = [iv for iv in occupation_intervals(inst, a_freq)
                if iv.decision_step is not None]
@@ -122,7 +120,6 @@ class TestTetris:
         # horizon; their shorter effective lengths reorder the duration sort
         # while the frequency sort is unaffected
         inst = harness.build_tiny_symmetric(4, regime="periodic", seed=0, n=8)
-        schedule = departure_schedule(inst)
         c_freq = tetris(inst, SORT_FREQUENCY)[1]
         c_dur = tetris(inst, SORT_DURATION)[1]
         _, optimum = harness.brute_force_optimum(inst)
