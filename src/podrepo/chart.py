@@ -16,6 +16,7 @@ from .core import Instance, Replay
 RAMP_START = (0, 0, 139)   # dark blue
 RAMP_END = (139, 0, 0)     # dark red
 RAMP_STEPS = 256
+CELL = 10                  # pixels per side of a square cell
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,6 @@ class RunTrace:
 class ChartSpec:
     t_from: int
     t_to: int
-    cell_width: int = 10
-    cell_height: int = 10
 
 
 def record_trace(inst: Instance, actions: Sequence[int]) -> RunTrace:
@@ -81,9 +80,8 @@ def chart_svg(trace: RunTrace, spec: ChartSpec) -> str:
     if not 0 <= spec.t_from < spec.t_to <= len(trace.snapshots):
         raise ValueError("chart window outside the trace")
     ranks = usage_ranks(inst)
-    cw, ch = spec.cell_width, spec.cell_height
-    width = (spec.t_to - spec.t_from) * cw
-    height = inst.n_places * ch
+    width = (spec.t_to - spec.t_from) * CELL
+    height = inst.n_places * CELL
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -98,8 +96,8 @@ def chart_svg(trace: RunTrace, spec: ChartSpec) -> str:
             if pod is None:
                 continue
             color = pod_color(ranks[pod], inst.n_pods)
-            parts.append(f'<rect x="{col * cw}" y="{(p - 1) * ch}" '
-                         f'width="{cw}" height="{ch}" fill="{color}"/>')
+            parts.append(f'<rect x="{col * CELL}" y="{(p - 1) * CELL}" '
+                         f'width="{CELL}" height="{CELL}" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

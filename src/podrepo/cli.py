@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import chart as chartmod
 from . import exact, harness, instances
@@ -35,10 +36,15 @@ def cli() -> None:
 @click.option("--steps", "n", type=int, default=None,
               help="Horizon length; defaults to the system's standard horizon.")
 @click.option("--regime", type=click.Choice(list(instances.REGIMES)),
-              default=instances.REGIME_RANDOM_GEOMETRIC, show_default=True)
+              default=instances.REGIME_RANDOM_GEOMETRIC, show_default=True,
+              help="Departure regime.  --system tiny draws its horizon and "
+                   "uniform departures from --seed and rejects --steps and --regime.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(system: str, seed: int, n: int, regime: str, out: str) -> None:
     """Generate an instance JSON file plus a sidecar metadata file."""
+    regime_source = click.get_current_context().get_parameter_source("regime")
+    if system == "tiny" and (n is not None or regime_source != ParameterSource.DEFAULT):
+        raise click.UsageError("--system tiny takes neither --steps nor --regime")
     meta = {"system": system, "seed": seed, "regime": regime}
     if system == "small":
         n = n if n is not None else 1000
@@ -50,7 +56,7 @@ def gen(system: str, seed: int, n: int, regime: str, out: str) -> None:
         n = n if n is not None else 20000
         inst = instances.build_medium_system(seed=seed, n=n, regime=regime)
         meta["pod_weights"] = instances.geometric_weights(
-            instances.MEDIUM_N_PODS, 20.0)
+            instances.MEDIUM_N_PODS, instances.MEDIUM_WEIGHT_RATIO)
         meta["station_weights"] = list(instances.MEDIUM_STATION_WEIGHTS)
         meta["layout"] = {"grid_w": instances.MEDIUM_GRID_W,
                           "grid_h": instances.MEDIUM_GRID_H,

@@ -496,6 +496,14 @@ def terminal_cost(inst: Instance, final_storage: Sequence[Optional[int]],
     return float(matrix[rows, cols].sum())
 
 
+def require_zero_terminal(inst: Instance) -> None:
+    """The solvers optimise a model with no terminal-cost term; each refuses
+    any other cost model before it does any work."""
+    if inst.costs.terminal != TERMINAL_ZERO:
+        raise ValueError(f"the solvers assume zero terminal cost, "
+                         f"not {inst.costs.terminal!r}")
+
+
 def total_cost(inst: Instance, actions: Sequence[int]) -> float:
     """Total cost of a feasible action sequence, terminal cost included."""
     if len(actions) != inst.horizon:

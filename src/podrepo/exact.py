@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import (NO_OP, TERMINAL_ZERO, Instance, Replay, departure_schedule,
-                   initial_busy_ends)
+from .core import (NO_OP, Instance, Replay, departure_schedule,
+                   initial_busy_ends, require_zero_terminal)
 from .policies import decision_cost_table
 
 
@@ -116,10 +116,6 @@ class _Search:
             extra = min(weights[t]) if not self.steps[t].fill else 0.0
             self.suffix[t - start] = self.suffix[t - start + 1] + extra
 
-    def seed(self, actions: Sequence[int], cost: float) -> None:
-        self.best_cost = cost
-        self.best_path = list(actions)
-
     def run(self) -> None:
         previous = sys.getrecursionlimit()
         sys.setrecursionlimit(max(previous, 10000, 4 * (self.end - self.start) + 1000))
@@ -176,18 +172,11 @@ class _Search:
             place_of[info.pod] = dep_place
 
 
-def _require_zero_terminal(inst: Instance) -> None:
-    """The placement model has no terminal-cost term; refuse any other model."""
-    if inst.costs.terminal != TERMINAL_ZERO:
-        raise ValueError(f"exact solvers assume zero terminal cost, "
-                         f"not {inst.costs.terminal!r}")
-
-
-def _solve_windows(inst: Instance, window_size: int, node_budget: Optional[int],
-                   warm_start: Optional[Sequence[int]] = None) -> SolveResult:
+def _solve_windows(inst: Instance, window_size: int,
+                   node_budget: Optional[int]) -> SolveResult:
     """Search each window of ``window_size`` steps exactly and commit its best
     path to one replay, which carries the occupancy into the next window."""
-    _require_zero_terminal(inst)
+    require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
     replay = Replay(inst)
@@ -197,10 +186,6 @@ def _solve_windows(inst: Instance, window_size: int, node_budget: Optional[int],
     while not replay.done:
         search = _Search(replay, weights, min(replay.t + window_size, inst.horizon),
                          node_budget)
-        if warm_start is not None:
-            search.seed(warm_start, sum(weights[t][a - 1]
-                                        for t, a in enumerate(warm_start)
-                                        if not replay.schedule.steps[t].fill))
         search.run()
         if search.best_cost is None:
             raise RuntimeError("node budget exhausted before any solution was found")
@@ -215,15 +200,13 @@ def _solve_windows(inst: Instance, window_size: int, node_budget: Optional[int],
                        nodes=nodes, lower_bound=params.base_cost + bound)
 
 
-def solve_exact(inst: Instance, node_budget: Optional[int] = None,
-                warm_start: Optional[Sequence[int]] = None) -> SolveResult:
+def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> SolveResult:
     """Minimize the total game cost with zero terminal cost.
 
     With an exhausted ``node_budget`` the best solution found so far is
-    returned with ``optimal=False``; ``warm_start`` (a feasible action
-    sequence) seeds the incumbent.
+    returned with ``optimal=False``.
     """
-    return _solve_windows(inst, max(inst.horizon, 1), node_budget, warm_start)
+    return _solve_windows(inst, max(inst.horizon, 1), node_budget)
 
 
 def solve_iterative(inst: Instance, window_size: int,
@@ -247,7 +230,7 @@ def export_bip(inst: Instance, path) -> None:
     rows that only say ``x <= 1`` are left out.  The objective omits the
     constant ``base_cost``, noted in a comment.  Like the solvers, it refuses
     a non-zero terminal cost."""
-    _require_zero_terminal(inst)
+    require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
     places = range(1, inst.n_places + 1)

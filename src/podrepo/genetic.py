@@ -3,9 +3,11 @@
 Two encodings: raw places per time step (may decode to an infeasible replay)
 and free-place indices under a place order gamma (total by construction --
 every gene vector decodes to a feasible action sequence).  Operators follow
-a plain generational scheme: tournament selection, two-point crossover,
-per-gene mutation with expectation three mutations per chromosome, elitism
-of one, and a stop after a fixed number of stall generations.
+a plain generational scheme with the paper's fixed settings: tournament
+selection of ``TOURNAMENT_SIZE``, two-point crossover at rate
+``CROSSOVER_RATE``, per-gene mutation with ``MUTATIONS_PER_CHROMOSOME``
+expected mutations per chromosome, elitism of one, and a stop after a fixed
+number of stall generations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NO_OP, InfeasibleActionError, Instance, Replay
+from .core import (NO_OP, InfeasibleActionError, Instance, Replay,
+                   require_zero_terminal)
 from .core import departure_schedule  # noqa: F401 -- perfbench/spans.py wraps it here
 from .instances import rng_from_seed
 from .policies import RandomPolicy, avg_costs
@@ -30,6 +33,10 @@ GAMMA_ZIGZAG = "zigzag"
 GAMMA_AVG_COST = "avg-cost"
 
 INFEASIBLE = math.inf
+
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.9
+MUTATIONS_PER_CHROMOSOME = 3.0
 
 
 def place_order(inst: Instance, name: str) -> list[int]:
@@ -81,9 +88,6 @@ class GaConfig:
     population: int = 100
     stall_generations: int = 100
     max_generations: Optional[int] = None
-    tournament: int = 3
-    crossover_rate: float = 0.9
-    mutations_per_chromosome: float = 3.0
     seed: int = 0
 
 
@@ -131,7 +135,8 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
            gamma_name: str = GAMMA_AVG_COST,
            config: Optional[GaConfig] = None) -> GaResult:
     """Generational GA; returns the best feasible individual found, with the
-    per-generation best-cost history."""
+    per-generation best-cost history (zero terminal cost only)."""
+    require_zero_terminal(inst)
     if encoding not in (GENETIC1, GENETIC2):
         raise ValueError(f"unknown encoding: {encoding}")
     cfg = config or GaConfig()
@@ -139,7 +144,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
     rng = rng_from_seed(cfg.seed)
     gamma = place_order(inst, gamma_name) if encoding == GENETIC2 else None
     evaluate = _Evaluator(inst, encoding, gamma)
-    mutation_rate = cfg.mutations_per_chromosome / n
+    mutation_rate = MUTATIONS_PER_CHROMOSOME / n
 
     def random_individual() -> list[int]:
         if encoding == GENETIC2:
@@ -160,7 +165,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         return out
 
     def crossover(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-        if rng.random() >= cfg.crossover_rate:
+        if rng.random() >= CROSSOVER_RATE:
             return list(a), list(b)
         i, j = sorted(int(x) for x in rng.integers(0, n, size=2))
         return (a[:i] + b[i:j] + a[j:], b[:i] + a[i:j] + b[j:])
@@ -177,7 +182,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
             best_fitness, best_genes, best_actions = f, genes, actions
 
     def tournament() -> list[int]:
-        picks = rng.integers(0, cfg.population, size=cfg.tournament)
+        picks = rng.integers(0, cfg.population, size=TOURNAMENT_SIZE)
         winner = min(picks, key=lambda i: (fitness[i], i))
         return population[winner]
 

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exact, genetic, tetris
-from .core import (TERMINAL_ZERO, Instance, CostModel, Replay,
-                   departure_schedule, terminal_cost, total_cost,
+from .core import (Instance, CostModel, Replay, departure_schedule,
+                   require_zero_terminal, terminal_cost, total_cost,
                    validate_instance)
 from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
                         _draw_pod, _line_system, _pick, _pod_weight_vector,
@@ -27,17 +27,23 @@ from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
                         geometric_weights, medium_cost_model,
                         random_initial_storage, rng_from_seed,
                         MEDIUM_N_PODS, MEDIUM_N_PLACES, MEDIUM_QUEUE_CAPACITY,
-                        MEDIUM_STATION_WEIGHTS)
+                        MEDIUM_STATION_WEIGHTS, MEDIUM_WEIGHT_RATIO)
 from .policies import (CHEAPEST_DECISION, CheapestPolicy, FixedPolicy,
                        RandomPolicy, compute_fixed_assignment,
                        rearranged_instance)
 
 
 class BudgetExceededError(Exception):
-    """The exhaustive oracle refused: the search tree is too large."""
+    """The exhaustive oracle refused: the search tree is too large or too deep."""
 
 
 # --- exhaustive oracle -----------------------------------------------------
+
+# the largest search the oracle takes on: leaves, and depth in time steps
+# (its recursion stays well inside Python's default limit of 1000 frames)
+BRUTE_LEAF_CAP = 5_000_000
+BRUTE_MAX_DEPTH = 500
+
 
 def estimate_brute_leaves(inst: Instance) -> int:
     """Exact leaf count of the exhaustive enumeration (action-independent)."""
@@ -51,13 +57,19 @@ def estimate_brute_leaves(inst: Instance) -> int:
     return leaves
 
 
-def brute_force_optimum(inst: Instance, cap: int = 5_000_000) -> tuple[list[int], float]:
+def brute_force_optimum(inst: Instance) -> tuple[list[int], float]:
     """Exhaustive depth-first enumeration of all feasible action sequences,
     accumulating step costs in time order.  Ties resolve to the
-    lexicographically smallest sequence (actions tried in ascending order)."""
+    lexicographically smallest sequence (actions tried in ascending order).
+    Refuses a non-zero terminal cost, and a horizon or leaf count beyond the
+    oracle's scale."""
+    require_zero_terminal(inst)
+    if inst.horizon > BRUTE_MAX_DEPTH:
+        raise BudgetExceededError(f"horizon {inst.horizon} exceeds the oracle's "
+                                  f"depth of {BRUTE_MAX_DEPTH} steps")
     leaves = estimate_brute_leaves(inst)
-    if leaves > cap:
-        raise BudgetExceededError(f"about {leaves} leaves exceeds cap {cap}")
+    if leaves > BRUTE_LEAF_CAP:
+        raise BudgetExceededError(f"about {leaves} leaves exceeds cap {BRUTE_LEAF_CAP}")
     steps = departure_schedule(inst).steps
     horizon = inst.horizon
     costs = inst.costs
@@ -146,9 +158,6 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
         actions = replay.actions
         cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
                                             replay.schedule.final_queues)
-    elif inst.costs.terminal != TERMINAL_ZERO:
-        raise ValueError(f"{name} optimises under zero terminal cost, "
-                         f"not {inst.costs.terminal!r}")
     elif base == "tetris":
         actions, cost = tetris.tetris(inst, param or tetris.SORT_FREQUENCY)
     elif base in ("genetic1", "genetic2"):
@@ -182,8 +191,7 @@ class ResultRow:
 
 
 def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
-                   out_dir: Optional[Path] = None,
-                   node_budget: Optional[int] = None) -> list[ResultRow]:
+                   out_dir: Optional[Path] = None) -> list[ResultRow]:
     """Replay every policy on the identical instance.
 
     Costs are reported relative to the random baseline (run with the same
@@ -194,10 +202,10 @@ def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
     """
     names = list(policy_names)
     decisions = sum(1 for info in departure_schedule(inst).steps if not info.fill)
-    runs = {"random": run_policy(inst, "random", seed, node_budget=node_budget)}
+    runs = {"random": run_policy(inst, "random", seed)}
     for name in names:
         if name not in runs:
-            runs[name] = run_policy(inst, name, seed, node_budget=node_budget)
+            runs[name] = run_policy(inst, name, seed)
     random_cost = runs["random"][1]
     rows = []
     for name in names:
@@ -253,12 +261,11 @@ def build_tiny_random(seed: int) -> Instance:
     return inst
 
 
-def build_tiny_symmetric(n_pods: int, base_cost: int = 4,
-                         regime: str = REGIME_PERIODIC, seed: int = 0,
-                         n: int = 8, ratio: float = 20.0) -> Instance:
+def build_tiny_symmetric(n_pods: int, regime: str = REGIME_PERIODIC, seed: int = 0,
+                         n: int = 8) -> Instance:
     """Scaled-down line system (pods = places, two symmetric stations of
-    capacity 1, cost p + base), with departures under any regime."""
-    return _line_system(n_pods, base_cost, 1, regime, seed, n, ratio)
+    capacity 1, cost p + 4), with departures under any regime."""
+    return _line_system(n_pods, 1, regime, seed, n)
 
 
 # --- studies ---------------------------------------------------------------
@@ -299,11 +306,10 @@ class SeasonalReport:
         return statistics.median(getattr(self, name))
 
 
-def _medium_instance_with(departure_draw: Callable, seed: int, n: int,
-                          queue_capacity: int = MEDIUM_QUEUE_CAPACITY) -> Instance:
+def _medium_instance_with(departure_draw: Callable, seed: int, n: int) -> Instance:
     rng = rng_from_seed(seed)
     initial_storage = random_initial_storage(MEDIUM_N_PODS, MEDIUM_N_PLACES, rng)
-    capacities = (queue_capacity, queue_capacity)
+    capacities = (MEDIUM_QUEUE_CAPACITY, MEDIUM_QUEUE_CAPACITY)
     initial_queues = ((), ())
     departures = co_simulated_departures(
         MEDIUM_N_PODS, capacities, initial_storage, initial_queues, n,
@@ -316,8 +322,10 @@ def _medium_instance_with(departure_draw: Callable, seed: int, n: int,
     return inst
 
 
-def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000,
-                             concentration: float = 0.1) -> Instance:
+SEASONAL_CONCENTRATION = 0.1  # of the symmetric Dirichlet the weights come from
+
+
+def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> Instance:
     """Medium system whose pod weights are re-randomized every ``epoch``
     steps.
 
@@ -326,7 +334,7 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000,
     season and the dominant set changes completely between seasons.
     """
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
-    alpha = [concentration] * MEDIUM_N_PODS
+    alpha = [SEASONAL_CONCENTRATION] * MEDIUM_N_PODS
 
     def make_draw(rng):
         # the tiny floor keeps every stored pod drawable in every season
@@ -345,9 +353,9 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000,
     return _medium_instance_with(make_draw, seed, n)
 
 
-def plain_medium_instance(seed: int, n: int = 10000, ratio: float = 20.0) -> Instance:
+def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
     """Medium system with fixed geometric weights (no seasonal changes)."""
-    base = np.asarray(geometric_weights(MEDIUM_N_PODS, ratio))
+    base = np.asarray(geometric_weights(MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO))
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
 
     def make_draw(rng):

@@ -210,32 +210,32 @@ SMALL_WEIGHT_RATIO = 20.0
 SMALL_BASE_COST = 4
 
 
-def _line_costs(n_places: int, base_cost: int) -> CostModel:
-    """1-D line storage, two symmetric stations: cost(p, s) = p + base both ways."""
-    to_station = tuple((float(p + base_cost),) * 2 for p in range(1, n_places + 1))
-    from_station = tuple(tuple(float(p + base_cost) for p in range(1, n_places + 1))
-                         for _ in range(2))
-    return CostModel(to_station=to_station, from_station=from_station)
+def _line_costs(n_places: int) -> CostModel:
+    """1-D line storage, two symmetric stations: cost(p, s) = p + 4 both ways."""
+    row = tuple(float(p + SMALL_BASE_COST) for p in range(1, n_places + 1))
+    return CostModel(to_station=tuple((c, c) for c in row), from_station=(row, row))
 
 
 def small_cost_model() -> CostModel:
     """The small system's line costs: cost(p, s) = p + 4 both ways."""
-    return _line_costs(SMALL_N_PLACES, SMALL_BASE_COST)
+    return _line_costs(SMALL_N_PLACES)
 
 
-def _line_system(n_pods: int, base_cost: int, queue_capacity: int, regime: str,
-                 seed: int, n: int, ratio: float) -> Instance:
-    """Line system with pods = places, pre-sorted pods, geometric weights and
-    two symmetric stations of equal weight, with departures under ``regime``."""
+def _line_system(n_pods: int, queue_capacity: int, regime: str,
+                 seed: int, n: int) -> Instance:
+    """Line system with pods = places, pre-sorted pods, geometric ratio-20
+    weights and two symmetric stations of equal weight, with departures under
+    ``regime``."""
     initial_storage = tuple(range(1, n_pods + 1))
     initial_queues = ((), ())
     capacities = (queue_capacity, queue_capacity)
     departures = generate_departures(
         n_pods, capacities, initial_storage, initial_queues,
-        regime=regime, seed=seed, n=n, pod_weights=geometric_weights(n_pods, ratio),
+        regime=regime, seed=seed, n=n,
+        pod_weights=geometric_weights(n_pods, SMALL_WEIGHT_RATIO),
         station_weights=(0.5, 0.5))
     inst = Instance(n_pods=n_pods, n_places=n_pods, station_capacities=capacities,
-                    costs=_line_costs(n_pods, base_cost),
+                    costs=_line_costs(n_pods),
                     initial_storage=initial_storage, initial_queues=initial_queues,
                     departures=departures)
     validate_instance(inst)
@@ -246,8 +246,7 @@ def build_small_system(seed: int = 1, n: int = 1000,
                        regime: str = REGIME_RANDOM_GEOMETRIC) -> Instance:
     """The 10-place/10-pod system: pre-sorted pods, geometric ratio-20 weights,
     two symmetric stations of capacity 2, equal station weights."""
-    return _line_system(SMALL_N_PODS, SMALL_BASE_COST, SMALL_QUEUE_CAPACITY,
-                        regime, seed, n, SMALL_WEIGHT_RATIO)
+    return _line_system(SMALL_N_PODS, SMALL_QUEUE_CAPACITY, regime, seed, n)
 
 
 # --- medium test system ----------------------------------------------------
@@ -260,18 +259,19 @@ MEDIUM_N_PLACES = MEDIUM_GRID_W * MEDIUM_GRID_H
 MEDIUM_STATIONS = ((5, 2), (21, 4))
 MEDIUM_QUEUE_CAPACITY = 10
 MEDIUM_STATION_WEIGHTS = (0.6, 0.4)
+MEDIUM_WEIGHT_RATIO = 20.0
 
 
-def medium_cost_model(grid_w: int = MEDIUM_GRID_W, grid_h: int = MEDIUM_GRID_H,
-                      stations: Sequence[tuple[int, int]] = MEDIUM_STATIONS) -> CostModel:
+def medium_cost_model() -> CostModel:
     """Manhattan travel distances on the grid; place p-1 = y*grid_w + x."""
     to_rows = []
-    for idx in range(grid_w * grid_h):
-        x, y = idx % grid_w, idx // grid_w
-        to_rows.append(tuple(float(abs(x - sx) + y + sy + 1) for sx, sy in stations))
+    for idx in range(MEDIUM_N_PLACES):
+        x, y = idx % MEDIUM_GRID_W, idx // MEDIUM_GRID_W
+        to_rows.append(tuple(float(abs(x - sx) + y + sy + 1)
+                             for sx, sy in MEDIUM_STATIONS))
     to_station = tuple(to_rows)
-    from_station = tuple(tuple(to_station[p][s] for p in range(grid_w * grid_h))
-                         for s in range(len(stations)))
+    from_station = tuple(tuple(to_station[p][s] for p in range(MEDIUM_N_PLACES))
+                         for s in range(len(MEDIUM_STATIONS)))
     return CostModel(to_station=to_station, from_station=from_station)
 
 
@@ -285,21 +285,18 @@ def random_initial_storage(n_pods: int, n_places: int,
 
 
 def build_medium_system(seed: int, n: int = 20000,
-                        queue_capacity: int = MEDIUM_QUEUE_CAPACITY,
-                        station_weights: Sequence[float] = MEDIUM_STATION_WEIGHTS,
-                        ratio: float = 20.0,
                         regime: str = REGIME_RANDOM_GEOMETRIC) -> Instance:
     """The 504-place/441-pod system: asymmetric stations, random initial pod
     positions, geometric ratio-20 pod weights, station weights 0.6/0.4."""
     rng = rng_from_seed(seed)
     initial_storage = random_initial_storage(MEDIUM_N_PODS, MEDIUM_N_PLACES, rng)
     initial_queues = ((), ())
-    capacities = (queue_capacity, queue_capacity)
+    capacities = (MEDIUM_QUEUE_CAPACITY, MEDIUM_QUEUE_CAPACITY)
     departures = generate_departures(
         MEDIUM_N_PODS, capacities, initial_storage, initial_queues,
         regime=regime, seed=seed + 1, n=n,
-        pod_weights=geometric_weights(MEDIUM_N_PODS, ratio),
-        station_weights=tuple(station_weights),
+        pod_weights=geometric_weights(MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO),
+        station_weights=MEDIUM_STATION_WEIGHTS,
     )
     inst = Instance(
         n_pods=MEDIUM_N_PODS,

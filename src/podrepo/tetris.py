@@ -10,24 +10,13 @@ fixed by the departure sequence; only the place coordinate moves.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Optional
 
-from .core import (NO_OP, Instance, OccupationInterval, Replay,
-                   departure_schedule, occupation_intervals)
-from .policies import DecisionCostPolicy, decision_cost, decision_cost_table
+from .core import (NO_OP, Instance, Replay, departure_schedule,
+                   occupation_intervals, require_zero_terminal)
+from .policies import DecisionCostPolicy, decision_cost_table
 
 SORT_FREQUENCY = "frequency"
 SORT_DURATION = "duration"
-
-
-def interval_place_cost(inst: Instance, interval: OccupationInterval,
-                        place: Optional[int] = None) -> float:
-    """Decision cost of hosting ``interval`` at ``place`` (defaults to its
-    current place); independent of the interval length."""
-    p = interval.place if place is None else place
-    if interval.from_station is None:
-        raise ValueError("initial-occupancy intervals carry no decision cost")
-    return decision_cost(inst, p, interval.from_station, interval.to_station)
 
 
 class MostExpensivePlacePolicy(DecisionCostPolicy):
@@ -70,7 +59,9 @@ class _Timeline:
 
 
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
-    """Run the heuristic; returns the action sequence and its total cost."""
+    """Run the heuristic; returns the action sequence and its total cost
+    (zero terminal cost only)."""
+    require_zero_terminal(inst)
     if mode not in (SORT_FREQUENCY, SORT_DURATION):
         raise ValueError(f"unknown tetris mode: {mode}")
 

@@ -7,8 +7,8 @@ import pytest
 
 from podrepo import harness
 from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
-from podrepo.core import (TERMINAL_RETURN_ALL, load_actions, load_instance,
-                          save_instance)
+from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance,
+                          load_actions, load_instance, save_instance)
 from podrepo.harness import build_tiny_random
 from podrepo.instances import build_small_system
 
@@ -53,6 +53,14 @@ class TestGen:
     def test_unwritable_output_is_config_error(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "x.json"
         assert main(["gen", "--out", str(out)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("option", [["--steps", "500"],
+                                        ["--regime", "periodic"]])
+    def test_tiny_system_refuses_steps_and_regime(self, tmp_path, option):
+        out = tmp_path / "tiny.json"
+        assert main(["gen", "--system", "tiny", *option,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_bad_flag_is_config_error(self):
         assert main(["gen", "--system", "giant", "--out", "x.json"]) == EXIT_CONFIG
@@ -105,6 +113,18 @@ class TestRun:
     def test_oversized_brute_force_is_budget_error(self, small_path):
         assert main(["run", str(small_path),
                      "--policy", "brute-force"]) == EXIT_BUDGET
+
+    def test_too_deep_brute_force_is_budget_error(self, tmp_path, capsys):
+        # one leaf, but 3000 steps: deeper than the oracle recurses
+        deep = Instance(n_pods=2, n_places=1, station_capacities=(1,),
+                        costs=CostModel(to_station=((1.0,),), from_station=((1.0,),)),
+                        initial_storage=(1,), initial_queues=((2,),),
+                        departures=tuple((1 + t % 2, 1) for t in range(3000)))
+        assert harness.estimate_brute_leaves(deep) == 1
+        path = tmp_path / "deep.json"
+        save_instance(deep, path)
+        assert main(["run", str(path), "--policy", "brute-force"]) == EXIT_BUDGET
+        assert "horizon 3000" in capsys.readouterr().err
 
     def test_corrupt_instance_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -65,14 +65,6 @@ class TestSolveExact:
         assert total_cost(inst, result.actions) == pytest.approx(result.cost,
                                                                  abs=1e-9)
 
-    def test_warm_start_caps_the_result(self):
-        inst = build_small_system(n=200)
-        warm = Replay(inst).run(CheapestPolicy(inst)).actions
-        warm_cost = total_cost(inst, warm)
-        result = solve_exact(inst, node_budget=2000, warm_start=warm)
-        assert result.cost <= warm_cost + 1e-9
-        assert not result.optimal
-
     def test_budget_exhaustion_flagged(self):
         inst = build_small_system(n=300)
         result = solve_exact(inst, node_budget=500)

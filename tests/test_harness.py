@@ -9,8 +9,10 @@ from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
                           departure_schedule, initial_state, step_cost,
                           terminal_cost, total_cost, transition)
 from podrepo.exact import solve_exact, solve_iterative
+from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
 from podrepo.instances import REGIME_PERIODIC, build_small_system
 from podrepo.policies import compute_fixed_assignment, rearranged_instance
+from podrepo.tetris import tetris
 
 
 class TestBruteForce:
@@ -116,6 +118,27 @@ class TestReturnAllPods:
             solve_exact(return_all_pods, node_budget=1)
         with pytest.raises(ValueError, match="return-all-pods"):
             solve_iterative(return_all_pods, 5, node_budget=1)
+
+    @pytest.mark.parametrize("name", ["tetris", "genetic1", "genetic2",
+                                      "brute-force"])
+    def test_entry_points_refuse_when_called_directly(self, return_all_pods, name):
+        call = {
+            "tetris": tetris,
+            "genetic1": lambda inst: evolve(inst, GENETIC1,
+                                            config=GaConfig(max_generations=1)),
+            "genetic2": lambda inst: evolve(inst, GENETIC2,
+                                            config=GaConfig(max_generations=1)),
+            "brute-force": harness.brute_force_optimum,
+        }[name]
+        with pytest.raises(ValueError, match="return-all-pods"):
+            call(return_all_pods)
+
+    def test_oracle_refuses_before_enumerating(self):
+        # small enough to enumerate, so only the cost model can refuse it
+        inst = harness.build_tiny_random(0)
+        inst = replace(inst, costs=replace(inst.costs, terminal=TERMINAL_RETURN_ALL))
+        with pytest.raises(ValueError, match="return-all-pods"):
+            harness.brute_force_optimum(inst)
 
 
 def reference_cost(inst, actions):

@@ -8,8 +8,7 @@ from podrepo.core import (Replay, check_feasible, occupation_intervals,
 from podrepo.instances import build_small_system
 from podrepo.policies import CheapestPolicy, decision_cost
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
-                            MostExpensivePlacePolicy, _Timeline,
-                            interval_place_cost, tetris)
+                            MostExpensivePlacePolicy, _Timeline, tetris)
 
 
 class TestMostExpensivePlace:
@@ -52,26 +51,6 @@ class TestTimeline:
         assert not tl.free(1, 0, 99)
         tl.remove(1, 3, 7)
         assert tl.free(1, 2, 9)
-
-
-class TestIntervalPlaceCost:
-    def test_initial_interval_has_no_decision_cost(self):
-        inst = build_small_system(n=50)
-        replay = Replay(inst).run(CheapestPolicy(inst))
-        ivs = occupation_intervals(inst, replay.actions)
-        initial = next(iv for iv in ivs if iv.decision_step is None)
-        with pytest.raises(ValueError):
-            interval_place_cost(inst, initial)
-
-    def test_length_independent(self):
-        inst = build_small_system(n=50)
-        replay = Replay(inst).run(CheapestPolicy(inst))
-        ivs = [iv for iv in occupation_intervals(inst, replay.actions)
-               if iv.decision_step is not None]
-        for iv in ivs:
-            expected = decision_cost(inst, iv.place, iv.from_station,
-                                     iv.to_station)
-            assert interval_place_cost(inst, iv) == expected
 
 
 class TestTetris:
