@@ -530,30 +530,38 @@ def check_feasible(inst: Instance, actions: Sequence[int]) -> Verdict:
 
 
 def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[OccupationInterval]:
-    """Interval view of a feasible replay, initial occupancy included."""
-    verdict = check_feasible(inst, actions)
-    if not verdict.ok:
-        raise InfeasibleActionError(verdict.step if verdict.step is not None else 0,
-                                    verdict.reason, "cannot build intervals")
+    """Interval view of a feasible plan, initial occupancy included.
+
+    The plan is checked on the intervals themselves, without a replay: an
+    action must be the no-op exactly on fill steps, and a decision's place
+    must be free when it begins, so the intervals on one place are disjoint.
+    An infeasible plan raises :class:`InfeasibleActionError` at the step and
+    with the reason that :func:`check_feasible` reports.
+    """
+    if len(actions) != inst.horizon:
+        raise InfeasibleActionError(0, REASON_LENGTH, "cannot build intervals")
     schedule = departure_schedule(inst)
     horizon = inst.horizon
     intervals: list[OccupationInterval] = []
+    # per place: the end of the last interval put on it
+    busy_until = [0] + initial_busy_ends(inst)
     for p, h in enumerate(inst.initial_storage, start=1):
         if h is None:
             continue
         deps = schedule.pod_departure_steps[h - 1]
-        if deps:
-            intervals.append(OccupationInterval(
-                place=p, pod=h, begin=0, end=deps[0] + 1,
-                from_station=None, to_station=inst.departures[deps[0]][1]))
-        else:
-            intervals.append(OccupationInterval(
-                place=p, pod=h, begin=0, end=horizon + 1,
-                from_station=None, to_station=None))
+        intervals.append(OccupationInterval(
+            place=p, pod=h, begin=0, end=busy_until[p], from_station=None,
+            to_station=inst.departures[deps[0]][1] if deps else None))
     for t, (info, action) in enumerate(zip(schedule.steps, actions)):
-        if info.fill:
+        if info.fill or action == NO_OP:
+            if info.fill != (action == NO_OP):
+                raise InfeasibleActionError(t, REASON_PHASE, "cannot build intervals")
             continue
+        # the place's last pod must leave at step t at the latest
+        if not 1 <= action <= inst.n_places or busy_until[action] > t + 1:
+            raise InfeasibleActionError(t, REASON_BUSY, f"place {action} is not free")
         end = info.return_next_step + 1 if info.return_next_step is not None else horizon + 1
+        busy_until[action] = end
         intervals.append(OccupationInterval(
             place=action, pod=info.returning_pod, begin=t + 1, end=end,
             from_station=info.station, to_station=info.return_next_station,

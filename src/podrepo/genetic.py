@@ -13,14 +13,14 @@ number of stall generations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NO_OP, InfeasibleActionError, Instance, Replay,
-                   require_zero_terminal)
-from .core import departure_schedule  # noqa: F401 -- perfbench/spans.py wraps it here
+from .core import (NO_OP, REASON_LENGTH, InfeasibleActionError, Instance,
+                   Replay, departure_schedule, require_zero_terminal)
 from .instances import rng_from_seed
 from .policies import RandomPolicy, avg_costs
 
@@ -60,27 +60,94 @@ def place_order(inst: Instance, name: str) -> list[int]:
     raise ValueError(f"unknown place order: {name}")
 
 
-def _decode2_replay(inst: Instance, genes: Sequence[int], gamma: Sequence[int]) -> Replay:
-    rank = [0] * (inst.n_places + 1)
-    for i, p in enumerate(gamma):
-        rank[p] = i
-    replay = Replay(inst)
-    for gene in genes:
-        if replay.current.fill:
-            replay.step(NO_OP)
+def _decode2_batch(inst: Instance, genes: np.ndarray,
+                   gamma: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every row of ``genes`` (individuals x steps, int64) at once.
+
+    A copy of the ``Replay.step`` dynamics, vectorised over the individuals:
+    the schedule is shared, so only the occupancy differs between rows.
+    ``free`` is each row's free mask in gamma order and ``place_of[pod]``
+    each row's flat index into it.  The number of free places does not
+    depend on the actions, so a decision step's pick is one entry of
+    ``np.flatnonzero(free)``, fixed in advance by the gene.  A step's cost is
+    summed as ``Replay.step`` sums it, so the totals are bit-identical to a
+    replay of the actions.  Returns the totals and the actions (individuals
+    x steps, place ids, ``NO_OP`` on fills).
+    """
+    rows, length = genes.shape
+    n_places = inst.n_places
+    gamma_arr = np.asarray(gamma, dtype=np.min_scalar_type(n_places))
+    rank = np.empty(n_places + 1, dtype=np.intp)
+    rank[gamma_arr] = np.arange(n_places)
+    row_start = np.arange(rows) * n_places
+    # per station: the two legs by flat index, gamma order repeated per row
+    to_leg = [np.tile(col, rows) for col in
+              np.array(inst.costs.to_station)[gamma_arr - 1].T]
+    from_leg = [np.tile(row, rows) for row in
+                np.array(inst.costs.from_station)[:, gamma_arr - 1]]
+
+    free = np.ones((rows, n_places), dtype=bool)
+    # a departed pod's entry is not read again before it returns
+    place_of = np.zeros((inst.n_pods + 1, rows), dtype=np.intp)
+    for p, h in enumerate(inst.initial_storage, start=1):
+        if h is not None:
+            free[:, rank[p]] = False
+            place_of[h] = row_start + rank[p]
+    steps = departure_schedule(inst).steps[:length]
+    # admissible-set size per step: the free places plus the departing
+    # pod's; a fill step takes no pick, so 1 keeps the division defined
+    n_free = n_places - sum(h is not None for h in inst.initial_storage)
+    sizes = np.ones(length, dtype=np.int64)
+    for t, info in enumerate(steps):
+        if info.fill:
+            n_free += 1
         else:
-            admissible = sorted(replay.admissible(), key=rank.__getitem__)
-            replay.step(admissible[gene % len(admissible)])
-    return replay
+            sizes[t] = n_free + 1
+    # pick[t, r]: the entry of np.flatnonzero(free) that row r takes at step t
+    pick = np.ascontiguousarray(genes.T % sizes[:, None])
+    pick += sizes[:, None] * np.arange(rows)
+
+    flat = free.reshape(-1)
+    total = np.zeros(rows)
+    chosen_at = np.zeros((length, rows), dtype=gamma_arr.dtype)
+    fills = np.zeros(length, dtype=bool)
+    for t, info in enumerate(steps):
+        s = info.station - 1
+        dep = place_of[info.pod]
+        flat[dep] = True
+        if info.fill:
+            fills[t] = True
+            total += to_leg[s][dep]
+            continue
+        chosen = flat.nonzero()[0][pick[t]]
+        flat[chosen] = False
+        place_of[info.returning_pod] = chosen
+        chosen_at[t] = chosen - row_start
+        total += to_leg[s][dep] + from_leg[s][chosen]
+    actions = gamma_arr[chosen_at.T]
+    actions[:, fills] = NO_OP
+    return total, actions
 
 
 def decode2(inst: Instance, genes: Sequence[int], gamma: Sequence[int]) -> list[int]:
     """Decode free-place indices into actions by co-simulating the game.
 
-    Genes are reduced modulo the admissible-set size, so decoding is total;
-    fill-phase genes are ignored.
+    Genes are reduced modulo the admissible-set size with Python's ``%``, so
+    decoding is total; fill-phase genes are ignored.  A gene list shorter
+    than the horizon decodes that prefix; a longer one raises a
+    ``length-mismatch`` :class:`InfeasibleActionError`, and a gene outside
+    the int64 range raises ``ValueError``.
     """
-    return _decode2_replay(inst, genes, gamma).actions
+    if len(genes) > inst.horizon:
+        raise InfeasibleActionError(inst.horizon, REASON_LENGTH,
+                                    f"{len(genes)} genes for {inst.horizon} steps")
+    row = [operator.index(g) for g in genes]
+    bounds = np.iinfo(np.int64)
+    for i, g in enumerate(row):
+        if not bounds.min <= g <= bounds.max:
+            raise ValueError(f"gene {g} at index {i} is outside the int64 range")
+    one_row = np.array(row, dtype=np.int64).reshape(1, len(row))
+    return _decode2_batch(inst, one_row, gamma)[1][0].tolist()
 
 
 @dataclass
@@ -106,8 +173,9 @@ class GaResult:
 
 
 class _Evaluator:
-    """Replay-based fitness: the replayed total cost, infinity sentinel for
-    infeasible genetic-1 decodes."""
+    """Fitness of a whole population: the replayed total cost, infinity
+    sentinel for infeasible genetic-1 decodes.  Returns the fitness list and
+    a function from an individual's index to its actions."""
 
     def __init__(self, inst: Instance, encoding: str, gamma: Optional[Sequence[int]]):
         self.inst = inst
@@ -116,19 +184,29 @@ class _Evaluator:
         self.evaluations = 0
         self.infeasible = 0
 
-    def __call__(self, genes: Sequence[int]) -> tuple[float, Optional[list[int]]]:
-        self.evaluations += 1
+    def __call__(self, population: list[list[int]]
+                 ) -> tuple[list[float], Callable[[int], Optional[list[int]]]]:
+        self.evaluations += len(population)
         if self.encoding == GENETIC2:
-            replay = _decode2_replay(self.inst, genes, self.gamma)
-        else:
+            genes = np.array(population, dtype=np.int64).reshape(
+                len(population), self.inst.horizon)
+            totals, actions = _decode2_batch(self.inst, genes, self.gamma)
+            return totals.tolist(), lambda i: actions[i].tolist()
+        fitness: list[float] = []
+        plans: list[Optional[list[int]]] = []
+        for genes in population:
             replay = Replay(self.inst)
-            for gene in genes:
-                try:
+            try:
+                for gene in genes:
                     replay.step(gene)
-                except InfeasibleActionError:
-                    self.infeasible += 1
-                    return INFEASIBLE, None
-        return replay.total, replay.actions
+            except InfeasibleActionError:
+                self.infeasible += 1
+                fitness.append(INFEASIBLE)
+                plans.append(None)
+            else:
+                fitness.append(replay.total)
+                plans.append(replay.actions)
+        return fitness, plans.__getitem__
 
 
 def evolve(inst: Instance, encoding: str = GENETIC2,
@@ -148,7 +226,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
 
     def random_individual() -> list[int]:
         if encoding == GENETIC2:
-            return [int(g) for g in rng.integers(0, inst.n_places, size=n)]
+            return rng.integers(0, inst.n_places, size=n).tolist()
         policy = RandomPolicy(seed=int(rng.integers(2 ** 62)))
         return Replay(inst).run(policy).actions
 
@@ -170,16 +248,26 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         i, j = sorted(int(x) for x in rng.integers(0, n, size=2))
         return (a[:i] + b[i:j] + a[j:], b[:i] + a[i:j] + b[j:])
 
-    population = [random_individual() for _ in range(cfg.population)]
-    fitness = []
     best_genes = None
     best_fitness = INFEASIBLE
     best_actions: Optional[list[int]] = None
-    for genes in population:
-        f, actions = evaluate(genes)
-        fitness.append(f)
-        if f < best_fitness:
-            best_fitness, best_genes, best_actions = f, genes, actions
+
+    def evaluate_all(population: list[list[int]]) -> tuple[list[float], bool]:
+        """Fitness of ``population``, and whether its first cheapest
+        individual beat the best so far and became the new best."""
+        nonlocal best_genes, best_fitness, best_actions
+        fitness, actions_of = evaluate(population)
+        best = None
+        for i, f in enumerate(fitness):
+            if f < best_fitness:
+                best_fitness, best = f, i
+        if best is None:
+            return fitness, False
+        best_genes, best_actions = population[best], actions_of(best)
+        return fitness, True
+
+    population = [random_individual() for _ in range(cfg.population)]
+    fitness, _ = evaluate_all(population)
 
     def tournament() -> list[int]:
         picks = rng.integers(0, cfg.population, size=TOURNAMENT_SIZE)
@@ -200,14 +288,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
             if len(offspring) < cfg.population:
                 offspring.append(mutate(c2))
         population = offspring
-        fitness = []
-        improved = False
-        for genes in population:
-            f, actions = evaluate(genes)
-            fitness.append(f)
-            if f < best_fitness:
-                best_fitness, best_genes, best_actions = f, genes, actions
-                improved = True
+        fitness, improved = evaluate_all(population)
         history.append(best_fitness)
         stall = 0 if improved else stall + 1
     if best_actions is None:

@@ -21,9 +21,9 @@ from . import exact, genetic, tetris
 from .core import (Instance, CostModel, Replay, departure_schedule,
                    require_zero_terminal, terminal_cost, total_cost,
                    validate_instance)
-from .instances import (REGIME_PERIODIC, REGIME_RANDOM_GEOMETRIC,
-                        _draw_pod, _line_system, _pick, _pod_weight_vector,
-                        _station_cdf, co_simulated_departures, generate_departures,
+from .instances import (REGIME_PERIODIC, _draw_pod, _line_system, _pick,
+                        _pod_weight_vector, _station_cdf,
+                        co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
                         random_initial_storage, rng_from_seed,
                         MEDIUM_N_PODS, MEDIUM_N_PLACES, MEDIUM_QUEUE_CAPACITY,
@@ -174,10 +174,15 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
     else:
         actions, cost = brute_force_optimum(inst)
     wall = time.perf_counter() - started
-    check = total_cost(run_inst, actions)
+    _verify_cost(run_inst, name, actions, cost)
+    return actions, cost, wall
+
+
+def _verify_cost(inst: Instance, name: str, actions: list[int], cost: float) -> None:
+    """Raise unless an independent replay of ``actions`` costs ``cost``."""
+    check = total_cost(inst, actions)
     if abs(check - cost) > 1e-9:
         raise RuntimeError(f"{name}: reported cost {cost} != replayed cost {check}")
-    return actions, cost, wall
 
 
 @dataclass
@@ -373,13 +378,20 @@ def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
 def seasonal_study(seeds: Sequence[int], n: int = 10000,
                    epoch: int = 2000) -> SeasonalReport:
     """Frequency-sorted vs duration-sorted tetris on seasonal and plain
-    medium-system data, paired by seed."""
+    medium-system data, paired by seed.  Every reported cost is re-verified
+    by an independent replay."""
     report = SeasonalReport()
+
+    def tetris_cost(inst: Instance, mode: str) -> float:
+        actions, cost = tetris.tetris(inst, mode)
+        _verify_cost(inst, f"tetris:{mode}", actions, cost)
+        return cost
+
     for seed in seeds:
         inst = seasonal_medium_instance(seed, n=n, epoch=epoch)
-        report.seasonal_frequency.append(tetris.tetris(inst, tetris.SORT_FREQUENCY)[1])
-        report.seasonal_duration.append(tetris.tetris(inst, tetris.SORT_DURATION)[1])
+        report.seasonal_frequency.append(tetris_cost(inst, tetris.SORT_FREQUENCY))
+        report.seasonal_duration.append(tetris_cost(inst, tetris.SORT_DURATION))
         inst = plain_medium_instance(seed, n=n)
-        report.plain_frequency.append(tetris.tetris(inst, tetris.SORT_FREQUENCY)[1])
-        report.plain_duration.append(tetris.tetris(inst, tetris.SORT_DURATION)[1])
+        report.plain_frequency.append(tetris_cost(inst, tetris.SORT_FREQUENCY))
+        report.plain_duration.append(tetris_cost(inst, tetris.SORT_DURATION))
     return report

@@ -10,7 +10,7 @@ ascending and ``min``/``max`` return its first extreme element.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -294,6 +295,31 @@ class TestOccupationIntervals:
             spans.sort()
             for (b1, e1), (b2, e2) in zip(spans, spans[1:]):
                 assert e1 <= b2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejects_exactly_what_a_replay_rejects(self, seed):
+        # plans with one or two actions changed; the interval check must
+        # agree with check_feasible on the verdict, the step and the reason
+        inst = build_small_system(seed + 1, n=200)
+        plan = Replay(inst).run(RandomPolicy(seed)).actions
+        rng = np.random.default_rng(seed)
+        rejected = 0
+        for _ in range(60):
+            changed = list(plan)
+            for t in rng.integers(0, inst.horizon, size=rng.integers(1, 3)):
+                changed[t] = int(rng.integers(-1, inst.n_places + 2))
+            verdict = check_feasible(inst, changed)
+            if verdict.ok:
+                occupation_intervals(inst, changed)
+                continue
+            rejected += 1
+            with pytest.raises(InfeasibleActionError) as err:
+                occupation_intervals(inst, changed)
+            assert (err.value.step, err.value.reason) == (verdict.step, verdict.reason)
+        assert rejected > 0
+        with pytest.raises(InfeasibleActionError) as err:
+            occupation_intervals(inst, plan[:-1])
+        assert err.value.reason == REASON_LENGTH
 
     def test_initial_busy_ends(self):
         inst = six_pod_instance()

@@ -1,14 +1,18 @@
 """Evolutionary solvers: place orders, decoding, evolution loop."""
 
+from dataclasses import replace
+
 import pytest
 
 from podrepo import harness
-from podrepo.core import (CostModel, Instance, Replay, check_feasible,
-                          total_cost)
+from podrepo.core import (NO_OP, REASON_LENGTH, CostModel,
+                          InfeasibleActionError, Instance, Replay,
+                          check_feasible, total_cost)
 from podrepo.genetic import (GAMMA_AVG_COST, GAMMA_CLOSE, GAMMA_FAR,
                              GAMMA_ZIGZAG, GENETIC1, GENETIC2, GaConfig,
-                             decode2, evolve, place_order)
-from podrepo.instances import build_small_system, rng_from_seed
+                             _decode2_batch, decode2, evolve, place_order)
+from podrepo.instances import (build_medium_system, build_small_system,
+                               rng_from_seed)
 from podrepo.policies import RandomPolicy
 
 
@@ -84,6 +88,92 @@ class TestDecode:
             assert check_feasible(inst, actions).ok
 
 
+def replay_decode2(inst: Instance, genes, gamma) -> Replay:
+    """The genetic-2 decode walked through ``Replay``: the oracle for the
+    batched decoder."""
+    rank = [0] * (inst.n_places + 1)
+    for i, p in enumerate(gamma):
+        rank[p] = i
+    replay = Replay(inst)
+    for gene in genes:
+        if replay.current.fill:
+            replay.step(NO_OP)
+        else:
+            admissible = sorted(replay.admissible(), key=rank.__getitem__)
+            replay.step(admissible[gene % len(admissible)])
+    return replay
+
+
+def fractional(inst: Instance) -> Instance:
+    """A copy with every cost divided by 7, so that sums round."""
+    def scale(table):
+        return tuple(tuple(c / 7 for c in row) for row in table)
+
+    return replace(inst, costs=replace(inst.costs,
+                                       to_station=scale(inst.costs.to_station),
+                                       from_station=scale(inst.costs.from_station)))
+
+
+DIFFERENTIAL_CASES = {
+    **{f"tiny-{seed}": (lambda seed=seed: harness.build_tiny_random(seed))
+       for seed in range(5)},
+    "small": lambda: build_small_system(1, n=1000),
+    "medium": lambda: build_medium_system(1, n=500),
+    "small-fractional": lambda: fractional(build_small_system(1, n=1000)),
+    "tiny-fractional": lambda: fractional(harness.build_tiny_random(3)),
+}
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+    @pytest.mark.parametrize("gamma_name", [GAMMA_AVG_COST, GAMMA_ZIGZAG])
+    def test_matches_the_replay_walk(self, case, gamma_name):
+        inst = DIFFERENTIAL_CASES[case]()
+        gamma = place_order(inst, gamma_name)
+        rng = rng_from_seed(list(DIFFERENTIAL_CASES).index(case))
+        genes = rng.integers(0, 1000, size=(24, inst.horizon))
+        genes[rng.random(genes.shape) < 0.1] *= -1
+        totals, actions = _decode2_batch(inst, genes, gamma)
+        assert totals.shape == (24,) and actions.shape == (24, inst.horizon)
+        for row, total, plan in zip(genes.tolist(), totals.tolist(), actions.tolist()):
+            oracle = replay_decode2(inst, row, gamma)
+            assert plan == oracle.actions
+            assert total == oracle.total  # bit-identical, not approximate
+        assert decode2(inst, genes[0].tolist(), gamma) == actions[0].tolist()
+
+    def test_prefix_is_decoded(self):
+        inst = harness.build_tiny_random(0)
+        gamma = place_order(inst, GAMMA_CLOSE)
+        assert decode2(inst, [0] * 3, gamma) == [0, 0, 1]
+        assert decode2(inst, [], gamma) == []
+
+    def test_too_many_genes(self):
+        inst = harness.build_tiny_random(0)
+        gamma = place_order(inst, GAMMA_CLOSE)
+        with pytest.raises(InfeasibleActionError) as err:
+            decode2(inst, [0] * (inst.horizon + 1), gamma)
+        assert err.value.reason == REASON_LENGTH
+
+    def test_negative_genes_reduce_like_python(self):
+        inst = build_small_system(1, n=200)
+        gamma = place_order(inst, GAMMA_AVG_COST)
+        genes = [-(t % 23) - 1 for t in range(inst.horizon)]
+        assert decode2(inst, genes, gamma) == replay_decode2(inst, genes, gamma).actions
+
+    @pytest.mark.parametrize("gene", [2 ** 70, -2 ** 70, 2 ** 63])
+    def test_gene_outside_int64_is_named(self, gene):
+        inst = harness.build_tiny_random(0)
+        gamma = place_order(inst, GAMMA_CLOSE)
+        with pytest.raises(ValueError, match=str(gene)):
+            decode2(inst, [0, gene], gamma)
+
+    def test_int64_extremes_decode(self):
+        inst = harness.build_tiny_random(0)
+        gamma = place_order(inst, GAMMA_CLOSE)
+        genes = [0, 2 ** 63 - 1, -2 ** 63]
+        assert decode2(inst, genes, gamma) == replay_decode2(inst, genes, gamma).actions
+
+
 class TestEvolve:
     def test_unknown_encoding(self):
         with pytest.raises(ValueError):
@@ -123,6 +213,14 @@ class TestEvolve:
         a = evolve(inst, GENETIC2, config=cfg)
         b = evolve(inst, GENETIC2, config=cfg)
         assert a.cost == b.cost and a.actions == b.actions
+
+    def test_genetic2_result_pinned(self):
+        result = evolve(build_small_system(1, n=1000), GENETIC2,
+                        config=GaConfig(seed=1, max_generations=10))
+        assert result.cost == 17733
+        assert result.history[-3:] == [17866, 17798, 17733]
+        assert result.generations == 10
+        assert result.evaluations == 1100
 
     def test_genetic2_never_infeasible(self):
         inst = build_small_system(n=120)

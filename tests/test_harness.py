@@ -276,6 +276,17 @@ class TestStudies:
         c = harness.plain_medium_instance(3, n=400)
         assert c.departures != a.departures
 
+    def test_seasonal_study_reverifies_tetris_costs(self, monkeypatch):
+        run = harness.tetris.tetris
+
+        def tampered(inst, mode):
+            actions, cost = run(inst, mode)
+            return actions, cost - 1.0
+
+        monkeypatch.setattr(harness.tetris, "tetris", tampered)
+        with pytest.raises(RuntimeError, match="replayed cost"):
+            harness.seasonal_study(range(1), n=300, epoch=100)
+
     def test_seasonal_study_shapes(self):
         report = harness.seasonal_study(range(2), n=600, epoch=200)
         for name in ("seasonal_frequency", "seasonal_duration",
