@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Instance, Replay
+from .core import Instance, Replay, departure_schedule
 
 RAMP_START = (0, 0, 139)   # dark blue
 RAMP_END = (139, 0, 0)     # dark red
@@ -53,9 +53,7 @@ def record_trace(inst: Instance, actions: Sequence[int]) -> RunTrace:
 
 def usage_ranks(inst: Instance) -> list[int]:
     """Rank pods by departure count, ascending; ties by pod id."""
-    counts = [0] * inst.n_pods
-    for h, _ in inst.departures:
-        counts[h - 1] += 1
+    counts = [len(d) for d in departure_schedule(inst).pod_departure_steps]
     order = sorted(range(1, inst.n_pods + 1), key=lambda h: (counts[h - 1], h))
     ranks = [0] * (inst.n_pods + 1)
     for rank, h in enumerate(order):

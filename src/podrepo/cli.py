@@ -7,7 +7,6 @@ budget exceeded.
 from __future__ import annotations
 
 import json
-import statistics
 import sys
 from pathlib import Path
 
@@ -196,8 +195,7 @@ def seasonal(seeds: int, n: int, epoch: int, out: str) -> None:
     report = harness.seasonal_study(range(seeds), n=n, epoch=epoch)
     for name in ("seasonal_frequency", "seasonal_duration",
                  "plain_frequency", "plain_duration"):
-        click.echo(f"median {name.replace('_', ' ')}: "
-                   f"{statistics.median(getattr(report, name)):.1f}")
+        click.echo(f"median {name.replace('_', ' ')}: {report.median(name):.1f}")
     if out:
         lines = ["seed,seasonal_frequency,seasonal_duration,plain_frequency,plain_duration"]
         for i in range(seeds):

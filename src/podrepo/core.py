@@ -161,16 +161,17 @@ class StepInfo:
     """Action-independent facts about one time step.
 
     ``fill`` marks queue-filling steps (forced no-op).  For decision steps,
-    ``returning_pod`` is the queue head pushed back into storage and
-    ``return_next_step``/``return_next_station`` describe its next departure,
-    if any.
+    ``returning_pod`` is the queue head pushed back into storage; it holds
+    the chosen place over ``[t + 1, busy_end)``, up to and including its next
+    departure (``busy_end`` is ``horizon + 1`` when it never departs again),
+    and ``return_next_station`` is that departure's station, if any.
     """
 
     pod: int
     station: int
     fill: bool
     returning_pod: Optional[int] = None
-    return_next_step: Optional[int] = None
+    busy_end: Optional[int] = None
     return_next_station: Optional[int] = None
 
 
@@ -180,12 +181,15 @@ class Schedule:
 
     Queue evolution does not depend on the chosen actions, so the departing
     pod, the fill/decision phase and the returning pod of every step are
-    fixed by the departure sequence alone.
+    fixed by the departure sequence alone.  So is ``choices[t]``, the size of
+    the admissible set at step ``t`` (1 on a fill step): the free places plus
+    the one the departing pod leaves.
     """
 
     steps: tuple[StepInfo, ...]
     final_queues: tuple[tuple[int, ...], ...]
     pod_departure_steps: tuple[tuple[int, ...], ...]
+    choices: tuple[int, ...]
 
 
 def enqueue(queue: Sequence[int], capacity: int, pod: int) -> tuple[tuple[int, ...], Optional[int]]:
@@ -311,39 +315,45 @@ def _simulate_queues(inst: Instance) -> Schedule:
     for h in inst.initial_storage:
         if h is not None:
             in_storage[h] = True
+    stored = sum(in_storage)
     queues = [list(q) for q in inst.initial_queues]
     # per pod: index of its next unconsumed departure
     next_dep_idx = [0] * (inst.n_pods + 1)
 
     steps: list[StepInfo] = []
+    choices: list[int] = []
     for t, (pod, station) in enumerate(inst.departures):
         if not in_storage[pod]:
             raise InvalidInstanceError(f"departure {t}: pod {pod} not in storage")
         in_storage[pod] = False
+        stored -= 1
         next_dep_idx[pod] += 1
         si = station - 1
         q = queues[si]
         if len(q) < inst.station_capacities[si]:
             q.append(pod)
             steps.append(StepInfo(pod=pod, station=station, fill=True))
+            choices.append(1)
         else:
             head = q.pop(0)
             q.append(pod)
             in_storage[head] = True
+            choices.append(inst.n_places - stored)
+            stored += 1
             later = dep_steps[head - 1]
             idx = next_dep_idx[head]
             if idx < len(later):
-                nxt = later[idx]
-                steps.append(StepInfo(pod=pod, station=station, fill=False,
-                                      returning_pod=head, return_next_step=nxt,
-                                      return_next_station=inst.departures[nxt][1]))
+                busy_end, next_station = later[idx] + 1, inst.departures[later[idx]][1]
             else:
-                steps.append(StepInfo(pod=pod, station=station, fill=False,
-                                      returning_pod=head))
+                busy_end, next_station = inst.horizon + 1, None
+            steps.append(StepInfo(pod=pod, station=station, fill=False,
+                                  returning_pod=head, busy_end=busy_end,
+                                  return_next_station=next_station))
     return Schedule(
         steps=tuple(steps),
         final_queues=tuple(tuple(q) for q in queues),
         pod_departure_steps=tuple(tuple(d) for d in dep_steps),
+        choices=tuple(choices),
     )
 
 
@@ -541,7 +551,6 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
     if len(actions) != inst.horizon:
         raise InfeasibleActionError(0, REASON_LENGTH, "cannot build intervals")
     schedule = departure_schedule(inst)
-    horizon = inst.horizon
     intervals: list[OccupationInterval] = []
     # per place: the end of the last interval put on it
     busy_until = [0] + initial_busy_ends(inst)
@@ -560,10 +569,9 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
         # the place's last pod must leave at step t at the latest
         if not 1 <= action <= inst.n_places or busy_until[action] > t + 1:
             raise InfeasibleActionError(t, REASON_BUSY, f"place {action} is not free")
-        end = info.return_next_step + 1 if info.return_next_step is not None else horizon + 1
-        busy_until[action] = end
+        busy_until[action] = info.busy_end
         intervals.append(OccupationInterval(
-            place=action, pod=info.returning_pod, begin=t + 1, end=end,
+            place=action, pod=info.returning_pod, begin=t + 1, end=info.busy_end,
             from_station=info.station, to_station=info.return_next_station,
             decision_step=t))
     return intervals

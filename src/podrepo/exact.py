@@ -47,9 +47,7 @@ class BipParameters:
 
 def derive_bip_parameters(inst: Instance) -> BipParameters:
     schedule = departure_schedule(inst)
-    stay = inst.horizon + 1
-    busy_end = {t: info.return_next_step + 1 if info.return_next_step is not None else stay
-                for t, info in enumerate(schedule.steps) if not info.fill}
+    busy_end = {t: info.busy_end for t, info in enumerate(schedule.steps) if not info.fill}
     base = 0.0
     for p, h in enumerate(inst.initial_storage, start=1):
         if h is None:

@@ -93,16 +93,10 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
         if h is not None:
             free[:, rank[p]] = False
             place_of[h] = row_start + rank[p]
-    steps = departure_schedule(inst).steps[:length]
-    # admissible-set size per step: the free places plus the departing
-    # pod's; a fill step takes no pick, so 1 keeps the division defined
-    n_free = n_places - sum(h is not None for h in inst.initial_storage)
-    sizes = np.ones(length, dtype=np.int64)
-    for t, info in enumerate(steps):
-        if info.fill:
-            n_free += 1
-        else:
-            sizes[t] = n_free + 1
+    schedule = departure_schedule(inst)
+    steps = schedule.steps[:length]
+    # admissible-set size per step; 1 on a fill step keeps the division defined
+    sizes = np.array(schedule.choices[:length], dtype=np.int64)
     # pick[t, r]: the entry of np.flatnonzero(free) that row r takes at step t
     pick = np.ascontiguousarray(genes.T % sizes[:, None])
     pick += sizes[:, None] * np.arange(rows)

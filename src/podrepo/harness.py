@@ -9,6 +9,7 @@ timings go to a separate manifest.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -28,7 +29,8 @@ from .instances import (REGIME_PERIODIC, _draw_pod, _line_system, _pick,
                         random_initial_storage, rng_from_seed,
                         MEDIUM_N_PODS, MEDIUM_N_PLACES, MEDIUM_QUEUE_CAPACITY,
                         MEDIUM_STATION_WEIGHTS, MEDIUM_WEIGHT_RATIO)
-from .policies import (CHEAPEST_DECISION, CheapestPolicy, FixedPolicy,
+from .policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
+                       CHEAPEST_TO_STORAGE, CheapestPolicy, FixedPolicy,
                        RandomPolicy, compute_fixed_assignment,
                        rearranged_instance)
 
@@ -47,14 +49,7 @@ BRUTE_MAX_DEPTH = 500
 
 def estimate_brute_leaves(inst: Instance) -> int:
     """Exact leaf count of the exhaustive enumeration (action-independent)."""
-    stored = sum(1 for h in inst.initial_storage if h is not None)
-    leaves = 1
-    for info in departure_schedule(inst).steps:
-        stored -= 1
-        if not info.fill:
-            leaves *= inst.n_places - stored
-            stored += 1
-    return leaves
+    return math.prod(departure_schedule(inst).choices)
 
 
 def brute_force_optimum(inst: Instance) -> tuple[list[int], float]:
@@ -120,44 +115,63 @@ def brute_force_optimum(inst: Instance) -> tuple[list[int], float]:
 
 # --- policy names ----------------------------------------------------------
 
-_ONLINE_POLICIES = ("random", "cheapest", "most-expensive", "fixed")
-_SOLVERS = ("tetris", "genetic1", "genetic2", "exact", "iterative", "brute-force")
-_PARAMETRIC = ("cheapest", "tetris", "genetic2", "iterative")
+class _PositiveIntegers:
+    """The decimal strings of the positive integers (``iterative``'s window)."""
+
+    def __contains__(self, param: str) -> bool:
+        return param.isdecimal() and int(param) > 0
 
 
-def run_policy(inst: Instance, name: str, seed: int = 0,
-               node_budget: Optional[int] = None) -> tuple[list[int], float, float]:
+# base name -> the parameters it accepts after a colon; without one, each
+# runs on its default
+POLICY_PARAMETERS = {
+    "random": (),
+    "cheapest": (CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE, CHEAPEST_DECISION),
+    "most-expensive": (),
+    "fixed": (),
+    "tetris": (tetris.SORT_FREQUENCY, tetris.SORT_DURATION),
+    "genetic1": (),
+    "genetic2": (genetic.GAMMA_CLOSE, genetic.GAMMA_FAR, genetic.GAMMA_ZIGZAG,
+                 genetic.GAMMA_AVG_COST),
+    "exact": (),
+    "iterative": _PositiveIntegers(),
+    "brute-force": (),
+}
+
+
+def parse_policy_name(name: str) -> tuple[str, str]:
+    """Split ``base`` or ``base:param`` into (base, param); raise
+    ``ValueError`` unless :data:`POLICY_PARAMETERS` accepts both."""
+    base, colon, param = name.partition(":")
+    if base not in POLICY_PARAMETERS or colon and param not in POLICY_PARAMETERS[base]:
+        raise ValueError(f"unknown policy: {name}")
+    return base, param
+
+
+def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], float, float]:
     """Run one named policy or solver; returns (actions, cost, wall_seconds).
 
-    A name is ``base`` or ``base:param``; only cheapest, tetris, genetic2
-    and iterative take a parameter, and it must not be empty.  The online
-    policies report their replay total plus the terminal cost; the solvers
-    optimise under zero terminal cost and refuse any other cost model.  The
-    reported cost is re-verified against an independent replay.  The
-    ``fixed`` policy replays a cost-free rearranged initial state and is
+    A name is ``base`` or ``base:param`` (:func:`parse_policy_name`).  The
+    online policies report their replay total plus the terminal cost; the
+    solvers optimise under zero terminal cost and refuse any other cost
+    model.  The reported cost is re-verified against an independent replay.
+    The ``fixed`` policy replays a cost-free rearranged initial state and is
     therefore not directly comparable with the others.
     """
-    base, colon, param = name.partition(":")
-    if (base not in _ONLINE_POLICIES + _SOLVERS
-            or colon and (base not in _PARAMETRIC or not param)):
-        raise ValueError(f"unknown policy: {name}")
+    base, param = parse_policy_name(name)
     run_inst = inst
+    policy = None  # set by the online policies, which replay it below
     started = time.perf_counter()
-    if base in _ONLINE_POLICIES:
-        if base == "random":
-            policy = RandomPolicy(seed)
-        elif base == "cheapest":
-            policy = CheapestPolicy(inst, param or CHEAPEST_DECISION)
-        elif base == "most-expensive":
-            policy = tetris.MostExpensivePlacePolicy()
-        else:
-            assignment = compute_fixed_assignment(inst)
-            run_inst = rearranged_instance(inst, assignment)
-            policy = FixedPolicy(assignment)
-        replay = Replay(run_inst).run(policy)
-        actions = replay.actions
-        cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
-                                            replay.schedule.final_queues)
+    if base == "random":
+        policy = RandomPolicy(seed)
+    elif base == "cheapest":
+        policy = CheapestPolicy(inst, param or CHEAPEST_DECISION)
+    elif base == "most-expensive":
+        policy = tetris.MostExpensivePlacePolicy(inst)
+    elif base == "fixed":
+        assignment = compute_fixed_assignment(inst)
+        run_inst = rearranged_instance(inst, assignment)
+        policy = FixedPolicy(assignment)
     elif base == "tetris":
         actions, cost = tetris.tetris(inst, param or tetris.SORT_FREQUENCY)
     elif base in ("genetic1", "genetic2"):
@@ -165,14 +179,18 @@ def run_policy(inst: Instance, name: str, seed: int = 0,
                                 config=genetic.GaConfig(seed=seed))
         actions, cost = result.actions, result.cost
     elif base == "exact":
-        result = exact.solve_exact(inst, node_budget=node_budget)
+        result = exact.solve_exact(inst)
         actions, cost = result.actions, result.cost
     elif base == "iterative":
-        result = exact.solve_iterative(inst, int(param) if param else 10,
-                                       node_budget=node_budget)
+        result = exact.solve_iterative(inst, int(param) if param else 10)
         actions, cost = result.actions, result.cost
     else:
         actions, cost = brute_force_optimum(inst)
+    if policy is not None:
+        replay = Replay(run_inst).run(policy)
+        actions = replay.actions
+        cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
+                                            replay.schedule.final_queues)
     wall = time.perf_counter() - started
     _verify_cost(run_inst, name, actions, cost)
     return actions, cost, wall
@@ -206,6 +224,8 @@ def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
     manifest.
     """
     names = list(policy_names)
+    for name in names:
+        parse_policy_name(name)
     decisions = sum(1 for info in departure_schedule(inst).steps if not info.fill)
     runs = {"random": run_policy(inst, "random", seed)}
     for name in names:

@@ -65,26 +65,8 @@ def decision_cost_table(inst: Instance) -> DecisionCosts:
             for s_from in stations for s_to in (*stations, None)}
 
 
-class DecisionCostPolicy:
-    """Base of the policies that rank places by the decision-cost table of
-    the replayed instance; the table is built once per instance, not once
-    per decision."""
-
-    _inst: Optional[Instance] = None
-    _table: DecisionCosts
-
-    def decision_row(self, replay: Replay, station: int,
-                     next_station: Optional[int]) -> list[float]:
-        if replay.inst is not self._inst:
-            self._inst = replay.inst
-            self._table = decision_cost_table(replay.inst)
-        return self._table[(station, next_station)]
-
-
 class RandomPolicy:
     """Uniform choice among the admissible free places."""
-
-    name = "random"
 
     def __init__(self, seed: int = 0):
         self.rng = rng_from_seed(seed)
@@ -96,8 +78,9 @@ class RandomPolicy:
         return actions[int(self.rng.integers(len(actions)))]
 
 
-class CheapestPolicy(DecisionCostPolicy):
-    """Cheapest available place under one of three cost notions.
+class CheapestPolicy:
+    """Cheapest available place under one of three cost notions, on the
+    instance it was built for.
 
     ``to-storage`` uses only the return leg, ``avg`` ranks places by their
     average round-trip cost, ``decision`` adds the known next-destination leg.
@@ -107,20 +90,22 @@ class CheapestPolicy(DecisionCostPolicy):
         if variant not in (CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE, CHEAPEST_DECISION):
             raise ValueError(f"unknown cheapest-place variant: {variant}")
         self.variant = variant
-        self.name = f"cheapest:{variant}"
-        # place-indexed like the decision rows
-        self._avg = [0.0] + avg_costs(inst) if variant == CHEAPEST_ON_AVERAGE else None
+        if variant == CHEAPEST_ON_AVERAGE:
+            # place-indexed like the decision rows
+            self._avg = [0.0] + avg_costs(inst)
+        else:
+            self.table = decision_cost_table(inst)
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
         if info.fill:
             return NO_OP
         if self.variant == CHEAPEST_TO_STORAGE:
-            row = self.decision_row(replay, info.station, None)
+            row = self.table[(info.station, None)]
         elif self.variant == CHEAPEST_ON_AVERAGE:
             row = self._avg
         else:
-            row = self.decision_row(replay, info.station, info.return_next_station)
+            row = self.table[(info.station, info.return_next_station)]
         return min(replay.admissible(), key=row.__getitem__)
 
 
@@ -192,8 +177,6 @@ class FixedPolicy:
 
     Requires an initial state consistent with the assignment, see
     :func:`rearranged_instance`."""
-
-    name = "fixed"
 
     def __init__(self, assignment: dict[int, int]):
         self.assignment = assignment

@@ -13,29 +13,30 @@ from bisect import bisect_left, bisect_right
 
 from .core import (NO_OP, Instance, Replay, departure_schedule,
                    occupation_intervals, require_zero_terminal)
-from .policies import DecisionCostPolicy, decision_cost_table
+from .policies import decision_cost_table
 
 SORT_FREQUENCY = "frequency"
 SORT_DURATION = "duration"
 
 
-class MostExpensivePlacePolicy(DecisionCostPolicy):
-    """Reverse cheapest-place: argmax of the decision cost, ties to the
-    smallest place id."""
+class MostExpensivePlacePolicy:
+    """Reverse cheapest-place on the instance it was built for: argmax of the
+    decision cost, ties to the smallest place id."""
 
-    name = "most-expensive"
+    def __init__(self, inst: Instance):
+        self.table = decision_cost_table(inst)
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
         if info.fill:
             return NO_OP
-        row = self.decision_row(replay, info.station, info.return_next_station)
+        row = self.table[(info.station, info.return_next_station)]
         return max(replay.admissible(), key=row.__getitem__)
 
 
 class _Timeline:
     """Per-place disjoint intervals as parallel ``begins``/``ends`` lists, both
-    ascending, with binary-search free-slot queries."""
+    ascending."""
 
     def __init__(self, n_places: int):
         self.begins: list[list[int]] = [[] for _ in range(n_places + 1)]
@@ -51,12 +52,6 @@ class _Timeline:
         del self.begins[place][i]
         del self.ends[place][i]
 
-    def free(self, place: int, begin: int, end: int) -> bool:
-        # the first interval ending after ``begin`` must start at or after ``end``
-        ends = self.ends[place]
-        i = bisect_right(ends, begin)
-        return i == len(ends) or self.begins[place][i] >= end
-
 
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
     """Run the heuristic; returns the action sequence and its total cost
@@ -65,7 +60,8 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     if mode not in (SORT_FREQUENCY, SORT_DURATION):
         raise ValueError(f"unknown tetris mode: {mode}")
 
-    replay = Replay(inst).run(MostExpensivePlacePolicy())
+    start = MostExpensivePlacePolicy(inst)
+    replay = Replay(inst).run(start)
     actions = list(replay.actions)
     total = replay.total
 
@@ -82,12 +78,12 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
 
     # (cost, place) pairs in ascending order for each (from, to) combination
-    table = decision_cost_table(inst)
+    table = start.table
     places = range(1, inst.n_places + 1)
     orders = {key: sorted(zip(row[1:], places)) for key, row in table.items()}
 
-    # the first interval on ``p`` that ends after ``begin`` must start at or
-    # after ``end`` (``_Timeline.free``, inlined: the sweep's inner loop)
+    # ``p`` is free over [begin, end) when its first interval that ends after
+    # ``begin`` starts at or after ``end``
     begins_at, ends_at = timeline.begins, timeline.ends
     for iv in movable:
         key = (iv.from_station, iv.to_station)

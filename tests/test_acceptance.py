@@ -121,7 +121,7 @@ def test_criterion_6_tetris_sandwich_and_medium_runtime(report):
     steps it finishes in under a minute."""
     for seed in range(50):
         inst = harness.build_tiny_random(seed)
-        init = Replay(inst).run(MostExpensivePlacePolicy())
+        init = Replay(inst).run(MostExpensivePlacePolicy(inst))
         _, optimum = harness.brute_force_optimum(inst)
         for mode in (SORT_FREQUENCY, SORT_DURATION):
             _, cost = tetris(inst, mode)

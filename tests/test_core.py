@@ -116,6 +116,28 @@ class TestSchedule:
         with pytest.raises(InvalidInstanceError):
             departure_schedule(bad)
 
+    @pytest.mark.parametrize("seed", range(11))
+    def test_choices_and_busy_ends_match_reference_model(self, seed):
+        # seed 10 stands for the small system
+        inst = harness.build_tiny_random(seed) if seed < 10 else build_small_system(n=200)
+        moved = rearranged_instance(inst, compute_fixed_assignment(inst))
+        for run in (inst, moved):
+            schedule = departure_schedule(run)
+            replay = Replay(run)
+            state = initial_state(run)
+            policy = RandomPolicy(seed)
+            while not replay.done:
+                t, info = replay.t, replay.current
+                assert schedule.choices[t] == len(admissible_actions(run, state))
+                if not info.fill:
+                    later = [u for u in range(t + 1, run.horizon)
+                             if run.departures[u][0] == info.returning_pod]
+                    assert info.busy_end == (later[0] + 1 if later else run.horizon + 1)
+                action = policy(replay)
+                replay.step(action)
+                state = transition(run, state, action)
+            assert len(schedule.choices) == run.horizon
+
     def test_pod_departure_steps_cover_departures(self):
         inst = harness.build_tiny_random(1)
         schedule = departure_schedule(inst)

@@ -49,9 +49,12 @@ class TestBruteForce:
 class TestRunPolicy:
     def test_unknown_policy(self):
         inst = build_small_system(n=50)
-        # only cheapest, tetris, genetic2 and iterative take a non-empty :param
+        # only cheapest, tetris, genetic2 and iterative take a :param, each
+        # from its own list; iterative's is a positive integer
         for name in ("telepathy", "cheapestx", "tetris-frequency", "genetic2abc",
-                     "iterativeX", "random:1", "exact:5", "cheapest:"):
+                     "iterativeX", "random:1", "exact:5", "cheapest:",
+                     "cheapest:bogus", "tetris:bogus", "genetic2:bogus",
+                     "iterative:abc", "iterative:0"):
             with pytest.raises(ValueError, match="unknown policy"):
                 harness.run_policy(inst, name)
 
@@ -111,7 +114,7 @@ class TestReturnAllPods:
                                       "exact", "iterative:5", "brute-force"])
     def test_solvers_refuse(self, return_all_pods, name):
         with pytest.raises(ValueError, match="return-all-pods"):
-            harness.run_policy(return_all_pods, name, node_budget=1)
+            harness.run_policy(return_all_pods, name)
 
     def test_exact_solvers_refuse(self, return_all_pods):
         with pytest.raises(ValueError, match="return-all-pods"):
@@ -178,8 +181,10 @@ class TestReferenceDifferential:
 
     def test_every_policy_is_covered(self):
         names = ONLINE_NAMES + SOLVER_NAMES + tuple(n for n, _ in GENETIC_RUNS)
-        assert ({n.partition(":")[0] for n in names}
-                == set(harness._ONLINE_POLICIES + harness._SOLVERS))
+        assert {n.partition(":")[0] for n in names} == set(harness.POLICY_PARAMETERS)
+        for base, params in harness.POLICY_PARAMETERS.items():
+            if isinstance(params, tuple):
+                assert {f"{base}:{p}" for p in params} <= set(names)
 
     @pytest.mark.parametrize("name", ONLINE_NAMES + SOLVER_NAMES)
     def test_zero_terminal(self, name):
@@ -216,6 +221,15 @@ class TestRunComparison:
         assert rows[1].relative_cost == 1.0
         _, random_cost, _ = run_policy(inst, "random", seed=3)
         assert rows[0].relative_cost == rows[0].cost / random_cost
+
+    def test_names_are_checked_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_policy",
+                            lambda inst, name, *args: calls.append(name))
+        inst = build_small_system(n=150)
+        with pytest.raises(ValueError, match="unknown policy: tetrsi"):
+            harness.run_comparison(inst, ["tetris:frequency", "tetrsi"])
+        assert calls == []
 
     def test_relative_cost_of_random_is_one(self):
         inst = build_small_system(n=150)

@@ -1,0 +1,47 @@
+"""No module of the library imports a name that its code never uses.
+
+A refactor that removes the last use of an imported name leaves the import
+behind; this scan of each module's syntax tree finds it.  ``__init__.py`` is
+left out, because it imports names to re-export them.  A name that
+``perfbench/spans.py`` wraps in a module counts as used there: the tracer
+replaces it in that module's namespace.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "podrepo").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom typing import Optional, Sequence\n"
+                          "x: Optional[int] = os.sep\n") == {"Sequence"}
+
+
+@pytest.fixture()
+def traced(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("spans").WRAPPED
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path, traced):
+    unused = unused_imports(path.read_text()) - set(traced.get(f"podrepo.{path.stem}", ()))
+    assert not unused, f"{path.name} imports {sorted(unused)} without using them"

@@ -1,5 +1,7 @@
 """Interval-moving heuristic and its most-expensive-place initialization."""
 
+import importlib
+
 import pytest
 
 from podrepo import harness
@@ -8,14 +10,17 @@ from podrepo.core import (Replay, check_feasible, occupation_intervals,
 from podrepo.instances import build_small_system
 from podrepo.policies import CheapestPolicy, decision_cost
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
-                            MostExpensivePlacePolicy, _Timeline, tetris)
+                            MostExpensivePlacePolicy, tetris)
+
+# ``podrepo.tetris`` is the function the package re-exports, not the module
+tetris_module = importlib.import_module("podrepo.tetris")
 
 
 class TestMostExpensivePlace:
     def test_argmax_of_decision_cost(self):
         inst = build_small_system(n=200)
         replay = Replay(inst)
-        policy = MostExpensivePlacePolicy()
+        policy = MostExpensivePlacePolicy(inst)
         while not replay.done:
             action = policy(replay)
             acts = replay.admissible()
@@ -30,27 +35,12 @@ class TestMostExpensivePlace:
 
     def test_keeps_cheap_places_free(self):
         inst = build_small_system(n=200)
-        expensive = Replay(inst).run(MostExpensivePlacePolicy())
+        expensive = Replay(inst).run(MostExpensivePlacePolicy(inst))
         cheap = Replay(inst).run(CheapestPolicy(inst))
         # place 1 is the cheapest; the reverse policy uses it less
         used_exp = sum(1 for a in expensive.actions if a == 1)
         used_cheap = sum(1 for a in cheap.actions if a == 1)
         assert used_exp < used_cheap
-
-
-class TestTimeline:
-    def test_free_slot_queries(self):
-        tl = _Timeline(2)
-        tl.add(1, 3, 7)
-        tl.add(1, 10, 12)
-        assert tl.free(1, 7, 10)
-        assert tl.free(1, 0, 3)
-        assert tl.free(1, 12, 99)
-        assert not tl.free(1, 2, 4)
-        assert not tl.free(1, 6, 8)
-        assert not tl.free(1, 0, 99)
-        tl.remove(1, 3, 7)
-        assert tl.free(1, 2, 9)
 
 
 class TestTetris:
@@ -62,7 +52,7 @@ class TestTetris:
     @pytest.mark.parametrize("seed", range(6))
     def test_sandwich_between_optimum_and_init(self, mode, seed):
         inst = harness.build_tiny_random(seed)
-        init = Replay(inst).run(MostExpensivePlacePolicy())
+        init = Replay(inst).run(MostExpensivePlacePolicy(inst))
         _, optimum = harness.brute_force_optimum(inst)
         actions, cost = tetris(inst, mode)
         assert optimum - 1e-9 <= cost <= init.total + 1e-9
@@ -104,6 +94,20 @@ class TestTetris:
         _, optimum = harness.brute_force_optimum(inst)
         assert c_freq == optimum
         assert c_dur > c_freq
+
+    def test_one_cost_table_per_run(self, monkeypatch):
+        # the sweep reuses the table its most-expensive start was built with
+        calls = []
+        build = tetris_module.decision_cost_table
+
+        def counting(inst):
+            calls.append(inst)
+            return build(inst)
+
+        monkeypatch.setattr(tetris_module, "decision_cost_table", counting)
+        inst = build_small_system(n=200)
+        tetris(inst, SORT_FREQUENCY)
+        assert calls == [inst]
 
     def test_interval_plan_disjoint_after_moves(self):
         inst = build_small_system(n=400)
