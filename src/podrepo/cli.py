@@ -15,8 +15,9 @@ from click.core import ParameterSource
 
 from . import chart as chartmod
 from . import exact, harness, instances
-from .core import (GameError, check_feasible, load_actions, load_instance,
-                   save_actions, save_instance, total_cost)
+from .core import (BudgetExceededError, GameError, check_feasible,
+                   load_actions, load_instance, save_actions, save_instance,
+                   total_cost)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -209,7 +210,7 @@ def seasonal(seeds: int, n: int, epoch: int, out: str) -> None:
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except harness.BudgetExceededError as err:
+    except BudgetExceededError as err:
         click.echo(f"error: {err}", err=True)
         return EXIT_BUDGET
     except click.ClickException as err:

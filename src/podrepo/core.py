@@ -6,10 +6,10 @@ area for a pick station; while the target queue is still below capacity the
 only admissible action is the no-op, afterwards the queue head is pushed out
 and the action chooses which storage place receives it.
 
-All public state objects are immutable; :func:`transition` returns a new
-state.  :class:`Replay` is the fast mutable engine the policies and solvers
-run on -- it must stay behaviourally identical to the functional API, which
-the test suite checks.
+:class:`Replay` is the one step engine of the library: the policies, the
+solvers' commits, the chart trace and the verification replays all step it,
+and :meth:`Replay.run` asks a policy for an action at decision steps only.
+The test suite checks it against a functional reference model.
 
 The queue dynamics do not depend on the actions: :func:`departure_schedule`
 simulates them once per :class:`Instance` object and caches the result on it.
@@ -41,6 +41,10 @@ class GameError(Exception):
 
 class InvalidInstanceError(GameError):
     """The instance violates a structural invariant."""
+
+
+class BudgetExceededError(Exception):
+    """A search refused to start or ran out of budget before any solution."""
 
 
 class InfeasibleActionError(GameError):
@@ -115,20 +119,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class SystemState:
-    """Storage occupancy, station queues, remaining departures, clock.
-
-    ``storage[p-1]`` is the pod at place ``p`` or ``None`` when the place is
-    free.  Queues are head-first tuples.
-    """
-
-    storage: tuple[Optional[int], ...]
-    queues: tuple[tuple[int, ...], ...]
-    future_departures: tuple[tuple[int, int], ...]
-    clock: int
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Feasibility verdict: ``ok`` or the first violating step and reason."""
 
@@ -190,98 +180,6 @@ class Schedule:
     final_queues: tuple[tuple[int, ...], ...]
     pod_departure_steps: tuple[tuple[int, ...], ...]
     choices: tuple[int, ...]
-
-
-def enqueue(queue: Sequence[int], capacity: int, pod: int) -> tuple[tuple[int, ...], Optional[int]]:
-    """FIFO enqueue; a full queue ejects and returns its head."""
-    if pod in queue:
-        raise InvalidInstanceError(f"pod {pod} already queued")
-    q = tuple(queue)
-    if len(q) > capacity:
-        raise InvalidInstanceError("queue over capacity")
-    if len(q) < capacity:
-        return q + (pod,), None
-    return q[1:] + (pod,), q[0]
-
-
-def initial_state(inst: Instance) -> SystemState:
-    return SystemState(
-        storage=tuple(inst.initial_storage),
-        queues=tuple(tuple(q) for q in inst.initial_queues),
-        future_departures=tuple(inst.departures),
-        clock=0,
-    )
-
-
-def _is_fill_step(inst: Instance, state: SystemState) -> bool:
-    _, station = state.future_departures[0]
-    return len(state.queues[station - 1]) < inst.station_capacities[station - 1]
-
-
-def admissible_actions(inst: Instance, state: SystemState) -> tuple[int, ...]:
-    """Admissible actions, ascending; no-op only during the fill phase."""
-    if not state.future_departures:
-        return (NO_OP,)
-    if _is_fill_step(inst, state):
-        return (NO_OP,)
-    pod, _ = state.future_departures[0]
-    free = [p for p in range(1, inst.n_places + 1)
-            if state.storage[p - 1] is None or state.storage[p - 1] == pod]
-    return tuple(free)
-
-
-def transition(inst: Instance, state: SystemState, action: int) -> SystemState:
-    """Apply one departure and the chosen action, returning the new state."""
-    if not state.future_departures:
-        raise InfeasibleActionError(state.clock, REASON_LENGTH, "no pending departure")
-    pod, station = state.future_departures[0]
-    si = station - 1
-    place_of_pod = None
-    for p in range(1, inst.n_places + 1):
-        if state.storage[p - 1] == pod:
-            place_of_pod = p
-            break
-    if place_of_pod is None:
-        raise InvalidInstanceError(f"departing pod {pod} not in storage at step {state.clock}")
-
-    storage = list(state.storage)
-    storage[place_of_pod - 1] = None
-    new_queue, ejected = enqueue(state.queues[si], inst.station_capacities[si], pod)
-
-    if ejected is None:
-        if action != NO_OP:
-            raise InfeasibleActionError(state.clock, REASON_PHASE,
-                                        f"queue {station} filling, action must be no-op")
-    else:
-        if action == NO_OP:
-            raise InfeasibleActionError(state.clock, REASON_PHASE,
-                                        f"queue {station} full, a place must be chosen")
-        if not 1 <= action <= inst.n_places:
-            raise InfeasibleActionError(state.clock, REASON_BUSY,
-                                        f"place {action} does not exist")
-        if storage[action - 1] is not None:
-            raise InfeasibleActionError(state.clock, REASON_BUSY,
-                                        f"place {action} holds pod {storage[action - 1]}")
-        storage[action - 1] = ejected
-
-    queues = list(state.queues)
-    queues[si] = new_queue
-    return SystemState(
-        storage=tuple(storage),
-        queues=tuple(queues),
-        future_departures=state.future_departures[1:],
-        clock=state.clock + 1,
-    )
-
-
-def step_cost(inst: Instance, state: SystemState, action: int) -> float:
-    """Cost of one step: to-station leg plus return leg (0 for no-op)."""
-    pod, station = state.future_departures[0]
-    place = next(p for p in range(1, inst.n_places + 1) if state.storage[p - 1] == pod)
-    cost = inst.costs.to_stn(place, station)
-    if action != NO_OP:
-        cost += inst.costs.from_stn(station, action)
-    return cost
 
 
 def departure_schedule(inst: Instance) -> Schedule:
@@ -479,8 +377,10 @@ class Replay:
         return cost
 
     def run(self, decide: Callable[["Replay"], int]) -> "Replay":
-        while not self.done:
-            self.step(decide(self))
+        """Step to the end: the no-op on fill steps, ``decide(self)`` on
+        decision steps."""
+        for info in self.schedule.steps[self.t:]:
+            self.step(NO_OP if info.fill else decide(self))
         return self
 
     def storage_tuple(self) -> tuple[Optional[int], ...]:

@@ -24,8 +24,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (NO_OP, Instance, Replay, departure_schedule,
-                   initial_busy_ends, require_zero_terminal)
+from .core import (NO_OP, BudgetExceededError, Instance, Replay,
+                   departure_schedule, initial_busy_ends, require_zero_terminal)
 from .policies import decision_cost_table
 
 
@@ -33,21 +33,19 @@ from .policies import decision_cost_table
 class BipParameters:
     """Interval-view parameters of the placement program.
 
-    The decision at step ``t`` holds its place over ``[t + 1, busy_end[t])``,
-    up to the placed pod's next departure (``horizon + 1`` when it stays).
+    The decision at step ``t`` holds its place over ``[t + 1, busy_end)``,
+    with ``busy_end`` read from the schedule's step ``t``.
     ``initial_busy_end[p-1]`` is the first time place ``p`` becomes free;
     ``base_cost`` collects the uninfluenceable to-station legs.
     """
 
     decision_steps: tuple[int, ...]
-    busy_end: dict[int, int]
     initial_busy_end: tuple[int, ...]
     base_cost: float
 
 
 def derive_bip_parameters(inst: Instance) -> BipParameters:
     schedule = departure_schedule(inst)
-    busy_end = {t: info.busy_end for t, info in enumerate(schedule.steps) if not info.fill}
     base = 0.0
     for p, h in enumerate(inst.initial_storage, start=1):
         if h is None:
@@ -56,8 +54,7 @@ def derive_bip_parameters(inst: Instance) -> BipParameters:
         if deps:
             base += inst.costs.to_stn(p, inst.departures[deps[0]][1])
     return BipParameters(
-        decision_steps=tuple(busy_end),
-        busy_end=busy_end,
+        decision_steps=tuple(t for t, info in enumerate(schedule.steps) if not info.fill),
         initial_busy_end=tuple(initial_busy_ends(inst)),
         base_cost=base,
     )
@@ -186,7 +183,7 @@ def _solve_windows(inst: Instance, window_size: int,
                          node_budget)
         search.run()
         if search.best_cost is None:
-            raise RuntimeError("node budget exhausted before any solution was found")
+            raise BudgetExceededError("node budget exhausted before any solution was found")
         nodes += search.nodes
         optimal = optimal and not search.exhausted
         cost += search.best_cost
@@ -202,7 +199,8 @@ def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> SolveResul
     """Minimize the total game cost with zero terminal cost.
 
     With an exhausted ``node_budget`` the best solution found so far is
-    returned with ``optimal=False``.
+    returned with ``optimal=False``; with none found it raises
+    :class:`BudgetExceededError`.
     """
     return _solve_windows(inst, max(inst.horizon, 1), node_budget)
 
@@ -231,6 +229,7 @@ def export_bip(inst: Instance, path) -> None:
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
+    steps = departure_schedule(inst).steps
     places = range(1, inst.n_places + 1)
     lines = [
         "\\ pod repositioning placement model",
@@ -242,7 +241,7 @@ def export_bip(inst: Instance, path) -> None:
     ]
     alive: list[int] = []  # earlier decisions whose interval covers t + 1
     for t in params.decision_steps:
-        alive = [tau for tau in alive if params.busy_end[tau] > t + 1]
+        alive = [tau for tau in alive if steps[tau].busy_end > t + 1]
         lines.append(f" assign_{t}: " + " + ".join(f"x_{t}_{p}" for p in places) + " = 1")
         for p in places:
             bound = 0 if params.initial_busy_end[p - 1] > t + 1 else 1

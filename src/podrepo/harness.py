@@ -19,9 +19,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import exact, genetic, tetris
-from .core import (Instance, CostModel, Replay, departure_schedule,
-                   require_zero_terminal, terminal_cost, total_cost,
-                   validate_instance)
+from .core import (BudgetExceededError, Instance, CostModel, Replay,
+                   departure_schedule, require_zero_terminal, terminal_cost,
+                   total_cost, validate_instance)
 from .instances import (REGIME_PERIODIC, _draw_pod, _line_system, _pick,
                         _pod_weight_vector, _station_cdf,
                         co_simulated_departures, generate_departures,
@@ -33,10 +33,6 @@ from .policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                        CHEAPEST_TO_STORAGE, CheapestPolicy, FixedPolicy,
                        RandomPolicy, compute_fixed_assignment,
                        rearranged_instance)
-
-
-class BudgetExceededError(Exception):
-    """The exhaustive oracle refused: the search tree is too large or too deep."""
 
 
 # --- exhaustive oracle -----------------------------------------------------
@@ -119,7 +115,10 @@ class _PositiveIntegers:
     """The decimal strings of the positive integers (``iterative``'s window)."""
 
     def __contains__(self, param: str) -> bool:
-        return param.isdecimal() and int(param) > 0
+        try:
+            return param.isdecimal() and int(param) > 0
+        except ValueError:  # more digits than int() converts
+            return False
 
 
 # base name -> the parameters it accepts after a colon; without one, each

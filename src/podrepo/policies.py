@@ -1,8 +1,9 @@
 """Online repositioning policies: random, the three cheapest-place variants,
 and the fixed-place policy with its offline assignment computation.
 
-A policy is a callable ``decide(replay) -> action`` run against
-:class:`~podrepo.core.Replay`; every returned action is admissible by
+A policy is a callable ``decide(replay) -> place`` that
+:meth:`~podrepo.core.Replay.run` calls at decision steps only (it steps the
+no-op on fill steps itself); every returned place is admissible by
 construction.  Ties between equally cheap places are always broken by the
 smallest place id so replays are reproducible: the admissible set is
 ascending and ``min``/``max`` return its first extreme element.
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import NO_OP, Instance, Replay, _share_schedule, departure_schedule
+from .core import Instance, Replay, _share_schedule, departure_schedule
 from .instances import rng_from_seed
 
 CHEAPEST_TO_STORAGE = "to-storage"
@@ -73,8 +74,6 @@ class RandomPolicy:
 
     def __call__(self, replay: Replay) -> int:
         actions = replay.admissible()
-        if actions == [NO_OP]:
-            return NO_OP
         return actions[int(self.rng.integers(len(actions)))]
 
 
@@ -98,8 +97,6 @@ class CheapestPolicy:
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
-        if info.fill:
-            return NO_OP
         if self.variant == CHEAPEST_TO_STORAGE:
             row = self.table[(info.station, None)]
         elif self.variant == CHEAPEST_ON_AVERAGE:
@@ -183,8 +180,6 @@ class FixedPolicy:
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
-        if info.fill:
-            return NO_OP
         place = self.assignment[info.returning_pod]
         if replay.pod_at[place] != 0 and replay.pod_at[place] != info.pod:
             raise ValueError(

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .core import (NO_OP, Instance, Replay, departure_schedule,
-                   occupation_intervals, require_zero_terminal)
+from .core import (Instance, Replay, departure_schedule, occupation_intervals,
+                   require_zero_terminal)
 from .policies import decision_cost_table
 
 SORT_FREQUENCY = "frequency"
@@ -28,29 +28,8 @@ class MostExpensivePlacePolicy:
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
-        if info.fill:
-            return NO_OP
         row = self.table[(info.station, info.return_next_station)]
         return max(replay.admissible(), key=row.__getitem__)
-
-
-class _Timeline:
-    """Per-place disjoint intervals as parallel ``begins``/``ends`` lists, both
-    ascending."""
-
-    def __init__(self, n_places: int):
-        self.begins: list[list[int]] = [[] for _ in range(n_places + 1)]
-        self.ends: list[list[int]] = [[] for _ in range(n_places + 1)]
-
-    def add(self, place: int, begin: int, end: int) -> None:
-        i = bisect_left(self.begins[place], begin)
-        self.begins[place].insert(i, begin)
-        self.ends[place].insert(i, end)
-
-    def remove(self, place: int, begin: int, end: int) -> None:
-        i = bisect_left(self.begins[place], begin)
-        del self.begins[place][i]
-        del self.ends[place][i]
 
 
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
@@ -66,9 +45,13 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     total = replay.total
 
     intervals = occupation_intervals(inst, actions)
-    timeline = _Timeline(inst.n_places)
+    # per place: the begins and the ends of its disjoint intervals, both
+    # ascending, since the intervals arrive sorted by begin
+    begins_at: list[list[int]] = [[] for _ in range(inst.n_places + 1)]
+    ends_at: list[list[int]] = [[] for _ in range(inst.n_places + 1)]
     for iv in intervals:
-        timeline.add(iv.place, iv.begin, iv.end)
+        begins_at[iv.place].append(iv.begin)
+        ends_at[iv.place].append(iv.end)
 
     movable = [iv for iv in intervals if iv.decision_step is not None]
     if mode == SORT_FREQUENCY:
@@ -83,8 +66,8 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     orders = {key: sorted(zip(row[1:], places)) for key, row in table.items()}
 
     # ``p`` is free over [begin, end) when its first interval that ends after
-    # ``begin`` starts at or after ``end``
-    begins_at, ends_at = timeline.begins, timeline.ends
+    # ``begin`` starts at or after ``end``; the interval then goes in at that
+    # index
     for iv in movable:
         key = (iv.from_station, iv.to_station)
         here = table[key][iv.place]
@@ -95,8 +78,10 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
             ends = ends_at[p]
             i = bisect_right(ends, begin)
             if i == len(ends) or begins_at[p][i] >= end:
-                timeline.remove(iv.place, begin, end)
-                timeline.add(p, begin, end)
+                j = bisect_left(begins_at[iv.place], begin)
+                del begins_at[iv.place][j], ends_at[iv.place][j]
+                begins_at[p].insert(i, begin)
+                ends.insert(i, end)
                 actions[begin - 1] = p
                 total += cost - here
                 break

@@ -174,6 +174,12 @@ class TestSolve:
     def test_window_mode(self, tiny_path):
         assert main(["solve", str(tiny_path), "--window", "2"]) == EXIT_OK
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--window", "5"]])
+    def test_exhausted_node_budget_is_budget_error(self, small_path, mode, capsys):
+        assert main(["solve", str(small_path), *mode,
+                     "--node-budget", "0"]) == EXIT_BUDGET
+        assert "node budget exhausted" in capsys.readouterr().err
+
     def test_exclusive_flags(self, tiny_path):
         assert main(["solve", str(tiny_path), "--exact",
                      "--window", "2"]) == EXIT_CONFIG

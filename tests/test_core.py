@@ -1,4 +1,8 @@
-"""Game engine: transition dynamics, admissibility, costs, serialization."""
+"""Game engine: transition dynamics, admissibility, costs, serialization.
+
+The replay engine is checked against the functional reference model in
+``reference.py``.
+"""
 
 import math
 from dataclasses import fields, replace
@@ -7,20 +11,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import podrepo
 from podrepo import core, harness
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           TERMINAL_RETURN_ALL, CostModel, InfeasibleActionError,
-                          Instance, InvalidInstanceError, Replay,
-                          admissible_actions, check_feasible,
-                          departure_schedule, enqueue, initial_busy_ends,
-                          initial_state, instance_from_dict, instance_to_dict,
-                          load_actions, load_instance, occupation_intervals,
-                          save_actions, save_instance, step_cost,
-                          terminal_cost, total_cost, transition,
+                          Instance, InvalidInstanceError, Replay, check_feasible,
+                          departure_schedule, initial_busy_ends,
+                          instance_from_dict, instance_to_dict, load_actions,
+                          load_instance, occupation_intervals, save_actions,
+                          save_instance, terminal_cost, total_cost,
                           validate_instance)
 from podrepo.instances import build_small_system
 from podrepo.policies import (RandomPolicy, compute_fixed_assignment,
                               rearranged_instance)
+from reference import (admissible_actions, enqueue, initial_state, step_cost,
+                       transition)
+
+
+def test_every_public_name_resolves():
+    assert [name for name in podrepo.__all__ if not hasattr(podrepo, name)] == []
 
 
 def six_pod_instance() -> Instance:
@@ -133,7 +142,7 @@ class TestSchedule:
                     later = [u for u in range(t + 1, run.horizon)
                              if run.departures[u][0] == info.returning_pod]
                     assert info.busy_end == (later[0] + 1 if later else run.horizon + 1)
-                action = policy(replay)
+                action = NO_OP if info.fill else policy(replay)
                 replay.step(action)
                 state = transition(run, state, action)
             assert len(schedule.choices) == run.horizon
@@ -210,13 +219,27 @@ class TestReplay:
         policy = RandomPolicy(seed)
         total = 0.0
         while not replay.done:
-            action = policy(replay)
+            action = NO_OP if replay.current.fill else policy(replay)
             assert action in admissible_actions(inst, state)
             total += step_cost(inst, state, action)
             state = transition(inst, state, action)
             replay.step(action)
             assert replay.storage_tuple() == state.storage
         assert replay.total == pytest.approx(total, abs=1e-12)
+
+    def test_run_asks_the_policy_at_decisions_only(self):
+        inst = build_small_system(n=200)
+        asked = []
+
+        def record(replay):
+            asked.append(replay.t)
+            return replay.admissible()[0]
+
+        replay = Replay(inst).run(record)
+        steps = departure_schedule(inst).steps
+        assert asked == [t for t, info in enumerate(steps) if not info.fill]
+        assert 0 < len(asked) < inst.horizon
+        assert [a == NO_OP for a in replay.actions] == [info.fill for info in steps]
 
     def test_pod_conservation(self):
         inst = harness.build_tiny_random(4)

@@ -42,9 +42,9 @@ class TestCostDecomposition:
 
     def test_busy_intervals_describe_next_departures(self):
         inst = harness.build_tiny_random(1)
-        params = derive_bip_parameters(inst)
-        for t in params.decision_steps:
-            assert t + 1 < params.busy_end[t] <= inst.horizon + 1
+        steps = departure_schedule(inst).steps
+        for t in derive_bip_parameters(inst).decision_steps:
+            assert t + 1 < steps[t].busy_end <= inst.horizon + 1
 
 
 class TestSolveExact:

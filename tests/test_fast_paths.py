@@ -3,8 +3,9 @@
 ``Replay.admissible`` keeps a free-place list instead of scanning every place,
 and the greedy policies and the tetris sweep read one decision-cost table per
 cost model instead of calling ``decision_cost`` per candidate.  Both must
-agree with the functional reference model and a brute-force argmin/argmax,
-including the tie-break to the smallest place id.
+agree with the functional reference model (``reference.py``) and a
+brute-force argmin/argmax, including the tie-break to the smallest place id.
+The policies are asked at decision steps only, as ``Replay.run`` asks them.
 """
 
 from dataclasses import replace
@@ -14,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from podrepo import harness
 from podrepo.core import (NO_OP, REASON_LENGTH, CostModel, InfeasibleActionError,
-                          Replay, admissible_actions, initial_state, transition)
+                          Replay)
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                               CHEAPEST_TO_STORAGE, CheapestPolicy, avg_costs,
                               decision_cost, decision_cost_table)
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
                             MostExpensivePlacePolicy, tetris)
+from reference import admissible_actions, initial_state, transition
 
 
 def tied_costs(inst):
@@ -55,10 +57,7 @@ def test_fast_paths_match_reference_model(kind, seed, data):
         assert admissible == list(admissible_actions(inst, state))
         assert replay.free == [p for p in range(1, inst.n_places + 1)
                                if state.storage[p - 1] is None]
-        if admissible == [NO_OP]:
-            assert most_expensive(replay) == NO_OP
-            assert all(policy(replay) == NO_OP for policy in cheapest.values())
-        else:
+        if admissible != [NO_OP]:
             info = replay.current
             cost = {p: decision_cost(inst, p, info.station, info.return_next_station)
                     for p in admissible}

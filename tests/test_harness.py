@@ -6,18 +6,17 @@ import pytest
 
 from podrepo import harness
 from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
-                          departure_schedule, initial_state, step_cost,
-                          terminal_cost, total_cost, transition)
+                          departure_schedule, terminal_cost, total_cost)
 from podrepo.exact import solve_exact, solve_iterative
 from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
 from podrepo.instances import REGIME_PERIODIC, build_small_system
 from podrepo.policies import compute_fixed_assignment, rearranged_instance
 from podrepo.tetris import tetris
+from reference import admissible_actions, initial_state, step_cost, transition
 
 
 class TestBruteForce:
     def test_leaf_estimate_is_exact(self):
-        from podrepo.core import admissible_actions, initial_state, transition
         inst = harness.build_tiny_random(0)
 
         def count(state):
@@ -54,7 +53,7 @@ class TestRunPolicy:
         for name in ("telepathy", "cheapestx", "tetris-frequency", "genetic2abc",
                      "iterativeX", "random:1", "exact:5", "cheapest:",
                      "cheapest:bogus", "tetris:bogus", "genetic2:bogus",
-                     "iterative:abc", "iterative:0"):
+                     "iterative:abc", "iterative:0", "iterative:" + "1" * 5000):
             with pytest.raises(ValueError, match="unknown policy"):
                 harness.run_policy(inst, name)
 

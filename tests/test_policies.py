@@ -34,12 +34,14 @@ class TestAvgCosts:
 class TestRandomPolicy:
     def test_forced_choice(self):
         inst = build_small_system(n=50)
-        replay = Replay(inst)
         policy = RandomPolicy(0)
-        while not replay.done:
+
+        def checked(replay):
             action = policy(replay)
             assert action in replay.admissible()
-            replay.step(action)
+            return action
+
+        Replay(inst).run(checked)
 
     def test_seed_determinism(self):
         inst = build_small_system(n=200)
@@ -57,15 +59,15 @@ class TestCheapestPolicy:
 
     def test_to_storage_picks_nearest(self):
         inst = build_small_system(n=100)
-        replay = Replay(inst)
         policy = CheapestPolicy(inst, CHEAPEST_TO_STORAGE)
-        while not replay.done:
+
+        def checked(replay):
             action = policy(replay)
-            acts = replay.admissible()
-            if acts != [0]:
-                # cost grows with the place id, so the smallest id wins
-                assert action == min(acts)
-            replay.step(action)
+            # cost grows with the place id, so the smallest id wins
+            assert action == min(replay.admissible())
+            return action
+
+        Replay(inst).run(checked)
 
     def test_decision_cost_without_future_leg(self):
         inst = build_small_system(n=10)

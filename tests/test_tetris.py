@@ -19,19 +19,18 @@ tetris_module = importlib.import_module("podrepo.tetris")
 class TestMostExpensivePlace:
     def test_argmax_of_decision_cost(self):
         inst = build_small_system(n=200)
-        replay = Replay(inst)
         policy = MostExpensivePlacePolicy(inst)
-        while not replay.done:
+
+        def checked(replay):
             action = policy(replay)
-            acts = replay.admissible()
-            if acts != [0]:
-                info = replay.current
-                best = max(decision_cost(inst, p, info.station,
-                                         info.return_next_station)
-                           for p in acts)
-                assert decision_cost(inst, action, info.station,
-                                     info.return_next_station) == best
-            replay.step(action)
+            info = replay.current
+            best = max(decision_cost(inst, p, info.station, info.return_next_station)
+                       for p in replay.admissible())
+            assert decision_cost(inst, action, info.station,
+                                 info.return_next_station) == best
+            return action
+
+        Replay(inst).run(checked)
 
     def test_keeps_cheap_places_free(self):
         inst = build_small_system(n=200)
