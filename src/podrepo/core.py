@@ -23,7 +23,7 @@ import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 NO_OP = 0
 
@@ -127,8 +127,7 @@ class Verdict:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OccupationInterval:
+class OccupationInterval(NamedTuple):
     """Half-open interval during which ``pod`` occupies ``place``.
 
     ``decision_step`` is the time step whose action created the interval, or

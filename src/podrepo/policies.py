@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Instance, Replay, _share_schedule, departure_schedule
 from .instances import rng_from_seed
@@ -138,6 +137,9 @@ def compute_fixed_assignment(inst: Instance) -> dict[int, int]:
     assignment problem."""
     if inst.n_pods > inst.n_places:
         raise ValueError("more pods than places: fixed assignment infeasible")
+    # imported here: scipy.optimize would be most of `import podrepo`
+    from scipy.optimize import linear_sum_assignment
+
     matrix = fixed_assignment_costs(inst)
     rows, cols = linear_sum_assignment(matrix)
     return {int(h) + 1: int(p) + 1 for h, p in zip(rows, cols)}

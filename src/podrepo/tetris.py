@@ -4,19 +4,27 @@ Start from a most-expensive-place replay (leaving the cheap places free),
 then sweep the occupation intervals once -- in pod-frequency or in
 interval-duration order -- and drop each interval onto the cheapest strictly
 cheaper place that is free for its whole time span.  Interval time spans are
-fixed by the departure sequence; only the place coordinate moves.
+fixed by the departure sequence; only the place coordinate moves.  The sweep
+keeps the plan as a bit-packed place-by-time occupancy matrix, so one
+OR-reduce over an interval's steps answers the free-span test for every
+candidate place at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
-from .core import (Instance, Replay, departure_schedule, occupation_intervals,
-                   require_zero_terminal)
+import numpy as np
+
+from .core import (Instance, OccupationInterval, Replay, departure_schedule,
+                   occupation_intervals, require_zero_terminal)
 from .policies import decision_cost_table
 
 SORT_FREQUENCY = "frequency"
 SORT_DURATION = "duration"
+
+# ``_BIT[b]`` is the word with only bit ``b`` set
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 class MostExpensivePlacePolicy:
@@ -45,13 +53,7 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     total = replay.total
 
     intervals = occupation_intervals(inst, actions)
-    # per place: the begins and the ends of its disjoint intervals, both
-    # ascending, since the intervals arrive sorted by begin
-    begins_at: list[list[int]] = [[] for _ in range(inst.n_places + 1)]
-    ends_at: list[list[int]] = [[] for _ in range(inst.n_places + 1)]
-    for iv in intervals:
-        begins_at[iv.place].append(iv.begin)
-        ends_at[iv.place].append(iv.end)
+    occ = _occupancy(inst, intervals)
 
     movable = [iv for iv in intervals if iv.decision_step is not None]
     if mode == SORT_FREQUENCY:
@@ -60,29 +62,51 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     else:
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
 
-    # (cost, place) pairs in ascending order for each (from, to) combination
+    # per (from, to) combination, the places in ascending (cost, place)
+    # order: their costs, ids, and occupancy words and bits
     table = start.table
     places = range(1, inst.n_places + 1)
-    orders = {key: sorted(zip(row[1:], places)) for key, row in table.items()}
+    ranks = {}
+    for key, row in table.items():
+        ranked = sorted(zip(row[1:], places))
+        order = np.array([p for _, p in ranked], dtype=np.intp)
+        ranks[key] = ([c for c, _ in ranked], order.tolist(), order >> 6, _BIT[order & 63])
 
-    # ``p`` is free over [begin, end) when its first interval that ends after
-    # ``begin`` starts at or after ``end``; the interval then goes in at that
-    # index
+    # the candidates are the strictly cheaper places; the first one whose bit
+    # is clear in the OR of the occupancy over [begin, end) takes the interval
     for iv in movable:
         key = (iv.from_station, iv.to_station)
+        costs, order, words, bits = ranks[key]
         here = table[key][iv.place]
+        limit = bisect_left(costs, here)
+        if not limit:
+            continue
         begin, end = iv.begin, iv.end
-        for cost, p in orders[key]:
-            if cost >= here:
-                break
-            ends = ends_at[p]
-            i = bisect_right(ends, begin)
-            if i == len(ends) or begins_at[p][i] >= end:
-                j = bisect_left(begins_at[iv.place], begin)
-                del begins_at[iv.place][j], ends_at[iv.place][j]
-                begins_at[p].insert(i, begin)
-                ends.insert(i, end)
-                actions[begin - 1] = p
-                total += cost - here
-                break
+        cand = np.bitwise_or.reduce(occ[:, begin:end], axis=1)[words[:limit]] & bits[:limit]
+        i = cand.argmin()
+        if cand[i]:
+            continue
+        # the old place's bits are all set over the span, the new one's clear
+        p = order[i]
+        occ[iv.place >> 6, begin:end] ^= _BIT[iv.place & 63]
+        occ[p >> 6, begin:end] ^= _BIT[p & 63]
+        actions[begin - 1] = p
+        total += costs[i] - here
     return actions, total
+
+
+def _occupancy(inst: Instance, intervals: list[OccupationInterval]) -> np.ndarray:
+    """Bit ``p & 63`` of ``occ[p >> 6, t]`` is set while place ``p`` is
+    occupied at step ``t``.
+
+    Word-major, so the steps of one interval are a contiguous run in each
+    row.  The intervals on one place are disjoint: flipping its bit at each
+    begin and end and XOR-accumulating along time sets it exactly inside them.
+    """
+    place = np.array([iv.place for iv in intervals], dtype=np.intp)
+    begin = np.array([iv.begin for iv in intervals], dtype=np.intp)
+    end = np.array([iv.end for iv in intervals], dtype=np.intp)
+    flips = np.zeros((inst.n_places // 64 + 1, inst.horizon + 2), dtype=np.uint64)
+    np.bitwise_xor.at(flips, (place >> 6, begin), _BIT[place & 63])
+    np.bitwise_xor.at(flips, (place >> 6, end), _BIT[place & 63])
+    return np.bitwise_xor.accumulate(flips, axis=1)

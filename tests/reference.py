@@ -1,18 +1,27 @@
-"""Functional reference model of the game, for differential tests.
+"""Reference models for differential tests.
 
-Immutable states and a step function that re-derives everything from the
-state at hand: the queue phase, the departing pod's place and the admissible
-set.  It shares no step logic with :class:`podrepo.core.Replay`, which the
-library runs on, so the tests compare the two.
+The functional model of the game: immutable states and a step function that
+re-derives everything from the state at hand: the queue phase, the departing
+pod's place and the admissible set.  It shares no step logic with
+:class:`podrepo.core.Replay`, which the library runs on, so the tests compare
+the two.
+
+:func:`tetris_bisect` is the tetris sweep on per-place sorted interval lists,
+the oracle for the library's bitmap sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
-                          InfeasibleActionError, Instance, InvalidInstanceError)
+                          InfeasibleActionError, Instance, InvalidInstanceError,
+                          Replay, departure_schedule, occupation_intervals,
+                          require_zero_terminal)
+from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
+                            MostExpensivePlacePolicy)
 
 
 @dataclass(frozen=True)
@@ -119,3 +128,59 @@ def step_cost(inst: Instance, state: SystemState, action: int) -> float:
     if action != NO_OP:
         cost += inst.costs.from_stn(station, action)
     return cost
+
+
+def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
+    """:func:`podrepo.tetris.tetris` with a free-span test per candidate place,
+    by bisection in that place's sorted begins and ends."""
+    require_zero_terminal(inst)
+    if mode not in (SORT_FREQUENCY, SORT_DURATION):
+        raise ValueError(f"unknown tetris mode: {mode}")
+
+    start = MostExpensivePlacePolicy(inst)
+    replay = Replay(inst).run(start)
+    actions = list(replay.actions)
+    total = replay.total
+
+    intervals = occupation_intervals(inst, actions)
+    # per place: the begins and the ends of its disjoint intervals, both
+    # ascending, since the intervals arrive sorted by begin
+    begins_at: list[list[int]] = [[] for _ in range(inst.n_places + 1)]
+    ends_at: list[list[int]] = [[] for _ in range(inst.n_places + 1)]
+    for iv in intervals:
+        begins_at[iv.place].append(iv.begin)
+        ends_at[iv.place].append(iv.end)
+
+    movable = [iv for iv in intervals if iv.decision_step is not None]
+    if mode == SORT_FREQUENCY:
+        freq = [len(d) for d in departure_schedule(inst).pod_departure_steps]
+        movable.sort(key=lambda iv: (-freq[iv.pod - 1], iv.begin, iv.pod))
+    else:
+        movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
+
+    # (cost, place) pairs in ascending order for each (from, to) combination
+    table = start.table
+    places = range(1, inst.n_places + 1)
+    orders = {key: sorted(zip(row[1:], places)) for key, row in table.items()}
+
+    # ``p`` is free over [begin, end) when its first interval that ends after
+    # ``begin`` starts at or after ``end``; the interval then goes in at that
+    # index
+    for iv in movable:
+        key = (iv.from_station, iv.to_station)
+        here = table[key][iv.place]
+        begin, end = iv.begin, iv.end
+        for cost, p in orders[key]:
+            if cost >= here:
+                break
+            ends = ends_at[p]
+            i = bisect_right(ends, begin)
+            if i == len(ends) or begins_at[p][i] >= end:
+                j = bisect_left(begins_at[iv.place], begin)
+                del begins_at[iv.place][j], ends_at[iv.place][j]
+                begins_at[p].insert(i, begin)
+                ends.insert(i, end)
+                actions[begin - 1] = p
+                total += cost - here
+                break
+    return actions, total

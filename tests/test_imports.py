@@ -5,10 +5,17 @@ behind; this scan of each module's syntax tree finds it.  ``__init__.py`` is
 left out, because it imports names to re-export them.  A name that
 ``perfbench/spans.py`` wraps in a module counts as used there: the tracer
 replaces it in that module's namespace.
+
+Importing the package leaves ``scipy.optimize`` unloaded: it is most of the
+import time, and only the fixed assignment and the return-all-pods terminal
+cost need it.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +52,12 @@ def traced(monkeypatch):
 def test_every_import_is_used(path, traced):
     unused = unused_imports(path.read_text()) - set(traced.get(f"podrepo.{path.stem}", ()))
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, podrepo; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == ["False"]

@@ -1,16 +1,19 @@
 """Interval-moving heuristic and its most-expensive-place initialization."""
 
 import importlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from podrepo import harness
-from podrepo.core import (Replay, check_feasible, occupation_intervals,
-                          total_cost)
-from podrepo.instances import build_small_system
+from podrepo.core import (CostModel, Replay, check_feasible,
+                          occupation_intervals, total_cost)
+from podrepo.instances import REGIME_RANDOM_UNIFORM, build_small_system
 from podrepo.policies import CheapestPolicy, decision_cost
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
                             MostExpensivePlacePolicy, tetris)
+from reference import tetris_bisect
 
 # ``podrepo.tetris`` is the function the package re-exports, not the module
 tetris_module = importlib.import_module("podrepo.tetris")
@@ -118,3 +121,53 @@ class TestTetris:
             spans.sort()
             for (b1, e1), (b2, e2) in zip(spans, spans[1:]):
                 assert e1 <= b2
+
+
+MODES = [SORT_FREQUENCY, SORT_DURATION]
+
+
+class TestBitmapSweepMatchesBisect:
+    """The occupancy-bitmap sweep against the per-place bisection sweep of
+    ``tests/reference.py``: same candidate order and strictly-cheaper rule,
+    so the same actions and the same float total."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(50))
+    def test_tiny_random(self, mode, seed):
+        inst = harness.build_tiny_random(seed)
+        assert tetris(inst, mode) == tetris_bisect(inst, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_small_system(self, mode, seed):
+        inst = build_small_system(seed)
+        assert tetris(inst, mode) == tetris_bisect(inst, mode)
+
+    @pytest.mark.parametrize("n_pods", [63, 64, 65])
+    def test_word_boundaries(self, n_pods):
+        # places 63 and 64 are the last bit of the first word and the first
+        # bit of the second; random place costs (the line system's rise with
+        # the place id) send intervals onto them and off them
+        base = harness.build_tiny_symmetric(n_pods, regime=REGIME_RANDOM_UNIFORM, n=300)
+        boundary_moves = 0
+        for cost_seed in range(4):
+            rng = np.random.default_rng(cost_seed)
+            rows = [tuple(float(c) for c in rng.integers(1, 20, size=n_pods))
+                    for _ in range(base.n_stations)]
+            inst = replace(base, costs=CostModel(to_station=tuple(zip(*rows)),
+                                                 from_station=tuple(rows)))
+            start = Replay(inst).run(MostExpensivePlacePolicy(inst)).actions
+            for mode in MODES:
+                actions, total = tetris(inst, mode)
+                assert (actions, total) == tetris_bisect(inst, mode)
+                boundary_moves += sum(max(a, b) >= 63
+                                      for a, b in zip(start, actions) if a != b)
+        assert boundary_moves
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("build", [harness.seasonal_medium_instance,
+                                       harness.plain_medium_instance],
+                             ids=["seasonal", "plain"])
+    def test_medium_instances(self, mode, build):
+        inst = build(0, n=2000)
+        assert tetris(inst, mode) == tetris_bisect(inst, mode)
