@@ -21,11 +21,12 @@ suite cross-checks.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (NO_OP, BudgetExceededError, Instance, Replay,
-                   departure_schedule, initial_busy_ends, require_zero_terminal)
+from .core import (NO_OP, BudgetExceededError, Instance, departure_schedule,
+                   initial_busy_ends, require_zero_terminal)
 from .policies import decision_cost_table
 
 
@@ -81,118 +82,112 @@ class SolveResult:
 
 
 class _Search:
-    """Depth-first branch and bound over the steps ``[replay.t, end)``.
+    """Depth-first branch and bound over the decisions ``[start, stop)``.
 
-    The search runs on the replay's occupancy arrays and restores them before
-    it returns.  The admissible lower bound relaxes place-disjointness: every
-    remaining decision is charged its cheapest place over all places.
+    The state is ``busy_until[p]``, the end of the last interval on place
+    ``p``.  The decision at step ``t`` may take ``p`` while
+    ``busy_until[p] <= t + 1``, the free rule of ``occupation_intervals``;
+    taking it sets ``busy_until[p]`` to the decision's busy end, and
+    backtracking restores the saved value, so the list is unchanged when the
+    search returns.  The admissible lower bound relaxes place-disjointness:
+    every remaining decision is charged its cheapest place over all places.
     Equal-cost optima are resolved to the lexicographically smallest action
     sequence, so pruning is strict (bound > incumbent).
     """
 
-    def __init__(self, replay: Replay, weights: dict[int, list[float]],
-                 end: int, node_budget: Optional[int]):
-        self.inst = replay.inst
-        self.steps = replay.schedule.steps
-        self.weights = weights
-        self.start = start = replay.t
-        self.end = end
-        self.pod_at = replay.pod_at
-        self.place_of = replay.place_of
+    def __init__(self, decisions: list[tuple[int, int, list[float]]], lows: list[float],
+                 busy_until: list[int], start: int, stop: int,
+                 node_budget: Optional[int]):
+        self.decisions = decisions  # (step, busy end, weights) per decision
+        self.busy_until = busy_until
+        self.places = range(1, len(busy_until))
+        self.start = start
+        self.stop = stop
         self.node_budget = node_budget
         self.nodes = 0
         self.exhausted = False
         self.best_cost: Optional[float] = None
         self.best_path: Optional[list[int]] = None
         self.path: list[int] = []
-        # suffix of per-decision minima, indexed from segment start
-        self.suffix = [0.0] * (end - start + 1)
-        for t in range(end - 1, start - 1, -1):
-            extra = min(weights[t]) if not self.steps[t].fill else 0.0
-            self.suffix[t - start] = self.suffix[t - start + 1] + extra
+        # suffix of per-decision minima, indexed from the window start
+        self.suffix = [0.0] * (stop - start + 1)
+        for i in range(stop - 1, start - 1, -1):
+            self.suffix[i - start] = self.suffix[i - start + 1] + lows[i]
 
     def run(self) -> None:
         previous = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(previous, 10000, 4 * (self.end - self.start) + 1000))
+        sys.setrecursionlimit(max(previous, 10000, 4 * (self.stop - self.start) + 1000))
         try:
             self._rec(self.start, 0.0)
         finally:
             sys.setrecursionlimit(previous)
 
-    def _rec(self, t: int, g: float) -> None:
+    def _rec(self, i: int, g: float) -> None:
         if self.exhausted:
             return
-        if t == self.end:
+        if i == self.stop:
             if (self.best_cost is None or g < self.best_cost
                     or (g == self.best_cost and self.path < self.best_path)):
                 self.best_cost = g
                 self.best_path = list(self.path)
             return
-        info = self.steps[t]
-        pod_at, place_of = self.pod_at, self.place_of
-        dep_place = place_of[info.pod]
-        pod_at[dep_place] = 0
-        place_of[info.pod] = 0
-        try:
-            if info.fill:
-                self.path.append(NO_OP)
-                self._rec(t + 1, g)
-                self.path.pop()
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            self.exhausted = True
+            return
+        t, end, w = self.decisions[i]
+        busy_until = self.busy_until
+        children = sorted((p for p in self.places if busy_until[p] <= t + 1),
+                          key=lambda p: (w[p - 1], p))
+        tail = self.suffix[i - self.start + 1]
+        for p in children:
+            g2 = g + w[p - 1]
+            if self.best_cost is not None and g2 + tail > self.best_cost:
+                break  # children are cost-sorted; the rest only get worse
+            saved = busy_until[p]
+            busy_until[p] = end
+            self.path.append(p)
+            self._rec(i + 1, g2)
+            self.path.pop()
+            busy_until[p] = saved
+            if self.exhausted:
                 return
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                self.exhausted = True
-                return
-            w = self.weights[t]
-            children = sorted(
-                (p for p in range(1, self.inst.n_places + 1) if pod_at[p] == 0),
-                key=lambda p: (w[p - 1], p))
-            tail = self.suffix[t - self.start + 1]
-            ret = info.returning_pod
-            for p in children:
-                g2 = g + w[p - 1]
-                if self.best_cost is not None and g2 + tail > self.best_cost:
-                    break  # children are cost-sorted; the rest only get worse
-                pod_at[p] = ret
-                place_of[ret] = p
-                self.path.append(p)
-                self._rec(t + 1, g2)
-                self.path.pop()
-                pod_at[p] = 0
-                place_of[ret] = 0
-                if self.exhausted:
-                    return
-        finally:
-            pod_at[dep_place] = info.pod
-            place_of[info.pod] = dep_place
 
 
 def _solve_windows(inst: Instance, window_size: int,
                    node_budget: Optional[int]) -> SolveResult:
-    """Search each window of ``window_size`` steps exactly and commit its best
-    path to one replay, which carries the occupancy into the next window."""
+    """Search the decisions of each window of ``window_size`` steps exactly
+    and commit its best path: the committed intervals carry the occupancy
+    into the next window."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     weights = decision_weights(inst, params)
-    replay = Replay(inst)
+    steps = departure_schedule(inst).steps
+    decision_steps = params.decision_steps
+    decisions = [(t, steps[t].busy_end, weights[t]) for t in decision_steps]
+    lows = [min(w) for _, _, w in decisions]
+    busy_until = [0, *params.initial_busy_end]
+    actions = [NO_OP] * inst.horizon
     cost = params.base_cost
     nodes = 0
     optimal = True
-    while not replay.done:
-        search = _Search(replay, weights, min(replay.t + window_size, inst.horizon),
-                         node_budget)
+    start = 0
+    for t0 in range(0, inst.horizon, window_size):
+        stop = bisect_left(decision_steps, t0 + window_size)
+        search = _Search(decisions, lows, busy_until, start, stop, node_budget)
         search.run()
         if search.best_cost is None:
             raise BudgetExceededError("node budget exhausted before any solution was found")
         nodes += search.nodes
         optimal = optimal and not search.exhausted
         cost += search.best_cost
-        for a in search.best_path:
-            replay.step(a)
+        for (t, end, _), p in zip(decisions[start:stop], search.best_path):
+            actions[t] = p
+            busy_until[p] = end
+        start = stop
     # the place-disjointness relaxation, summed back to front like _Search.suffix
-    bound = sum(min(weights[t]) for t in reversed(params.decision_steps))
-    return SolveResult(actions=replay.actions, cost=cost, optimal=optimal,
-                       nodes=nodes, lower_bound=params.base_cost + bound)
+    return SolveResult(actions=actions, cost=cost, optimal=optimal, nodes=nodes,
+                       lower_bound=params.base_cost + sum(reversed(lows)))
 
 
 def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> SolveResult:

@@ -191,11 +191,11 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
         cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
                                             replay.schedule.final_queues)
     wall = time.perf_counter() - started
-    _verify_cost(run_inst, name, actions, cost)
+    verify_cost(run_inst, name, actions, cost)
     return actions, cost, wall
 
 
-def _verify_cost(inst: Instance, name: str, actions: list[int], cost: float) -> None:
+def verify_cost(inst: Instance, name: str, actions: list[int], cost: float) -> None:
     """Raise unless an independent replay of ``actions`` costs ``cost``."""
     check = total_cost(inst, actions)
     if abs(check - cost) > 1e-9:
@@ -403,7 +403,7 @@ def seasonal_study(seeds: Sequence[int], n: int = 10000,
 
     def tetris_cost(inst: Instance, mode: str) -> float:
         actions, cost = tetris.tetris(inst, mode)
-        _verify_cost(inst, f"tetris:{mode}", actions, cost)
+        verify_cost(inst, f"tetris:{mode}", actions, cost)
         return cost
 
     for seed in seeds:

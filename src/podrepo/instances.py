@@ -90,16 +90,6 @@ def _draw_pod(weights: np.ndarray, in_storage: np.ndarray,
     return int(in_storage.nonzero()[0][_pick(cdf, rng)])
 
 
-def next_departure(storage_pods: Sequence[int], pod_weights: Sequence[float],
-                   station_weights: Sequence[float],
-                   rng: np.random.Generator) -> tuple[int, int]:
-    """Sample one departure: station by weight, pod by weight among storage."""
-    in_storage = np.zeros(len(pod_weights) + 1, dtype=bool)
-    in_storage[list(storage_pods)] = True
-    station = _pick(_station_cdf(station_weights), rng) + 1
-    return _draw_pod(_pod_weight_vector(pod_weights), in_storage, rng), station
-
-
 def co_simulated_departures(
         n_pods: int,
         station_capacities: Sequence[int],
@@ -214,11 +204,6 @@ def _line_costs(n_places: int) -> CostModel:
     """1-D line storage, two symmetric stations: cost(p, s) = p + 4 both ways."""
     row = tuple(float(p + SMALL_BASE_COST) for p in range(1, n_places + 1))
     return CostModel(to_station=tuple((c, c) for c in row), from_station=(row, row))
-
-
-def small_cost_model() -> CostModel:
-    """The small system's line costs: cost(p, s) = p + 4 both ways."""
-    return _line_costs(SMALL_N_PLACES)
 
 
 def _line_system(n_pods: int, queue_capacity: int, regime: str,

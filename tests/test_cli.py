@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from podrepo import harness
+from podrepo import exact, harness
 from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance,
                           load_actions, load_instance, save_instance)
@@ -179,6 +179,20 @@ class TestSolve:
         assert main(["solve", str(small_path), *mode,
                      "--node-budget", "0"]) == EXIT_BUDGET
         assert "node budget exhausted" in capsys.readouterr().err
+
+    def test_reported_cost_is_reverified(self, tiny_path, tmp_path, monkeypatch, capsys):
+        solve_exact = exact.solve_exact
+
+        def off_by_one(inst, **kwargs):
+            result = solve_exact(inst, **kwargs)
+            return replace(result, cost=result.cost + 1)
+
+        monkeypatch.setattr(exact, "solve_exact", off_by_one)
+        actions = tmp_path / "solution.json"
+        with pytest.raises(RuntimeError, match="reported cost"):
+            main(["solve", str(tiny_path), "--exact", "--actions-out", str(actions)])
+        assert not actions.exists()
+        assert "cost" not in capsys.readouterr().out
 
     def test_exclusive_flags(self, tiny_path):
         assert main(["solve", str(tiny_path), "--exact",

@@ -1,5 +1,7 @@
 """Branch-and-bound solver, windowed variant, model export."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -48,7 +50,7 @@ class TestCostDecomposition:
 
 
 class TestSolveExact:
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(50))
     def test_agrees_with_brute_force(self, seed):
         inst = harness.build_tiny_random(seed)
         brute_actions, brute_cost = harness.brute_force_optimum(inst)
@@ -85,7 +87,7 @@ class TestSolveExact:
 
 
 class TestSolveIterative:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(50))
     def test_single_window_equals_exact(self, seed):
         inst = harness.build_tiny_random(seed)
         exact = solve_exact(inst)
@@ -93,7 +95,7 @@ class TestSolveIterative:
         assert windowed.actions == exact.actions
         assert windowed.cost == pytest.approx(exact.cost, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(50))
     def test_unit_window_equals_greedy(self, seed):
         inst = harness.build_tiny_random(seed)
         greedy = Replay(inst).run(CheapestPolicy(inst, CHEAPEST_DECISION))
@@ -111,6 +113,37 @@ class TestSolveIterative:
         assert check_feasible(inst, result.actions).ok
         assert total_cost(inst, result.actions) == pytest.approx(result.cost,
                                                                  abs=1e-9)
+
+
+def _digest(actions):
+    return hashlib.sha256(json.dumps(actions).encode()).hexdigest()
+
+
+class TestPinnedResults:
+    """Every ``SolveResult`` field on the small system, pinned.  The budget-cut
+    window search catches a search that leaves a trial placement in its state
+    when the node budget runs out: its plan stays feasible, but it differs."""
+
+    def test_exact_at_node_budget(self):
+        result = solve_exact(build_small_system(1, n=1000), node_budget=200000)
+        assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
+            14642.0, 200001, False, 10025.0)
+        assert _digest(result.actions) == (
+            "a636fed7c0fd9414bb3d35fffb8dcb87ff4daf6216af82c8c839fcb3d0caf73e")
+
+    def test_iterative_windows_of_ten(self):
+        result = solve_iterative(build_small_system(1, n=1000), 10)
+        assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
+            13942.0, 208087, True, 10025.0)
+        assert _digest(result.actions) == (
+            "bac3a1f31302df2bd12b531e979ca689c8042caa396024bd17abc3a5db639428")
+
+    def test_iterative_budget_cut_in_every_window(self):
+        result = solve_iterative(build_small_system(1, n=300), 7, node_budget=50)
+        assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
+            4310.0, 1934, False, 3025.0)
+        assert _digest(result.actions) == (
+            "8296ccd54082d96f71a9a80d65e44265600d84d059b6fd56183aaae9a5a6d006")
 
 
 class TestLowerBound:

@@ -5,12 +5,21 @@ import pytest
 
 from podrepo.core import InvalidInstanceError, validate_instance
 from podrepo.instances import (MEDIUM_N_PLACES, MEDIUM_N_PODS,
-                               MEDIUM_STATION_WEIGHTS, REGIMES,
+                               MEDIUM_STATION_WEIGHTS, REGIMES, _draw_pod,
+                               _pick, _pod_weight_vector, _station_cdf,
                                build_medium_system, build_small_system,
                                co_simulated_departures,
                                generate_departures, geometric_weights,
-                               next_departure, rng_from_seed,
-                               small_cost_model)
+                               rng_from_seed)
+
+
+def draw_departure(storage_pods, pod_weights, station_weights, rng):
+    """One departure drawn the way ``generate_departures`` draws it: the
+    station by weight, then a stored pod by weight."""
+    in_storage = np.zeros(len(pod_weights) + 1, dtype=bool)
+    in_storage[list(storage_pods)] = True
+    station = _pick(_station_cdf(station_weights), rng) + 1
+    return _draw_pod(_pod_weight_vector(pod_weights), in_storage, rng), station
 
 
 class TestGeometricWeights:
@@ -43,13 +52,13 @@ class TestGeometricWeights:
 class TestNextDeparture:
     def test_single_pod_single_station(self):
         rng = rng_from_seed(0)
-        assert next_departure([7], [1.0] * 7, [1.0], rng) == (7, 1)
+        assert draw_departure([7], [1.0] * 7, [1.0], rng) == (7, 1)
 
     def test_never_selects_absent_pod(self):
         rng = rng_from_seed(1)
         weights = geometric_weights(6, 20.0)
         for _ in range(200):
-            pod, station = next_departure([2, 5], weights, [0.5, 0.5], rng)
+            pod, station = draw_departure([2, 5], weights, [0.5, 0.5], rng)
             assert pod in (2, 5) and station in (1, 2)
 
     def test_uniform_frequencies(self):
@@ -57,14 +66,14 @@ class TestNextDeparture:
         counts = {}
         n = 40_000
         for _ in range(n):
-            key = next_departure([1, 2], [0.5, 0.5], [0.5, 0.5], rng)
+            key = draw_departure([1, 2], [0.5, 0.5], [0.5, 0.5], rng)
             counts[key] = counts.get(key, 0) + 1
         for key in ((1, 1), (1, 2), (2, 1), (2, 2)):
             assert counts[key] / n == pytest.approx(0.25, abs=0.015)
 
     def test_empty_storage_rejected(self):
         with pytest.raises(ValueError):
-            next_departure([], [1.0], [1.0], rng_from_seed(0))
+            draw_departure([], [1.0], [1.0], rng_from_seed(0))
 
 
 class TestGenerateDepartures:
@@ -117,12 +126,12 @@ class TestGenerateDepartures:
 
 class TestSmallSystem:
     def test_published_cost_values(self):
-        costs = small_cost_model()
+        costs = build_small_system(n=10).costs
         assert costs.to_stn(1, 1) == 5.0 and costs.to_stn(1, 2) == 5.0
         assert costs.from_stn(1, 5) == 9.0 and costs.from_stn(2, 5) == 9.0
 
     def test_station_symmetry(self):
-        costs = small_cost_model()
+        costs = build_small_system(n=10).costs
         for p in range(1, 11):
             assert costs.to_stn(p, 1) == costs.to_stn(p, 2)
             assert costs.from_stn(1, p) == costs.from_stn(2, p)
@@ -167,17 +176,17 @@ class TestDrawErrors:
                                          [np.inf, 1.0, 1.0], [0.0, 0.0, 1.0]])
     def test_bad_weights_among_stored_pods(self, weights):
         with pytest.raises(ValueError):
-            next_departure([1, 2], weights, [0.5, 0.5], rng_from_seed(0))
+            draw_departure([1, 2], weights, [0.5, 0.5], rng_from_seed(0))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_weight_sum_overflow(self):
         with pytest.raises(ValueError):
-            next_departure([1, 2], [1e308, 1e308], [1.0], rng_from_seed(0))
+            draw_departure([1, 2], [1e308, 1e308], [1.0], rng_from_seed(0))
 
     @pytest.mark.parametrize("station_weights", [[0.5, 0.6], [-0.5, 1.5], [np.nan, 1.0]])
     def test_bad_station_weights(self, station_weights):
         with pytest.raises(ValueError):
-            next_departure([1], [1.0], station_weights, rng_from_seed(0))
+            draw_departure([1], [1.0], station_weights, rng_from_seed(0))
 
     def test_generate_checks_pod_weights(self):
         with pytest.raises(ValueError):
