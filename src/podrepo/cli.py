@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 infeasible input or configuration error, 2 search
-budget exceeded.
+budget exceeded, 3 a reported cost that its verification replay does not
+reproduce.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (BudgetExceededError, GameError, check_feasible,
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BUDGET = 2
+EXIT_UNVERIFIED = 3
 
 
 @click.group()
@@ -214,6 +216,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         click.echo(f"error: {err}", err=True)
         return EXIT_BUDGET
+    except harness.CostMismatchError as err:
+        click.echo(f"error: {err}", err=True)
+        return EXIT_UNVERIFIED
     except click.ClickException as err:
         err.show()
         return EXIT_CONFIG

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -290,8 +289,9 @@ def validate_instance(inst: Instance) -> None:
 class Replay:
     """Fast mutable replay engine over a precomputed schedule.
 
-    ``free`` is the ascending list of free places, kept in step with
-    ``pod_at`` so the admissible set costs O(free places), not O(places).
+    ``free_bits`` is the free set as one int, bit ``p`` set while place ``p``
+    is free, kept in step with ``pod_at``: a step updates it with one big-int
+    operation, and a policy reads the admissible set from it by masking.
     """
 
     def __init__(self, inst: Instance):
@@ -303,7 +303,8 @@ class Replay:
             if h is not None:
                 self.place_of[h] = p
                 self.pod_at[p] = h
-        self.free = [p for p in range(1, inst.n_places + 1) if self.pod_at[p] == 0]
+        self.free_bits = sum(1 << p for p in range(1, inst.n_places + 1)
+                             if self.pod_at[p] == 0)
         self.t = 0
         self.total = 0.0
         self.actions: list[int] = []
@@ -320,19 +321,21 @@ class Replay:
         except IndexError:
             raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
 
-    def admissible(self) -> list[int]:
-        """Admissible actions, ascending: the free places plus the place the
-        departing pod leaves, or ``[NO_OP]`` on a fill step or past the end."""
+    def admissible_bits(self) -> int:
+        """:meth:`admissible` as a mask: bit ``a`` set for each admissible
+        action ``a``, so ``1 << NO_OP`` on a fill step or past the end."""
         try:
             info = self.schedule.steps[self.t]
         except IndexError:
-            return [NO_OP]
+            return 1 << NO_OP
         if info.fill:
-            return [NO_OP]
-        free = self.free
-        dep_place = self.place_of[info.pod]
-        i = bisect_left(free, dep_place)
-        return free[:i] + [dep_place] + free[i:]
+            return 1 << NO_OP
+        return self.free_bits | 1 << self.place_of[info.pod]
+
+    def admissible(self) -> list[int]:
+        """Admissible actions, ascending: the free places plus the place the
+        departing pod leaves, or ``[NO_OP]`` on a fill step or past the end."""
+        return set_bits(self.admissible_bits())
 
     def step(self, action: int) -> float:
         """Apply one step.  An infeasible action (any action past the end)
@@ -361,14 +364,12 @@ class Replay:
         self.pod_at[place] = 0
         self.place_of[info.pod] = 0
         if info.fill:
-            insort(self.free, place)
+            self.free_bits |= 1 << place
         else:
             self.pod_at[action] = info.returning_pod
             self.place_of[info.returning_pod] = action
             if action != place:
-                free = self.free
-                del free[bisect_left(free, action)]
-                insort(free, place)
+                self.free_bits ^= 1 << action | 1 << place
             cost += costs.from_stn(info.station, action)
         self.t += 1
         self.total += cost
@@ -384,6 +385,16 @@ class Replay:
 
     def storage_tuple(self) -> tuple[Optional[int], ...]:
         return tuple(h if h != 0 else None for h in self.pod_at[1:])
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def terminal_cost(inst: Instance, final_storage: Sequence[Optional[int]],

@@ -195,11 +195,16 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     return actions, cost, wall
 
 
+class CostMismatchError(RuntimeError):
+    """A replay of a reported plan does not reproduce its reported cost."""
+
+
 def verify_cost(inst: Instance, name: str, actions: list[int], cost: float) -> None:
-    """Raise unless an independent replay of ``actions`` costs ``cost``."""
+    """Raise :class:`CostMismatchError` unless an independent replay of
+    ``actions`` costs ``cost``."""
     check = total_cost(inst, actions)
     if abs(check - cost) > 1e-9:
-        raise RuntimeError(f"{name}: reported cost {cost} != replayed cost {check}")
+        raise CostMismatchError(f"{name}: reported cost {cost} != replayed cost {check}")
 
 
 @dataclass

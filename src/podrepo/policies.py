@@ -4,9 +4,11 @@ and the fixed-place policy with its offline assignment computation.
 A policy is a callable ``decide(replay) -> place`` that
 :meth:`~podrepo.core.Replay.run` calls at decision steps only (it steps the
 no-op on fill steps itself); every returned place is admissible by
-construction.  Ties between equally cheap places are always broken by the
-smallest place id so replays are reproducible: the admissible set is
-ascending and ``min``/``max`` return its first extreme element.
+construction.  The greedy policies scan cost levels: one static mask of
+places per distinct cost, best cost first, ANDed with the replay's
+admissible mask.  Ties between equally cheap places are always broken by
+the smallest place id so replays are reproducible: that is the lowest set
+bit within a level.
 """
 
 from __future__ import annotations
@@ -65,15 +67,46 @@ def decision_cost_table(inst: Instance) -> DecisionCosts:
             for s_from in stations for s_to in (*stations, None)}
 
 
+def cost_levels(row: list[float], n_places: int, dearest: bool = False) -> list[int]:
+    """The places ``1..n_places`` grouped by their cost in ``row``: one mask
+    per distinct cost, bit ``p`` set in the mask of ``row[p]``, cheapest cost
+    first, or dearest first."""
+    masks: dict[float, int] = {}
+    for p in range(1, n_places + 1):
+        masks[row[p]] = masks.get(row[p], 0) | 1 << p
+    return [masks[c] for c in sorted(masks, reverse=dearest)]
+
+
+def first_free(replay: Replay, levels: list[int]) -> int:
+    """The smallest admissible place of the first level that has one."""
+    admissible = replay.admissible_bits()
+    for level in levels:
+        hit = admissible & level
+        if hit:
+            return (hit & -hit).bit_length() - 1
+    raise ValueError("the cost levels cover no admissible place")
+
+
 class RandomPolicy:
-    """Uniform choice among the admissible free places."""
+    """Uniform choice among the admissible free places: one draw below their
+    count, then that set bit of the admissible mask, counted from place 1."""
 
     def __init__(self, seed: int = 0):
         self.rng = rng_from_seed(seed)
 
     def __call__(self, replay: Replay) -> int:
-        actions = replay.admissible()
-        return actions[int(self.rng.integers(len(actions)))]
+        mask = replay.admissible_bits()
+        k = int(self.rng.integers(mask.bit_count()))
+        # bisect for the first place whose prefix of the mask (bits 0..p)
+        # holds more than k set bits
+        lo, hi = 0, mask.bit_length()
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if (mask & (2 << mid) - 1).bit_count() > k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 class CheapestPolicy:
@@ -88,21 +121,23 @@ class CheapestPolicy:
         if variant not in (CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE, CHEAPEST_DECISION):
             raise ValueError(f"unknown cheapest-place variant: {variant}")
         self.variant = variant
+        n = inst.n_places
         if variant == CHEAPEST_ON_AVERAGE:
             # place-indexed like the decision rows
-            self._avg = [0.0] + avg_costs(inst)
+            self._avg_levels = cost_levels([0.0] + avg_costs(inst), n)
         else:
-            self.table = decision_cost_table(inst)
+            self.levels = {key: cost_levels(row, n)
+                           for key, row in decision_cost_table(inst).items()}
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
         if self.variant == CHEAPEST_TO_STORAGE:
-            row = self.table[(info.station, None)]
+            levels = self.levels[(info.station, None)]
         elif self.variant == CHEAPEST_ON_AVERAGE:
-            row = self._avg
+            levels = self._avg_levels
         else:
-            row = self.table[(info.station, info.return_next_station)]
-        return min(replay.admissible(), key=row.__getitem__)
+            levels = self.levels[(info.station, info.return_next_station)]
+        return first_free(replay, levels)
 
 
 def station_frequencies(inst: Instance) -> tuple[list[list[int]], list[list[int]]]:

@@ -7,7 +7,8 @@ cheaper place that is free for its whole time span.  Interval time spans are
 fixed by the departure sequence; only the place coordinate moves.  The sweep
 keeps the plan as a bit-packed place-by-time occupancy matrix, so one
 OR-reduce over an interval's steps answers the free-span test for every
-candidate place at once.
+place at once; the candidates are scanned as cost-level masks, cheapest
+first.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import (Instance, OccupationInterval, Replay, departure_schedule,
                    occupation_intervals, require_zero_terminal)
-from .policies import decision_cost_table
+from .policies import cost_levels, decision_cost_table, first_free
 
 SORT_FREQUENCY = "frequency"
 SORT_DURATION = "duration"
@@ -33,11 +34,12 @@ class MostExpensivePlacePolicy:
 
     def __init__(self, inst: Instance):
         self.table = decision_cost_table(inst)
+        self.levels = {key: cost_levels(row, inst.n_places, dearest=True)
+                       for key, row in self.table.items()}
 
     def __call__(self, replay: Replay) -> int:
         info = replay.current
-        row = self.table[(info.station, info.return_next_station)]
-        return max(replay.admissible(), key=row.__getitem__)
+        return first_free(replay, self.levels[(info.station, info.return_next_station)])
 
 
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
@@ -62,32 +64,33 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     else:
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
 
-    # per (from, to) combination, the places in ascending (cost, place)
-    # order: their costs, ids, and occupancy words and bits
+    # per (from, to) combination: its distinct costs and their place masks,
+    # both ascending, the start policy's levels in reverse
     table = start.table
-    places = range(1, inst.n_places + 1)
-    ranks = {}
-    for key, row in table.items():
-        ranked = sorted(zip(row[1:], places))
-        order = np.array([p for _, p in ranked], dtype=np.intp)
-        ranks[key] = ([c for c, _ in ranked], order.tolist(), order >> 6, _BIT[order & 63])
+    ranks = {key: (sorted(set(row[1:])), start.levels[key][::-1])
+             for key, row in table.items()}
 
-    # the candidates are the strictly cheaper places; the first one whose bit
-    # is clear in the OR of the occupancy over [begin, end) takes the interval
+    # the candidates are the strictly cheaper levels; the first one with a
+    # place whose bit is clear in the OR of the occupancy over [begin, end)
+    # takes the interval, on its smallest such place
     for iv in movable:
         key = (iv.from_station, iv.to_station)
-        costs, order, words, bits = ranks[key]
+        costs, levels = ranks[key]
         here = table[key][iv.place]
         limit = bisect_left(costs, here)
         if not limit:
             continue
         begin, end = iv.begin, iv.end
-        cand = np.bitwise_or.reduce(occ[:, begin:end], axis=1)[words[:limit]] & bits[:limit]
-        i = cand.argmin()
-        if cand[i]:
+        words = np.bitwise_or.reduce(occ[:, begin:end], axis=1)
+        clear = ~int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+        for i in range(limit):
+            free = levels[i] & clear
+            if free:
+                break
+        else:
             continue
         # the old place's bits are all set over the span, the new one's clear
-        p = order[i]
+        p = (free & -free).bit_length() - 1
         occ[iv.place >> 6, begin:end] ^= _BIT[iv.place & 63]
         occ[p >> 6, begin:end] ^= _BIT[p & 63]
         actions[begin - 1] = p

@@ -7,7 +7,9 @@ pod's place and the admissible set.  It shares no step logic with
 the two.
 
 :func:`tetris_bisect` is the tetris sweep on per-place sorted interval lists,
-the oracle for the library's bitmap sweep.
+the oracle for the library's bitmap sweep.  Its most-expensive-place start
+takes the argmax of the admissible list, so it also checks the library's
+cost-level policy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           InfeasibleActionError, Instance, InvalidInstanceError,
                           Replay, departure_schedule, occupation_intervals,
                           require_zero_terminal)
-from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
-                            MostExpensivePlacePolicy)
+from podrepo.policies import decision_cost_table
+from podrepo.tetris import SORT_DURATION, SORT_FREQUENCY
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,14 @@ def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int]
     if mode not in (SORT_FREQUENCY, SORT_DURATION):
         raise ValueError(f"unknown tetris mode: {mode}")
 
-    start = MostExpensivePlacePolicy(inst)
-    replay = Replay(inst).run(start)
+    table = decision_cost_table(inst)
+
+    def most_expensive(replay: Replay) -> int:
+        info = replay.current
+        row = table[(info.station, info.return_next_station)]
+        return max(replay.admissible(), key=row.__getitem__)
+
+    replay = Replay(inst).run(most_expensive)
     actions = list(replay.actions)
     total = replay.total
 
@@ -159,7 +167,6 @@ def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int]
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
 
     # (cost, place) pairs in ascending order for each (from, to) combination
-    table = start.table
     places = range(1, inst.n_places + 1)
     orders = {key: sorted(zip(row[1:], places)) for key, row in table.items()}
 

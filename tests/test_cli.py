@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from podrepo import exact, harness
-from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_UNVERIFIED, main
 from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance,
                           load_actions, load_instance, save_instance)
 from podrepo.harness import build_tiny_random
@@ -189,10 +189,12 @@ class TestSolve:
 
         monkeypatch.setattr(exact, "solve_exact", off_by_one)
         actions = tmp_path / "solution.json"
-        with pytest.raises(RuntimeError, match="reported cost"):
-            main(["solve", str(tiny_path), "--exact", "--actions-out", str(actions)])
+        assert main(["solve", str(tiny_path), "--exact",
+                     "--actions-out", str(actions)]) == EXIT_UNVERIFIED == 3
         assert not actions.exists()
-        assert "cost" not in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "cost" not in out
+        assert "error: solve: reported cost" in err and "replayed cost" in err
 
     def test_exclusive_flags(self, tiny_path):
         assert main(["solve", str(tiny_path), "--exact",

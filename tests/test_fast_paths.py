@@ -1,10 +1,11 @@
 """The fast paths against their reference definitions.
 
-``Replay.admissible`` keeps a free-place list instead of scanning every place,
-and the greedy policies and the tetris sweep read one decision-cost table per
-cost model instead of calling ``decision_cost`` per candidate.  Both must
-agree with the functional reference model (``reference.py``) and a
-brute-force argmin/argmax, including the tie-break to the smallest place id.
+``Replay`` keeps the free places as one bitmask instead of scanning every
+place, and the greedy policies scan cost-level masks built from one
+decision-cost table per cost model instead of calling ``decision_cost`` per
+candidate.  Both must agree with the functional reference model
+(``reference.py``) and a brute-force argmin/argmax, including the tie-break
+to the smallest place id.  A rejected action leaves the mask as it was.
 The policies are asked at decision steps only, as ``Replay.run`` asks them.
 """
 
@@ -55,8 +56,15 @@ def test_fast_paths_match_reference_model(kind, seed, data):
     while not replay.done:
         admissible = replay.admissible()
         assert admissible == list(admissible_actions(inst, state))
-        assert replay.free == [p for p in range(1, inst.n_places + 1)
-                               if state.storage[p - 1] is None]
+        free_bits = sum(1 << p for p in range(1, inst.n_places + 1)
+                        if state.storage[p - 1] is None)
+        assert replay.free_bits == free_bits
+        # a busy place, or on a fill step any place; the no-op when none is busy
+        rejected = next((p for p in range(1, inst.n_places + 1) if p not in admissible),
+                        NO_OP)
+        with pytest.raises(InfeasibleActionError):
+            replay.step(rejected)
+        assert replay.free_bits == free_bits
         if admissible != [NO_OP]:
             info = replay.current
             cost = {p: decision_cost(inst, p, info.station, info.return_next_station)

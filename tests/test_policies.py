@@ -1,12 +1,15 @@
 """Online policies and the fixed-place assignment."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from podrepo import harness
 from podrepo.core import Replay, check_feasible, departure_schedule
-from podrepo.instances import build_small_system
+from podrepo.genetic import GENETIC1, GaConfig, evolve
+from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                               CHEAPEST_TO_STORAGE, CheapestPolicy, FixedPolicy,
                               RandomPolicy, avg_costs, compute_fixed_assignment,
@@ -50,6 +53,30 @@ class TestRandomPolicy:
         c = Replay(inst).run(RandomPolicy(8)).actions
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: build_small_system(1, n=1000),
+         "0ee07ef741222d7667de3b112268854b3b539bc65ac3d8ce7bf36d3e362d4e10"),
+        (lambda: build_medium_system(1, n=2000),
+         "5c49fbf9e5aa010b2eec689aec10052136b938258e052b93885a46b4ab8ebb5c"),
+    ], ids=["small", "medium"])
+    def test_action_stream_pinned(self, build, digest):
+        """One PCG64 draw per decision, over the admissible set in ascending
+        place order: any change to either changes the actions."""
+        inst = build()
+        assert _digest(Replay(inst).run(RandomPolicy(7)).actions) == digest
+
+    def test_genetic1_start_population_pinned(self):
+        # genetic-1 seeds its start population through RandomPolicy
+        result = evolve(build_small_system(1, n=300), GENETIC1,
+                        config=GaConfig(max_generations=3))
+        assert result.cost == 5387.0
+        assert _digest(result.actions) == (
+            "a3189114ae55d1c9cc12acc83c8d4cf35d43d76937621b720ca757f05060ab79")
+
+
+def _digest(actions):
+    return hashlib.sha256(json.dumps(actions).encode()).hexdigest()
 
 
 class TestCheapestPolicy:
