@@ -16,6 +16,7 @@ from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                               decision_cost, fixed_assignment_costs,
                               rearranged_instance, sorted_fixed_assignment,
                               station_fractions, station_frequencies)
+from podrepo.tetris import MostExpensivePlacePolicy
 
 
 class TestAvgCosts:
@@ -108,6 +109,34 @@ class TestCheapestPolicy:
                   for v in (CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE,
                             CHEAPEST_DECISION)]
         assert max(totals) - min(totals) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def medium_2000():
+    return build_medium_system(1, n=2000)
+
+
+class TestGreedyActionStreams:
+    """Cost-level scans at 504 places, where the place masks span several
+    machine words: any change to a level's order or tie-break changes the
+    actions."""
+
+    @pytest.mark.parametrize("variant, digest", [
+        (CHEAPEST_TO_STORAGE,
+         "334d83694e6ca93718052f6f76ee6d84eaef76a71b120b2c16af92659bba7a0e"),
+        (CHEAPEST_ON_AVERAGE,
+         "08d83651ffef5d3573642ce660eaac9e931ff1416392432e61fe9e9046dfb09d"),
+        (CHEAPEST_DECISION,
+         "b991fe019284f83ee4bd3ad517a1b7b99b0c52643a05636b2c0c11323ba51856"),
+    ])
+    def test_cheapest_pinned(self, medium_2000, variant, digest):
+        replay = Replay(medium_2000).run(CheapestPolicy(medium_2000, variant))
+        assert _digest(replay.actions) == digest
+
+    def test_most_expensive_pinned(self, medium_2000):
+        replay = Replay(medium_2000).run(MostExpensivePlacePolicy(medium_2000))
+        assert _digest(replay.actions) == (
+            "fab2c64d372cf7187cb5cb2f44ef78bbe5796e34e21cdd1f149eb1a5b0503881")
 
 
 class TestStationFrequencies:
