@@ -101,8 +101,9 @@ def chart_svg(trace: RunTrace, spec: ChartSpec) -> str:
 
 
 def emit_chart(trace: RunTrace, spec: ChartSpec, path) -> None:
+    svg = chart_svg(trace, spec)  # a refused window leaves no file behind
     with open(path, "w") as fh:
-        fh.write(chart_svg(trace, spec))
+        fh.write(svg)
 
 
 def trace_csv(trace: RunTrace) -> str:

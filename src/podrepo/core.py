@@ -583,5 +583,10 @@ def save_actions(actions: Sequence[int], path) -> None:
 
 
 def load_actions(path) -> list[int]:
+    """The action list of a JSON file; a document that is not a list of
+    integers raises ``InvalidInstanceError``."""
     with open(path) as fh:
-        return [int(a) for a in json.load(fh)]
+        doc = json.load(fh)
+    if type(doc) is not list:
+        raise InvalidInstanceError(f"an action file holds a list, not {type(doc).__name__}")
+    return list(_ints(doc, "actions"))

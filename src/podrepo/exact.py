@@ -3,7 +3,9 @@
 The full-horizon problem is solved by depth-first branch and bound over the
 decision tree, which is equivalent to the 0/1 integer program over placement
 variables ``x_t_p`` (the program encodes exactly the feasible action
-sequences).  Decision ``t`` holds its place over the busy interval
+sequences).  Each distinct cost row is ranked once into a fixed
+``(cost, place)`` order; a node's children are that order with the busy
+places skipped, cut off at the first one the bound prunes.  Decision ``t`` holds its place over the busy interval
 ``[t + 1, busy_end[t])``; the program picks one place per decision and allows
 at most one live interval per place at each decision's start, the clique
 rows of the interval graph (Arkin & Silverberg 1987).  The windowed variant
@@ -23,6 +25,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from .core import (NO_OP, BudgetExceededError, Instance, departure_schedule,
@@ -81,77 +84,68 @@ class SolveResult:
     lower_bound: float
 
 
-class _Search:
-    """Depth-first branch and bound over the decisions ``[start, stop)``.
+def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
+            busy_until: list[int], node_budget: Optional[int]
+            ) -> tuple[float, Optional[list[int]], int, bool]:
+    """Depth-first branch and bound over ``(step, busy end, order)``
+    decisions; returns the best cost and path (``None`` if the budget ran
+    out first), the node count and whether the budget ran out.
 
     The state is ``busy_until[p]``, the end of the last interval on place
     ``p``.  The decision at step ``t`` may take ``p`` while
     ``busy_until[p] <= t + 1``, the free rule of ``occupation_intervals``;
     taking it sets ``busy_until[p]`` to the decision's busy end, and
     backtracking restores the saved value, so the list is unchanged when the
-    search returns.  The admissible lower bound relaxes place-disjointness:
-    every remaining decision is charged its cheapest place over all places.
-    Equal-cost optima are resolved to the lexicographically smallest action
-    sequence, so pruning is strict (bound > incumbent).
+    search returns.  The children are the free places in the decision's
+    fixed ``(cost, place)`` order.  The admissible lower bound relaxes
+    place-disjointness: every remaining decision is charged its cheapest
+    place over all places.  Equal-cost optima are resolved to the
+    lexicographically smallest action sequence, so pruning is strict
+    (bound > incumbent).
     """
+    stop = len(decisions)
+    tails = [0.0] * (stop + 1)  # suffix sums of the cheapest costs
+    for i in range(stop - 1, -1, -1):
+        tails[i] = tails[i + 1] + decisions[i][2][0][0]
+    path: list[int] = []
+    best_cost = inf
+    best_path: Optional[list[int]] = None
+    nodes = 0
 
-    def __init__(self, decisions: list[tuple[int, int, list[float]]], lows: list[float],
-                 busy_until: list[int], start: int, stop: int,
-                 node_budget: Optional[int]):
-        self.decisions = decisions  # (step, busy end, weights) per decision
-        self.busy_until = busy_until
-        self.places = range(1, len(busy_until))
-        self.start = start
-        self.stop = stop
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.exhausted = False
-        self.best_cost: Optional[float] = None
-        self.best_path: Optional[list[int]] = None
-        self.path: list[int] = []
-        # suffix of per-decision minima, indexed from the window start
-        self.suffix = [0.0] * (stop - start + 1)
-        for i in range(stop - 1, start - 1, -1):
-            self.suffix[i - start] = self.suffix[i - start + 1] + lows[i]
-
-    def run(self) -> None:
-        previous = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(previous, 10000, 4 * (self.stop - self.start) + 1000))
-        try:
-            self._rec(self.start, 0.0)
-        finally:
-            sys.setrecursionlimit(previous)
-
-    def _rec(self, i: int, g: float) -> None:
-        if self.exhausted:
-            return
-        if i == self.stop:
-            if (self.best_cost is None or g < self.best_cost
-                    or (g == self.best_cost and self.path < self.best_path)):
-                self.best_cost = g
-                self.best_path = list(self.path)
-            return
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            self.exhausted = True
-            return
-        t, end, w = self.decisions[i]
-        busy_until = self.busy_until
-        children = sorted((p for p in self.places if busy_until[p] <= t + 1),
-                          key=lambda p: (w[p - 1], p))
-        tail = self.suffix[i - self.start + 1]
-        for p in children:
-            g2 = g + w[p - 1]
-            if self.best_cost is not None and g2 + tail > self.best_cost:
-                break  # children are cost-sorted; the rest only get worse
+    def rec(i: int, g: float) -> bool:  # True once the budget has run out
+        nonlocal best_cost, best_path, nodes
+        if i == stop:
+            if g < best_cost or (g == best_cost and path < best_path):
+                best_cost, best_path = g, list(path)
+            return False
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return True
+        t, end, order = decisions[i]
+        tail = tails[i + 1]
+        for c, p in order:
             saved = busy_until[p]
+            if saved > t + 1:
+                continue  # still busy when the decision's interval begins
+            g2 = g + c
+            if g2 + tail > best_cost:
+                break  # the order is cost-sorted; the rest only get worse
             busy_until[p] = end
-            self.path.append(p)
-            self._rec(i + 1, g2)
-            self.path.pop()
+            path.append(p)
+            exhausted = rec(i + 1, g2)
+            path.pop()
             busy_until[p] = saved
-            if self.exhausted:
-                return
+            if exhausted:
+                return True
+        return False
+
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous, 10000, 4 * stop + 1000))
+    try:
+        exhausted = rec(0, 0.0)
+    finally:
+        sys.setrecursionlimit(previous)
+    return best_cost, best_path, nodes, exhausted
 
 
 def _solve_windows(inst: Instance, window_size: int,
@@ -164,8 +158,10 @@ def _solve_windows(inst: Instance, window_size: int,
     weights = decision_weights(inst, params)
     steps = departure_schedule(inst).steps
     decision_steps = params.decision_steps
-    decisions = [(t, steps[t].busy_end, weights[t]) for t in decision_steps]
-    lows = [min(w) for _, _, w in decisions]
+    # each distinct cost row ranked once, as (cost, place) pairs
+    rows = {id(w): w for w in weights.values()}
+    orders = {key: sorted(zip(w, range(1, len(w) + 1))) for key, w in rows.items()}
+    decisions = [(t, steps[t].busy_end, orders[id(weights[t])]) for t in decision_steps]
     busy_until = [0, *params.initial_busy_end]
     actions = [NO_OP] * inst.horizon
     cost = params.base_cost
@@ -174,20 +170,21 @@ def _solve_windows(inst: Instance, window_size: int,
     start = 0
     for t0 in range(0, inst.horizon, window_size):
         stop = bisect_left(decision_steps, t0 + window_size)
-        search = _Search(decisions, lows, busy_until, start, stop, node_budget)
-        search.run()
-        if search.best_cost is None:
+        window = decisions[start:stop]
+        best_cost, best_path, searched, exhausted = _search(window, busy_until, node_budget)
+        if best_path is None:
             raise BudgetExceededError("node budget exhausted before any solution was found")
-        nodes += search.nodes
-        optimal = optimal and not search.exhausted
-        cost += search.best_cost
-        for (t, end, _), p in zip(decisions[start:stop], search.best_path):
+        nodes += searched
+        optimal = optimal and not exhausted
+        cost += best_cost
+        for (t, end, _), p in zip(window, best_path):
             actions[t] = p
             busy_until[p] = end
         start = stop
-    # the place-disjointness relaxation, summed back to front like _Search.suffix
+    # the place-disjointness relaxation, summed back to front like the tails
+    relaxed = sum(order[0][0] for _, _, order in reversed(decisions))
     return SolveResult(actions=actions, cost=cost, optimal=optimal, nodes=nodes,
-                       lower_bound=params.base_cost + sum(reversed(lows)))
+                       lower_bound=params.base_cost + relaxed)
 
 
 def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> SolveResult:

@@ -362,6 +362,8 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> In
     symmetric Dirichlet, so a few dozen pods dominate the demand of every
     season and the dominant set changes completely between seasons.
     """
+    if epoch < 1:
+        raise ValueError(f"epoch must be >= 1, got {epoch}")
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
     alpha = [SEASONAL_CONCENTRATION] * MEDIUM_N_PODS
 

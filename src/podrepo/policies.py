@@ -6,9 +6,11 @@ A policy is a callable ``decide(replay) -> place`` that
 no-op on fill steps itself); every returned place is admissible by
 construction.  The greedy policies scan cost levels: one static mask of
 places per distinct cost, best cost first, ANDed with the replay's
-admissible mask.  Ties between equally cheap places are always broken by
-the smallest place id so replays are reproducible: that is the lowest set
-bit within a level.
+admissible mask.  Each keeps one map from a decision's (from-station,
+next-station) key to its levels, built with the policy, so a decision is
+one lookup and one scan.  Ties between equally cheap places are always
+broken by the smallest place id so replays are reproducible: that is the
+lowest set bit within a level.
 """
 
 from __future__ import annotations
@@ -67,24 +69,15 @@ def decision_cost_table(inst: Instance) -> DecisionCosts:
             for s_from in stations for s_to in (*stations, None)}
 
 
-def cost_levels(row: list[float], n_places: int, dearest: bool = False) -> list[int]:
-    """The places ``1..n_places`` grouped by their cost in ``row``: one mask
-    per distinct cost, bit ``p`` set in the mask of ``row[p]``, cheapest cost
-    first, or dearest first."""
+def cost_levels(row: list[float], n_places: int) -> tuple[list[float], list[int]]:
+    """The places ``1..n_places`` grouped by their cost in ``row``: the
+    distinct costs in ascending order, and per cost the mask of its places
+    (bit ``p`` set when ``row[p]`` is that cost)."""
     masks: dict[float, int] = {}
     for p in range(1, n_places + 1):
         masks[row[p]] = masks.get(row[p], 0) | 1 << p
-    return [masks[c] for c in sorted(masks, reverse=dearest)]
-
-
-def first_free(replay: Replay, levels: list[int]) -> int:
-    """The smallest admissible place of the first level that has one."""
-    admissible = replay.admissible_bits()
-    for level in levels:
-        hit = admissible & level
-        if hit:
-            return (hit & -hit).bit_length() - 1
-    raise ValueError("the cost levels cover no admissible place")
+    costs = sorted(masks)
+    return costs, [masks[c] for c in costs]
 
 
 class RandomPolicy:
@@ -115,29 +108,31 @@ class CheapestPolicy:
 
     ``to-storage`` uses only the return leg, ``avg`` ranks places by their
     average round-trip cost, ``decision`` adds the known next-destination leg.
+    ``levels`` maps each decision's (from-station, next-station) key to the
+    cost levels of its row: the ``(s, None)`` row for ``to-storage``, the
+    average-cost row for ``avg``.
     """
 
     def __init__(self, inst: Instance, variant: str = CHEAPEST_DECISION):
         if variant not in (CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE, CHEAPEST_DECISION):
             raise ValueError(f"unknown cheapest-place variant: {variant}")
-        self.variant = variant
-        n = inst.n_places
-        if variant == CHEAPEST_ON_AVERAGE:
+        rows = decision_cost_table(inst)
+        if variant == CHEAPEST_TO_STORAGE:
+            rows = {(s, to): rows[(s, None)] for s, to in rows}
+        elif variant == CHEAPEST_ON_AVERAGE:
             # place-indexed like the decision rows
-            self._avg_levels = cost_levels([0.0] + avg_costs(inst), n)
-        else:
-            self.levels = {key: cost_levels(row, n)
-                           for key, row in decision_cost_table(inst).items()}
+            rows = dict.fromkeys(rows, [0.0] + avg_costs(inst))
+        self.levels = {key: cost_levels(row, inst.n_places)[1] for key, row in rows.items()}
 
     def __call__(self, replay: Replay) -> int:
+        """The smallest admissible place of the first level that has one."""
         info = replay.current
-        if self.variant == CHEAPEST_TO_STORAGE:
-            levels = self.levels[(info.station, None)]
-        elif self.variant == CHEAPEST_ON_AVERAGE:
-            levels = self._avg_levels
-        else:
-            levels = self.levels[(info.station, info.return_next_station)]
-        return first_free(replay, levels)
+        admissible = replay.admissible_bits()
+        for level in self.levels[(info.station, info.return_next_station)]:
+            hit = admissible & level
+            if hit:
+                return (hit & -hit).bit_length() - 1
+        raise ValueError("the cost levels cover no admissible place")
 
 
 def station_frequencies(inst: Instance) -> tuple[list[list[int]], list[list[int]]]:

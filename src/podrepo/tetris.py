@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (Instance, OccupationInterval, Replay, departure_schedule,
                    occupation_intervals, require_zero_terminal)
-from .policies import cost_levels, decision_cost_table, first_free
+from .policies import CheapestPolicy, cost_levels, decision_cost_table
 
 SORT_FREQUENCY = "frequency"
 SORT_DURATION = "duration"
@@ -30,16 +30,16 @@ _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 class MostExpensivePlacePolicy:
     """Reverse cheapest-place on the instance it was built for: argmax of the
-    decision cost, ties to the smallest place id."""
+    decision cost, ties to the smallest place id.  It scans the decision
+    cost levels dearest first, with the cheapest-place policy's scan;
+    ``ranks`` keeps each row's :func:`cost_levels`, ascending."""
 
     def __init__(self, inst: Instance):
         self.table = decision_cost_table(inst)
-        self.levels = {key: cost_levels(row, inst.n_places, dearest=True)
-                       for key, row in self.table.items()}
+        self.ranks = {key: cost_levels(row, inst.n_places) for key, row in self.table.items()}
+        self.levels = {key: masks[::-1] for key, (_, masks) in self.ranks.items()}
 
-    def __call__(self, replay: Replay) -> int:
-        info = replay.current
-        return first_free(replay, self.levels[(info.station, info.return_next_station)])
+    __call__ = CheapestPolicy.__call__
 
 
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
@@ -64,12 +64,7 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     else:
         movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
 
-    # per (from, to) combination: its distinct costs and their place masks,
-    # both ascending, the start policy's levels in reverse
-    table = start.table
-    ranks = {key: (sorted(set(row[1:])), start.levels[key][::-1])
-             for key, row in table.items()}
-
+    table, ranks = start.table, start.ranks
     # the candidates are the strictly cheaper levels; the first one with a
     # place whose bit is clear in the OR of the occupancy over [begin, end)
     # takes the interval, on its smallest such place

@@ -236,6 +236,25 @@ class TestChart:
         assert main(["chart", str(tiny_path), str(bad),
                      "--out", str(out)]) == EXIT_CONFIG
 
+    def test_hostile_action_file_rejected(self, tiny_path, tmp_path, capsys):
+        inst = load_instance(tiny_path)
+        hostile = tmp_path / "hostile.json"
+        hostile.write_text(json.dumps([1.9] + [0] * (inst.horizon - 1)))
+        out = tmp_path / "chart.svg"
+        assert main(["chart", str(tiny_path), str(hostile),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "error: actions must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_window_writes_no_file(self, tiny_path, tmp_path):
+        actions = tmp_path / "actions.json"
+        assert main(["solve", str(tiny_path), "--exact",
+                     "--actions-out", str(actions)]) == EXIT_OK
+        out = tmp_path / "chart.svg"
+        assert main(["chart", str(tiny_path), str(actions), "--from", "5",
+                     "--to", "3", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestStudy:
     def test_uniformity_report(self, tmp_path):
@@ -252,3 +271,8 @@ class TestStudy:
                      "--epoch", "100", "--out", str(out)]) == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_seasonal_epoch_below_one_refused(self, capsys):
+        assert main(["study", "seasonal", "--seeds", "1", "--steps", "100",
+                     "--epoch", "0"]) == EXIT_CONFIG
+        assert "error: epoch must be >= 1" in capsys.readouterr().err

@@ -4,6 +4,7 @@ The replay engine is checked against the functional reference model in
 ``reference.py``.
 """
 
+import json
 import math
 from dataclasses import fields, replace
 
@@ -386,6 +387,15 @@ class TestSerialization:
         path = tmp_path / "actions.json"
         save_actions(replay.actions, path)
         assert load_actions(path) == replay.actions
+
+    @pytest.mark.parametrize("doc", [[1.9, True, "3", 0], [1, 2.0], [None],
+                                     {"actions": [1, 0]}, 3])
+    def test_hostile_action_file_rejected(self, tmp_path, doc):
+        # a lenient reader would load [1.9, true, "3", 0] as [1, 1, 3, 0]
+        path = tmp_path / "actions.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInstanceError):
+            load_actions(path)
 
     def test_small_system_roundtrip(self, tmp_path):
         inst = build_small_system(seed=1, n=50)

@@ -289,6 +289,11 @@ class TestStudies:
         c = harness.plain_medium_instance(3, n=400)
         assert c.departures != a.departures
 
+    @pytest.mark.parametrize("epoch", [0, -5])
+    def test_seasonal_epoch_below_one_refused(self, epoch):
+        with pytest.raises(ValueError, match="epoch"):
+            harness.seasonal_study(range(1), n=300, epoch=epoch)
+
     def test_seasonal_study_reverifies_tetris_costs(self, monkeypatch):
         run = harness.tetris.tetris
 
