@@ -222,6 +222,15 @@ class TestEvolve:
         assert result.generations == 10
         assert result.evaluations == 1100
 
+    def test_genetic2_zigzag_result_pinned(self):
+        result = evolve(build_small_system(1, n=1000), GENETIC2, GAMMA_ZIGZAG,
+                        config=GaConfig(seed=1, max_generations=10))
+        assert result.cost == 17822
+        assert result.history[-3:] == [17932, 17902, 17822]
+        assert result.generations == 10
+        assert result.evaluations == 1100
+        assert result.infeasible_evaluations == 0
+
     def test_genetic2_never_infeasible(self):
         inst = build_small_system(n=120)
         result = evolve(inst, GENETIC2,

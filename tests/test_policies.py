@@ -74,6 +74,10 @@ class TestRandomPolicy:
         assert result.cost == 5387.0
         assert _digest(result.actions) == (
             "a3189114ae55d1c9cc12acc83c8d4cf35d43d76937621b720ca757f05060ab79")
+        assert result.history == [5387.0] * 3
+        assert result.generations == 3
+        assert result.evaluations == 400
+        assert result.infeasible_evaluations == 294
 
 
 def _digest(actions):
