@@ -34,7 +34,7 @@ def cli() -> None:
 @click.option("--system", type=click.Choice(["small", "medium", "tiny"]),
               default="small", show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--steps", "n", type=int, default=None,
+@click.option("--steps", "n", type=click.IntRange(min=0), default=None,
               help="Horizon length; defaults to the system's standard horizon.")
 @click.option("--regime", type=click.Choice(list(instances.REGIMES)),
               default=instances.REGIME_RANDOM_GEOMETRIC, show_default=True,
@@ -154,11 +154,14 @@ def chart(instance: str, actions: str, t_from: int, t_to: int, out: str,
           trace_csv: str) -> None:
     """Render the storage-area chart of a replay as SVG."""
     inst = load_instance(instance)
+    if t_to is None:
+        t_to = inst.horizon + 1
+    # a feasible plan's trace has horizon + 1 snapshots: refuse before replaying
+    if not 0 <= t_from < t_to <= inst.horizon + 1:
+        raise ValueError("chart window outside the trace")
     acts = load_actions(actions)
     cost = total_cost(inst, acts)  # an infeasible plan raises here
     trace = chartmod.record_trace(inst, acts)
-    if t_to is None:
-        t_to = len(trace.snapshots)
     chartmod.emit_chart(trace, chartmod.ChartSpec(t_from=t_from, t_to=t_to), out)
     if trace_csv:
         chartmod.emit_trace_csv(trace, trace_csv)

@@ -537,9 +537,20 @@ def _cost_table(rows, what: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(c) for c in row) for row in table)
 
 
+# every top-level field of an instance document but the optional terminal_cost
+_INSTANCE_FIELDS = ("pods", "places", "stations", "cost_to_station",
+                    "cost_from_station", "initial_storage", "initial_queues",
+                    "departures")
+
+
 def instance_from_dict(doc: dict) -> Instance:
-    """Parse an instance document; a malformed field raises
-    ``InvalidInstanceError`` naming it."""
+    """Parse an instance document; a document that is not an object, or a
+    missing or malformed field, raises ``InvalidInstanceError`` naming it."""
+    if type(doc) is not dict:
+        raise InvalidInstanceError(f"an instance document is an object, not {type(doc).__name__}")
+    missing = [f for f in _INSTANCE_FIELDS if f not in doc]
+    if missing:
+        raise InvalidInstanceError(f"instance document lacks {', '.join(missing)}")
     _ints((s["id"] for s in doc["stations"]), "station ids")
     stations = sorted(doc["stations"], key=lambda s: s["id"])
     if [s["id"] for s in stations] != list(range(1, len(stations) + 1)):

@@ -1,26 +1,26 @@
 """Genetic solvers.
 
-Two encodings: raw places per time step (may decode to an infeasible replay)
-and free-place indices under a place order gamma (total by construction --
-every gene vector decodes to a feasible action sequence).  Operators follow
-a plain generational scheme with the paper's fixed settings: tournament
-selection of ``TOURNAMENT_SIZE``, two-point crossover at rate
-``CROSSOVER_RATE``, per-gene mutation with ``MUTATIONS_PER_CHROMOSOME``
-expected mutations per chromosome, elitism of one, and a stop after a fixed
-number of stall generations.
+Two encodings: genetic-1's raw places per time step, a plan scored by
+``total_cost`` (``INFEASIBLE`` when the replay refuses it), and genetic-2's
+free-place indices under a place order gamma, decoded a population at a time
+by ``_decode2_batch`` (total by construction -- every gene vector decodes to
+a feasible action sequence).  Operators follow a plain generational scheme
+with the paper's fixed settings: tournament selection of ``TOURNAMENT_SIZE``,
+two-point crossover at rate ``CROSSOVER_RATE``, per-gene mutation with
+``MUTATIONS_PER_CHROMOSOME`` expected mutations per chromosome, elitism of
+one, and a stop after a fixed number of stall generations.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NO_OP, REASON_LENGTH, InfeasibleActionError, Instance,
-                   Replay, departure_schedule, require_zero_terminal)
+from .core import (NO_OP, InfeasibleActionError, Instance, Replay,
+                   departure_schedule, require_zero_terminal, total_cost)
 from .instances import rng_from_seed
 from .policies import RandomPolicy, avg_costs
 
@@ -33,6 +33,7 @@ GAMMA_ZIGZAG = "zigzag"
 GAMMA_AVG_COST = "avg-cost"
 
 INFEASIBLE = math.inf
+_PlanOf = Callable[[int], list[int]]  # an individual's index -> its plan
 
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
@@ -123,27 +124,6 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
     return total, actions
 
 
-def decode2(inst: Instance, genes: Sequence[int], gamma: Sequence[int]) -> list[int]:
-    """Decode free-place indices into actions by co-simulating the game.
-
-    Genes are reduced modulo the admissible-set size with Python's ``%``, so
-    decoding is total; fill-phase genes are ignored.  A gene list shorter
-    than the horizon decodes that prefix; a longer one raises a
-    ``length-mismatch`` :class:`InfeasibleActionError`, and a gene outside
-    the int64 range raises ``ValueError``.
-    """
-    if len(genes) > inst.horizon:
-        raise InfeasibleActionError(inst.horizon, REASON_LENGTH,
-                                    f"{len(genes)} genes for {inst.horizon} steps")
-    row = [operator.index(g) for g in genes]
-    bounds = np.iinfo(np.int64)
-    for i, g in enumerate(row):
-        if not bounds.min <= g <= bounds.max:
-            raise ValueError(f"gene {g} at index {i} is outside the int64 range")
-    one_row = np.array(row, dtype=np.int64).reshape(1, len(row))
-    return _decode2_batch(inst, one_row, gamma)[1][0].tolist()
-
-
 @dataclass
 class GaConfig:
     population: int = 100
@@ -166,63 +146,50 @@ class GaResult:
         return self.infeasible_evaluations / max(self.evaluations, 1)
 
 
-class _Evaluator:
-    """Fitness of a whole population: the replayed total cost, infinity
-    sentinel for infeasible genetic-1 decodes.  Returns the fitness list and
-    a function from an individual's index to its actions."""
-
-    def __init__(self, inst: Instance, encoding: str, gamma: Optional[Sequence[int]]):
-        self.inst = inst
-        self.encoding = encoding
-        self.gamma = gamma
-        self.evaluations = 0
-        self.infeasible = 0
-
-    def __call__(self, population: list[list[int]]
-                 ) -> tuple[list[float], Callable[[int], Optional[list[int]]]]:
-        self.evaluations += len(population)
-        if self.encoding == GENETIC2:
-            genes = np.array(population, dtype=np.int64).reshape(
-                len(population), self.inst.horizon)
-            totals, actions = _decode2_batch(self.inst, genes, self.gamma)
-            return totals.tolist(), lambda i: actions[i].tolist()
-        fitness: list[float] = []
-        plans: list[Optional[list[int]]] = []
-        for genes in population:
-            replay = Replay(self.inst)
-            try:
-                for gene in genes:
-                    replay.step(gene)
-            except InfeasibleActionError:
-                self.infeasible += 1
-                fitness.append(INFEASIBLE)
-                plans.append(None)
-            else:
-                fitness.append(replay.total)
-                plans.append(replay.actions)
-        return fitness, plans.__getitem__
-
-
 def evolve(inst: Instance, encoding: str = GENETIC2,
            gamma_name: str = GAMMA_AVG_COST,
            config: Optional[GaConfig] = None) -> GaResult:
     """Generational GA; returns the best feasible individual found, with the
-    per-generation best-cost history (zero terminal cost only)."""
+    per-generation best-cost history (zero terminal cost only).
+
+    Each encoding binds its random individual, its population fitness and
+    its gene range once, above the shared loop.  An empty horizon gives the
+    empty plan at cost 0.
+    """
     require_zero_terminal(inst)
     if encoding not in (GENETIC1, GENETIC2):
         raise ValueError(f"unknown encoding: {encoding}")
     cfg = config or GaConfig()
     n = inst.horizon
     rng = rng_from_seed(cfg.seed)
-    gamma = place_order(inst, gamma_name) if encoding == GENETIC2 else None
-    evaluate = _Evaluator(inst, encoding, gamma)
-    mutation_rate = MUTATIONS_PER_CHROMOSOME / n
+    if encoding == GENETIC2:
+        gamma = place_order(inst, gamma_name)
+        low = 0  # genes are free-place indices
 
-    def random_individual() -> list[int]:
-        if encoding == GENETIC2:
+        def random_individual() -> list[int]:
             return rng.integers(0, inst.n_places, size=n).tolist()
-        policy = RandomPolicy(seed=int(rng.integers(2 ** 62)))
-        return Replay(inst).run(policy).actions
+
+        def fitness_of(population: list[list[int]]) -> tuple[list[float], _PlanOf]:
+            totals, plans = _decode2_batch(inst, np.array(population, dtype=np.int64), gamma)
+            return totals.tolist(), lambda i: plans[i].tolist()
+    else:
+        low = 1  # genes are place ids
+
+        def random_individual() -> list[int]:
+            policy = RandomPolicy(seed=int(rng.integers(2 ** 62)))
+            return Replay(inst).run(policy).actions
+
+        def cost(plan: list[int]) -> float:
+            try:
+                return total_cost(inst, plan)
+            except InfeasibleActionError:
+                return INFEASIBLE
+
+        def fitness_of(population: list[list[int]]) -> tuple[list[float], _PlanOf]:
+            return [cost(plan) for plan in population], population.__getitem__
+    if n == 0:
+        return GaResult(actions=[], cost=0.0)
+    mutation_rate = MUTATIONS_PER_CHROMOSOME / n
 
     def mutate(genes: list[int]) -> list[int]:
         mask = rng.random(n) < mutation_rate
@@ -230,10 +197,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
             return genes
         out = list(genes)
         for i in np.flatnonzero(mask):
-            if encoding == GENETIC2:
-                out[i] = int(rng.integers(0, inst.n_places))
-            else:
-                out[i] = int(rng.integers(1, inst.n_places + 1))
+            out[i] = int(rng.integers(low, low + inst.n_places))
         return out
 
     def crossover(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -242,22 +206,23 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         i, j = sorted(int(x) for x in rng.integers(0, n, size=2))
         return (a[:i] + b[i:j] + a[j:], b[:i] + a[i:j] + b[j:])
 
-    best_genes = None
+    best_genes = best_plan = None
     best_fitness = INFEASIBLE
-    best_actions: Optional[list[int]] = None
+    infeasible = 0
 
     def evaluate_all(population: list[list[int]]) -> tuple[list[float], bool]:
         """Fitness of ``population``, and whether its first cheapest
         individual beat the best so far and became the new best."""
-        nonlocal best_genes, best_fitness, best_actions
-        fitness, actions_of = evaluate(population)
+        nonlocal best_genes, best_plan, best_fitness, infeasible
+        fitness, plan_of = fitness_of(population)
+        infeasible += fitness.count(INFEASIBLE)
         best = None
         for i, f in enumerate(fitness):
             if f < best_fitness:
                 best_fitness, best = f, i
         if best is None:
             return fitness, False
-        best_genes, best_actions = population[best], actions_of(best)
+        best_genes, best_plan = population[best], plan_of(best)
         return fitness, True
 
     population = [random_individual() for _ in range(cfg.population)]
@@ -285,8 +250,10 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         fitness, improved = evaluate_all(population)
         history.append(best_fitness)
         stall = 0 if improved else stall + 1
-    if best_actions is None:
+    if best_plan is None:
         raise RuntimeError("no feasible individual was ever evaluated")
-    return GaResult(actions=best_actions, cost=best_fitness, history=history,
-                    generations=generation, evaluations=evaluate.evaluations,
-                    infeasible_evaluations=evaluate.infeasible)
+    # every evaluation scores one whole population
+    return GaResult(actions=best_plan, cost=best_fitness, history=history,
+                    generations=generation,
+                    evaluations=cfg.population * (generation + 1),
+                    infeasible_evaluations=infeasible)

@@ -7,7 +7,7 @@ import pytest
 
 from podrepo import exact, harness
 from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_UNVERIFIED, main
-from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance,
+from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance, Replay,
                           load_actions, load_instance, save_instance)
 from podrepo.harness import build_tiny_random
 from podrepo.instances import build_small_system
@@ -64,6 +64,11 @@ class TestGen:
 
     def test_bad_flag_is_config_error(self):
         assert main(["gen", "--system", "giant", "--out", "x.json"]) == EXIT_CONFIG
+
+    def test_negative_steps_refused(self, tmp_path):
+        out = tmp_path / "neg.json"
+        assert main(["gen", "--steps", "-5", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestRun:
@@ -151,6 +156,16 @@ class TestRun:
         bad.write_text(json.dumps(doc))
         assert main(["run", str(bad)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "error: an instance document is an object, not list"),
+        ({"pods": 3}, "error: instance document lacks places, stations,"),
+    ], ids=["list", "pods-only"])
+    def test_hostile_document_is_named(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "hostile.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 class TestCompare:
@@ -254,6 +269,22 @@ class TestChart:
         assert main(["chart", str(tiny_path), str(actions), "--from", "5",
                      "--to", "3", "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("window", [["--from", "5", "--to", "3"],
+                                        ["--to", "999"], ["--from", "999"]])
+    def test_refused_window_runs_no_replay(self, tiny_path, tmp_path,
+                                           monkeypatch, capsys, window):
+        actions = tmp_path / "actions.json"
+        assert main(["solve", str(tiny_path), "--exact",
+                     "--actions-out", str(actions)]) == EXIT_OK
+        replays = []
+        init = Replay.__init__
+        monkeypatch.setattr(Replay, "__init__",
+                            lambda self, inst: replays.append(inst) or init(self, inst))
+        assert main(["chart", str(tiny_path), str(actions), *window,
+                     "--out", str(tmp_path / "chart.svg")]) == EXIT_CONFIG
+        assert "chart window outside the trace" in capsys.readouterr().err
+        assert replays == []
 
 
 class TestStudy:

@@ -472,6 +472,25 @@ class TestHostileInstanceFiles:
         with pytest.raises(InvalidInstanceError):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [[1, 2], "instance", 3, None])
+    def test_non_object_document(self, doc):
+        with pytest.raises(InvalidInstanceError, match="an instance document is an object"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["pods", "places", "stations", "cost_to_station",
+                                       "cost_from_station", "initial_storage",
+                                       "initial_queues", "departures"])
+    def test_missing_field_is_named(self, field):
+        doc = self.doc()
+        del doc[field]
+        with pytest.raises(InvalidInstanceError, match=f"lacks {field}$"):
+            instance_from_dict(doc)
+
+    def test_terminal_cost_is_optional(self):
+        doc = self.doc()
+        del doc["terminal_cost"]
+        assert instance_from_dict(doc) == harness.build_tiny_random(5)
+
     def test_programmatic_nan_cost_rejected(self):
         costs = CostModel(to_station=((float("nan"),),), from_station=((1.0,),))
         with pytest.raises(InvalidInstanceError):

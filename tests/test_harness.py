@@ -67,6 +67,11 @@ class TestRunPolicy:
         assert len(actions) == inst.horizon
         assert wall >= 0.0
 
+    @pytest.mark.parametrize("name", harness.POLICY_PARAMETERS)
+    def test_empty_horizon(self, name):
+        actions, cost, _ = harness.run_policy(build_small_system(1, n=0), name)
+        assert (actions, cost) == ([], 0.0)
+
     def test_exact_on_tiny(self):
         inst = harness.build_tiny_random(1)
         _, brute_cost = harness.brute_force_optimum(inst)
