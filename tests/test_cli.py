@@ -292,16 +292,20 @@ class TestStudy:
         out = tmp_path / "uniformity.csv"
         assert main(["study", "uniformity", "--seeds", "2",
                      "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "regime,mean_ratio"
-        assert len(lines) == 5
+        assert out.read_text() == ("regime,mean_ratio\n"
+                                   "random-geometric,1.054069767\n"
+                                   "random-uniform,1.027994067\n"
+                                   "periodic-random,1.026595745\n"
+                                   "periodic,1.000000000\n")
 
     def test_seasonal_report(self, tmp_path):
         out = tmp_path / "seasonal.csv"
         assert main(["study", "seasonal", "--seeds", "2", "--steps", "400",
                      "--epoch", "100", "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3
+        assert out.read_text() == (
+            "seed,seasonal_frequency,seasonal_duration,plain_frequency,plain_duration\n"
+            "0,10561.000000,10799.000000,11752.000000,12409.000000\n"
+            "1,10927.000000,11016.000000,11521.000000,12354.000000\n")
 
     def test_seasonal_epoch_below_one_refused(self, capsys):
         assert main(["study", "seasonal", "--seeds", "1", "--steps", "100",
