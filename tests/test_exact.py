@@ -257,6 +257,12 @@ class TestModelExport:
         rows = text.partition("Subject To\n")[2].partition("Binary\n")[0]
         assert all(row.startswith((" assign_", " place_")) for row in rows.splitlines())
 
+    def test_small_system_export_pinned(self, tmp_path):
+        path = tmp_path / "model.lp"
+        export_bip(build_small_system(1, n=1000), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "05126ec05a1265d35f593994d77dfe4f8f144f20eb197ce5c42c52e566dd35f0")
+
     def test_refuses_return_all_pods(self, tmp_path):
         """The model has no terminal-cost term, like the solvers."""
         inst = harness.build_tiny_random(0)
