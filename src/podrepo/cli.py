@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 infeasible input or configuration error, 2 search
-budget exceeded, 3 a reported cost that its verification replay does not
-reproduce.
+Exit codes: 0 success, 1 infeasible input or configuration error, 2 a search
+budget exceeded or an LP export refused as too large, 3 a reported cost that
+its verification replay does not reproduce.
 """
 
 from __future__ import annotations

@@ -43,7 +43,8 @@ class InvalidInstanceError(GameError):
 
 
 class BudgetExceededError(Exception):
-    """A search refused to start or ran out of budget before any solution."""
+    """A search or an export refused to start, or a search ran out of budget
+    before any solution."""
 
 
 class InfeasibleActionError(GameError):
@@ -527,9 +528,16 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _list(value, what: str) -> list:
+    """``value``, which must be a list (a JSON array)."""
+    if type(value) is not list:
+        raise InvalidInstanceError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _cost_table(rows, what: str) -> tuple[tuple[float, ...], ...]:
     """``rows`` as a float table; each entry must be a finite int or float."""
-    table = tuple(tuple(row) for row in rows)
+    table = tuple(tuple(_list(row, f"{what} rows")) for row in _list(rows, what))
     for row in table:
         for c in row:
             if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:
@@ -551,12 +559,18 @@ def instance_from_dict(doc: dict) -> Instance:
     missing = [f for f in _INSTANCE_FIELDS if f not in doc]
     if missing:
         raise InvalidInstanceError(f"instance document lacks {', '.join(missing)}")
-    _ints((s["id"] for s in doc["stations"]), "station ids")
-    stations = sorted(doc["stations"], key=lambda s: s["id"])
+    stations = _list(doc["stations"], "stations")
+    if not all(type(s) is dict and s.keys() >= {"id", "capacity"} for s in stations):
+        raise InvalidInstanceError("stations entries must be objects with id and capacity")
+    _ints((s["id"] for s in stations), "station ids")
+    stations = sorted(stations, key=lambda s: s["id"])
     if [s["id"] for s in stations] != list(range(1, len(stations) + 1)):
         raise InvalidInstanceError("station ids must be 1..n")
     n_pods, n_places = _ints((doc["pods"], doc["places"]), "pod and place counts")
-    departures = tuple((h, s) for h, s in doc["departures"])
+    departures = tuple(tuple(_list(d, "departures entries"))
+                       for d in _list(doc["departures"], "departures"))
+    if any(len(d) != 2 for d in departures):
+        raise InvalidInstanceError("departures entries must be [pod, station] pairs")
     _ints(chain.from_iterable(departures), "departure pods and stations")
     inst = Instance(
         n_pods=n_pods,
@@ -567,9 +581,10 @@ def instance_from_dict(doc: dict) -> Instance:
             from_station=_cost_table(doc["cost_from_station"], "cost_from_station"),
             terminal=doc.get("terminal_cost", TERMINAL_ZERO),
         ),
-        initial_storage=tuple(h if h != 0 else None
-                              for h in _ints(doc["initial_storage"], "initial_storage pods")),
-        initial_queues=tuple(_ints(q, "initial_queues pods") for q in doc["initial_queues"]),
+        initial_storage=tuple(h if h != 0 else None for h in _ints(
+            _list(doc["initial_storage"], "initial_storage"), "initial_storage pods")),
+        initial_queues=tuple(_ints(_list(q, "initial_queues entries"), "initial_queues pods")
+                             for q in _list(doc["initial_queues"], "initial_queues")),
         departures=departures,
     )
     validate_instance(inst)

@@ -28,9 +28,16 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional
 
+import numpy as np
+
 from .core import (NO_OP, BudgetExceededError, Instance, departure_schedule,
                    initial_busy_ends, require_zero_terminal)
 from .policies import decision_cost_table
+
+
+# the most place-row terms export_bip writes: the small system's 1000 steps
+# take about 60 thousand, the medium system's 20000 steps billions
+EXPORT_TERM_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -217,11 +224,22 @@ def export_bip(inst: Instance, path) -> None:
     ``x_t_p`` sum to at most 1, or to 0 while the initial pod holds ``p``;
     rows that only say ``x <= 1`` are left out.  The objective omits the
     constant ``base_cost``, noted in a comment.  Like the solvers, it refuses
-    a non-zero terminal cost."""
+    a non-zero terminal cost; it raises :class:`BudgetExceededError` before
+    building any text when its place rows would hold more than
+    ``EXPORT_TERM_CAP`` terms."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
-    weights = decision_weights(inst, params)
     steps = departure_schedule(inst).steps
+    # decision i's place rows hold x_i_p and the i earlier decisions less
+    # those whose interval ended by t_i + 1 (a later one cannot end by then)
+    begins = np.array(params.decision_steps) + 1
+    ends = np.sort([steps[t].busy_end for t in params.decision_steps])
+    alive = np.arange(len(begins)) - np.searchsorted(ends, begins, side="right")
+    terms = inst.n_places * int(alive.sum() + len(begins))
+    if terms > EXPORT_TERM_CAP:
+        raise BudgetExceededError(f"about {terms} place-row terms exceed the "
+                                  f"export cap {EXPORT_TERM_CAP}")
+    weights = decision_weights(inst, params)
     places = range(1, inst.n_places + 1)
     lines = [
         "\\ pod repositioning placement model",

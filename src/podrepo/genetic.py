@@ -5,10 +5,11 @@ Two encodings: genetic-1's raw places per time step, a plan scored by
 free-place indices under a place order gamma, decoded a population at a time
 by ``_decode2_batch`` (total by construction -- every gene vector decodes to
 a feasible action sequence).  Operators follow a plain generational scheme
-with the paper's fixed settings: tournament selection of ``TOURNAMENT_SIZE``,
-two-point crossover at rate ``CROSSOVER_RATE``, per-gene mutation with
-``MUTATIONS_PER_CHROMOSOME`` expected mutations per chromosome, elitism of
-one, and a stop after a fixed number of stall generations.
+with the paper's fixed settings: ``POPULATION`` individuals, tournament
+selection of ``TOURNAMENT_SIZE``, two-point crossover at rate
+``CROSSOVER_RATE``, per-gene mutation with ``MUTATIONS_PER_CHROMOSOME``
+expected mutations per chromosome, elitism of one, and a stop after
+``STALL_GENERATIONS`` generations without a new best.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _PlanOf = Callable[[int], list[int]]  # an individual's index -> its plan
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
 MUTATIONS_PER_CHROMOSOME = 3.0
+POPULATION = 100
+STALL_GENERATIONS = 100
 
 
 def place_order(inst: Instance, name: str) -> list[int]:
@@ -126,8 +129,6 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
 
 @dataclass
 class GaConfig:
-    population: int = 100
-    stall_generations: int = 100
     max_generations: Optional[int] = None
     seed: int = 0
 
@@ -225,26 +226,26 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         best_genes, best_plan = population[best], plan_of(best)
         return fitness, True
 
-    population = [random_individual() for _ in range(cfg.population)]
+    population = [random_individual() for _ in range(POPULATION)]
     fitness, _ = evaluate_all(population)
 
     def tournament() -> list[int]:
-        picks = rng.integers(0, cfg.population, size=TOURNAMENT_SIZE)
+        picks = rng.integers(0, POPULATION, size=TOURNAMENT_SIZE)
         winner = min(picks, key=lambda i: (fitness[i], i))
         return population[winner]
 
     history: list[float] = []
     stall = 0
     generation = 0
-    while stall < cfg.stall_generations:
+    while stall < STALL_GENERATIONS:
         if cfg.max_generations is not None and generation >= cfg.max_generations:
             break
         generation += 1
         offspring = [list(best_genes)]  # elitism of one
-        while len(offspring) < cfg.population:
+        while len(offspring) < POPULATION:
             c1, c2 = crossover(tournament(), tournament())
             offspring.append(mutate(c1))
-            if len(offspring) < cfg.population:
+            if len(offspring) < POPULATION:
                 offspring.append(mutate(c2))
         population = offspring
         fitness, improved = evaluate_all(population)
@@ -255,5 +256,5 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
     # every evaluation scores one whole population
     return GaResult(actions=best_plan, cost=best_fitness, history=history,
                     generations=generation,
-                    evaluations=cfg.population * (generation + 1),
+                    evaluations=POPULATION * (generation + 1),
                     infeasible_evaluations=infeasible)

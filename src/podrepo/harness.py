@@ -23,7 +23,7 @@ from .core import (BudgetExceededError, Instance, CostModel, Replay,
                    departure_schedule, require_zero_terminal, terminal_cost,
                    total_cost, validate_instance)
 from .instances import (REGIME_PERIODIC, _draw_pod, _line_system, _pick,
-                        _pod_weight_vector, _station_cdf,
+                        _pod_weight_vector, _station_cdf, REGIMES,
                         co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
                         random_initial_storage, rng_from_seed,
@@ -309,18 +309,22 @@ class UniformityReport:
         return statistics.fmean(self.ratios[regime])
 
 
-def uniformity_study(seeds: Sequence[int], n_pods: int = 6,
-                     n: int = 8) -> UniformityReport:
+UNIFORMITY_N_PODS = 6  # pods and places of the tiny line system
+UNIFORMITY_STEPS = 8
+
+
+def uniformity_study(seeds: Sequence[int]) -> UniformityReport:
     """Compare cheapest-place against the exhaustive optimum on tiny line
-    systems under the four uniformity regimes."""
-    from .instances import REGIMES
+    systems under the four uniformity regimes; :func:`run_policy` re-verifies
+    both costs."""
     report = UniformityReport(ratios={regime: [] for regime in REGIMES})
     for regime in REGIMES:
         for seed in seeds:
-            inst = build_tiny_symmetric(n_pods, regime=regime, seed=seed, n=n)
-            replay = Replay(inst).run(CheapestPolicy(inst, CHEAPEST_DECISION))
-            _, optimum = brute_force_optimum(inst)
-            report.ratios[regime].append(replay.total / optimum if optimum else 1.0)
+            inst = build_tiny_symmetric(UNIFORMITY_N_PODS, regime=regime, seed=seed,
+                                        n=UNIFORMITY_STEPS)
+            cheapest = run_policy(inst, "cheapest:decision")[1]
+            optimum = run_policy(inst, "brute-force")[1]
+            report.ratios[regime].append(cheapest / optimum if optimum else 1.0)
     return report
 
 
@@ -404,20 +408,14 @@ def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
 def seasonal_study(seeds: Sequence[int], n: int = 10000,
                    epoch: int = 2000) -> SeasonalReport:
     """Frequency-sorted vs duration-sorted tetris on seasonal and plain
-    medium-system data, paired by seed.  Every reported cost is re-verified
-    by an independent replay."""
+    medium-system data, paired by seed; :func:`run_policy` re-verifies every
+    cost."""
     report = SeasonalReport()
-
-    def tetris_cost(inst: Instance, mode: str) -> float:
-        actions, cost = tetris.tetris(inst, mode)
-        verify_cost(inst, f"tetris:{mode}", actions, cost)
-        return cost
-
     for seed in seeds:
         inst = seasonal_medium_instance(seed, n=n, epoch=epoch)
-        report.seasonal_frequency.append(tetris_cost(inst, tetris.SORT_FREQUENCY))
-        report.seasonal_duration.append(tetris_cost(inst, tetris.SORT_DURATION))
+        report.seasonal_frequency.append(run_policy(inst, "tetris:frequency")[1])
+        report.seasonal_duration.append(run_policy(inst, "tetris:duration")[1])
         inst = plain_medium_instance(seed, n=n)
-        report.plain_frequency.append(tetris_cost(inst, tetris.SORT_FREQUENCY))
-        report.plain_duration.append(tetris_cost(inst, tetris.SORT_DURATION))
+        report.plain_frequency.append(run_policy(inst, "tetris:frequency")[1])
+        report.plain_duration.append(run_policy(inst, "tetris:duration")[1])
     return report

@@ -147,6 +147,7 @@ class TestRun:
                      "departure", id="float-pod"),
         pytest.param(lambda d: d["initial_storage"].__setitem__(0, 2.0),
                      "initial_storage", id="float-stored-pod"),
+        pytest.param(lambda d: d.update(stations=[{}]), "stations", id="station-without-id"),
     ])
     def test_hostile_instance_is_config_error(self, tiny_path, tmp_path, capsys,
                                               edit, field):
@@ -229,6 +230,14 @@ class TestSolve:
         lp = tmp_path / "model.lp"
         assert main(["solve", str(path), "--export-lp", str(lp)]) == EXIT_CONFIG
         assert not lp.exists()
+
+    def test_oversized_export_is_budget_error(self, tiny_path, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(exact, "EXPORT_TERM_CAP", 10)
+        lp = tmp_path / "model.lp"
+        assert main(["solve", str(tiny_path), "--export-lp", str(lp)]) == EXIT_BUDGET
+        assert not lp.exists()
+        assert "place-row terms exceed the export cap 10" in capsys.readouterr().err
 
 
 class TestChart:

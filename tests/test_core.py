@@ -486,6 +486,19 @@ class TestHostileInstanceFiles:
         with pytest.raises(InvalidInstanceError, match=f"lacks {field}$"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("stations", [{}]), ("stations", [{"id": 1}]), ("stations", [3]),
+        ("stations", 3), ("initial_storage", 3), ("initial_queues", 3),
+        ("initial_queues", [3]), ("cost_to_station", 3), ("cost_to_station", [3]),
+        ("cost_from_station", 3), ("departures", 3), ("departures", [[1]]),
+        ("departures", [3]),
+    ])
+    def test_malformed_nested_field_is_named(self, field, value):
+        doc = self.doc()
+        doc[field] = value
+        with pytest.raises(InvalidInstanceError, match=field):
+            instance_from_dict(doc)
+
     def test_terminal_cost_is_optional(self):
         doc = self.doc()
         del doc["terminal_cost"]

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from podrepo import harness
-from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
-                          departure_schedule, total_cost)
+from podrepo import exact, harness
+from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, Replay,
+                          check_feasible, departure_schedule, total_cost)
 from podrepo.exact import (decision_weights, derive_bip_parameters, export_bip,
                            solve_exact, solve_iterative)
 from podrepo.instances import build_small_system
@@ -262,6 +262,21 @@ class TestModelExport:
         export_bip(build_small_system(1, n=1000), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "05126ec05a1265d35f593994d77dfe4f8f144f20eb197ce5c42c52e566dd35f0")
+
+    def test_refuses_oversized_model_before_writing(self, tmp_path, monkeypatch):
+        inst = build_small_system(1, n=1000)
+        path = tmp_path / "model.lp"
+        export_bip(inst, path)
+        written = sum(line.count(" x_") for line in path.read_text().splitlines()
+                      if line.startswith(" place_"))
+        path.unlink()
+        monkeypatch.setattr(exact, "EXPORT_TERM_CAP", written - 1)
+        with pytest.raises(BudgetExceededError) as err:
+            export_bip(inst, path)
+        assert not path.exists()
+        # the estimate counts every place row, also the ones left out
+        estimate = int(str(err.value).split()[1])
+        assert written <= estimate <= written + inst.n_places
 
     def test_refuses_return_all_pods(self, tmp_path):
         """The model has no terminal-cost term, like the solvers."""

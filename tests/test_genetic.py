@@ -174,8 +174,7 @@ class TestEvolve:
         inst = harness.build_tiny_random(1)
         _, optimum = harness.brute_force_optimum(inst)
         result = evolve(inst, encoding,
-                        config=GaConfig(population=30, max_generations=30,
-                                        stall_generations=30, seed=0))
+                        config=GaConfig(max_generations=30, seed=0))
         assert check_feasible(inst, result.actions).ok
         assert result.cost >= optimum - 1e-9
         random_total = Replay(inst).run(RandomPolicy(0)).total
@@ -185,21 +184,20 @@ class TestEvolve:
     def test_cost_is_the_replay_total(self, encoding):
         inst = build_small_system(n=120)
         result = evolve(inst, encoding,
-                        config=GaConfig(population=10, max_generations=3, seed=2))
+                        config=GaConfig(max_generations=3, seed=2))
         assert result.cost == total_cost(inst, result.actions)
         assert result.history[-1] == result.cost
 
     def test_history_is_nonincreasing(self):
         inst = harness.build_tiny_random(2)
         result = evolve(inst, GENETIC2,
-                        config=GaConfig(population=20, max_generations=25,
-                                        seed=3))
+                        config=GaConfig(max_generations=25, seed=3))
         assert all(a >= b - 1e-9 for a, b in zip(result.history,
                                                  result.history[1:]))
 
     def test_seed_determinism(self):
         inst = harness.build_tiny_random(4)
-        cfg = GaConfig(population=20, max_generations=15, seed=11)
+        cfg = GaConfig(max_generations=15, seed=11)
         a = evolve(inst, GENETIC2, config=cfg)
         b = evolve(inst, GENETIC2, config=cfg)
         assert a.cost == b.cost and a.actions == b.actions
@@ -224,16 +222,14 @@ class TestEvolve:
     def test_genetic2_never_infeasible(self):
         inst = build_small_system(n=120)
         result = evolve(inst, GENETIC2,
-                        config=GaConfig(population=20, max_generations=10,
-                                        seed=0))
+                        config=GaConfig(max_generations=10, seed=0))
         assert result.infeasible_evaluations == 0
         assert result.infeasible_fraction == 0.0
 
     def test_genetic1_reports_infeasible_fraction(self):
         inst = build_small_system(n=120)
         result = evolve(inst, GENETIC1,
-                        config=GaConfig(population=20, max_generations=10,
-                                        seed=0))
+                        config=GaConfig(max_generations=10, seed=0))
         assert result.evaluations > 0
         assert 0.0 < result.infeasible_fraction < 1.0
         assert check_feasible(inst, result.actions).ok

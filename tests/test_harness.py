@@ -278,14 +278,25 @@ class TestTinyBuilders:
 
 class TestStudies:
     def test_uniformity_periodic_ratio_is_one(self):
-        report = harness.uniformity_study(range(2), n_pods=5, n=6)
+        report = harness.uniformity_study(range(2))
         assert report.mean(REGIME_PERIODIC) == pytest.approx(1.0, abs=1e-12)
         for regime, ratios in report.ratios.items():
             assert all(r >= 1.0 - 1e-12 for r in ratios)
 
     def test_uniformity_geometric_exceeds_periodic(self):
-        report = harness.uniformity_study(range(3), n_pods=6, n=8)
+        report = harness.uniformity_study(range(3))
         assert report.mean("random-geometric") > 1.0
+
+    def test_uniformity_study_reverifies_optimum(self, monkeypatch):
+        optimum = harness.brute_force_optimum
+
+        def tampered(inst):
+            actions, cost = optimum(inst)
+            return actions, cost - 1.0
+
+        monkeypatch.setattr(harness, "brute_force_optimum", tampered)
+        with pytest.raises(harness.CostMismatchError, match="brute-force: reported cost"):
+            harness.uniformity_study(range(1))
 
     def test_seasonal_instances_reproducible(self):
         a = harness.seasonal_medium_instance(3, n=400)
