@@ -1,5 +1,7 @@
 """Evolutionary solvers: place orders, decoding, evolution loop."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +220,18 @@ class TestEvolve:
         assert result.generations == 10
         assert result.evaluations == 1100
         assert result.infeasible_evaluations == 0
+
+    def test_genetic1_result_pinned(self):
+        # small-search's genetic-1 run; its cost is not in that workload's cost.sum
+        result = evolve(build_small_system(1, n=1000), GENETIC1, GAMMA_AVG_COST,
+                        GaConfig(seed=1, max_generations=10))
+        assert result.cost == 18562.0
+        assert result.history == [18562.0] * 10
+        assert result.generations == 10
+        assert result.evaluations == 1100
+        assert result.infeasible_evaluations == 989
+        assert hashlib.sha256(json.dumps(result.actions).encode()).hexdigest() == (
+            "db151a58c02604ebf7caa33eb27814145513ad1856a82cca3c648e3d1a968c17")
 
     def test_genetic2_never_infeasible(self):
         inst = build_small_system(n=120)
