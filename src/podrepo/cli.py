@@ -174,7 +174,7 @@ def study() -> None:
 
 
 @study.command()
-@click.option("--seeds", type=int, default=10, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True,
               help="Number of seeds per regime (0..seeds-1).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def uniformity(seeds: int, out: str) -> None:
@@ -190,7 +190,7 @@ def uniformity(seeds: int, out: str) -> None:
 
 
 @study.command()
-@click.option("--seeds", type=int, default=20, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--steps", "n", type=int, default=10000, show_default=True)
 @click.option("--epoch", type=int, default=2000, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

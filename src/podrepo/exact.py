@@ -226,7 +226,8 @@ def export_bip(inst: Instance, path) -> None:
     constant ``base_cost``, noted in a comment.  Like the solvers, it refuses
     a non-zero terminal cost; it raises :class:`BudgetExceededError` before
     building any text when its place rows would hold more than
-    ``EXPORT_TERM_CAP`` terms."""
+    ``EXPORT_TERM_CAP`` terms.  Each row is written as it is built, so its
+    memory stays about one row, not the whole text."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     steps = departure_schedule(inst).steps
@@ -241,26 +242,23 @@ def export_bip(inst: Instance, path) -> None:
                                   f"export cap {EXPORT_TERM_CAP}")
     weights = decision_weights(inst, params)
     places = range(1, inst.n_places + 1)
-    lines = [
-        "\\ pod repositioning placement model",
-        f"\\ constant cost not in objective: {params.base_cost}",
-        "Minimize",
-        " obj: " + " + ".join(f"{weights[t][p - 1]:.17g} x_{t}_{p}"
-                              for t in params.decision_steps for p in places),
-        "Subject To",
-    ]
-    alive: list[int] = []  # earlier decisions whose interval covers t + 1
-    for t in params.decision_steps:
-        alive = [tau for tau in alive if steps[tau].busy_end > t + 1]
-        lines.append(f" assign_{t}: " + " + ".join(f"x_{t}_{p}" for p in places) + " = 1")
-        for p in places:
-            bound = 0 if params.initial_busy_end[p - 1] > t + 1 else 1
-            if alive or not bound:
-                row = "".join(f"x_{tau}_{p} + " for tau in alive)
-                lines.append(f" place_{t}_{p}: {row}x_{t}_{p} <= {bound}")
-        alive.append(t)
-    lines.append("Binary")
-    lines.extend(f" x_{t}_{p}" for t in params.decision_steps for p in places)
-    lines.append("End")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\\ pod repositioning placement model\n"
+                 f"\\ constant cost not in objective: {params.base_cost}\n"
+                 "Minimize\n")
+        fh.write(" obj: " + " + ".join(f"{weights[t][p - 1]:.17g} x_{t}_{p}"
+                                       for t in params.decision_steps for p in places)
+                 + "\nSubject To\n")
+        alive: list[int] = []  # earlier decisions whose interval covers t + 1
+        for t in params.decision_steps:
+            alive = [tau for tau in alive if steps[tau].busy_end > t + 1]
+            fh.write(f" assign_{t}: " + " + ".join(f"x_{t}_{p}" for p in places) + " = 1\n")
+            for p in places:
+                bound = 0 if params.initial_busy_end[p - 1] > t + 1 else 1
+                if alive or not bound:
+                    row = "".join(f"x_{tau}_{p} + " for tau in alive)
+                    fh.write(f" place_{t}_{p}: {row}x_{t}_{p} <= {bound}\n")
+            alive.append(t)
+        fh.write("Binary\n")
+        fh.writelines(f" x_{t}_{p}\n" for t in params.decision_steps for p in places)
+        fh.write("End\n")

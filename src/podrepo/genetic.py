@@ -1,15 +1,17 @@
 """Genetic solvers.
 
-Two encodings: genetic-1's raw places per time step, a plan scored by
-``total_cost`` (``INFEASIBLE`` when the replay refuses it), and genetic-2's
-free-place indices under a place order gamma, decoded a population at a time
-by ``_decode2_batch`` (total by construction -- every gene vector decodes to
-a feasible action sequence).  Operators follow a plain generational scheme
-with the paper's fixed settings: ``POPULATION`` individuals, tournament
-selection of ``TOURNAMENT_SIZE``, two-point crossover at rate
-``CROSSOVER_RATE``, per-gene mutation with ``MUTATIONS_PER_CHROMOSOME``
-expected mutations per chromosome, elitism of one, and a stop after
-``STALL_GENERATIONS`` generations without a new best.
+Two encodings, each scored a population at a time with numpy: genetic-1's
+raw places per time step, checked on their occupation intervals and costed
+by ``_genetic1_fitness`` (``INFEASIBLE`` where ``total_cost`` would refuse
+the plan), and genetic-2's free-place indices under a place order gamma,
+decoded by ``_decode2_batch`` (total by construction -- every gene vector
+decodes to a feasible action sequence).  Genetic-1's start plans are
+``RandomPolicy`` plans, drawn and decoded by ``_random_plans``.  Operators
+follow a plain generational scheme with the paper's fixed settings:
+``POPULATION`` individuals, tournament selection of ``TOURNAMENT_SIZE``,
+two-point crossover at rate ``CROSSOVER_RATE``, per-gene mutation with
+``MUTATIONS_PER_CHROMOSOME`` expected mutations per chromosome, elitism of
+one, and a stop after ``STALL_GENERATIONS`` generations without a new best.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NO_OP, InfeasibleActionError, Instance, Replay,
-                   departure_schedule, require_zero_terminal, total_cost)
+from .core import (NO_OP, Instance, departure_schedule, initial_busy_ends,
+                   require_zero_terminal)
 from .instances import rng_from_seed
-from .policies import RandomPolicy, avg_costs
+from .policies import avg_costs
 
 GENETIC1 = "genetic1"
 GENETIC2 = "genetic2"
@@ -35,6 +37,7 @@ GAMMA_AVG_COST = "avg-cost"
 
 INFEASIBLE = math.inf
 _PlanOf = Callable[[int], list[int]]  # an individual's index -> its plan
+_Fitness = Callable[[list[list[int]]], list[float]]
 
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
@@ -127,6 +130,91 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
     return total, actions
 
 
+def _random_plans(inst: Instance, seeds: Sequence[int]) -> np.ndarray:
+    """The plans of ``RandomPolicy(seed)``, one row per seed, decoded at once.
+
+    The policy draws ``integers(k)`` once per decision, with ``k`` the
+    admissible count that ``Schedule.choices`` fixes before any action, and
+    takes the k-th admissible place in ascending order.  So a seed's draws
+    are one array call, and its plan is the genetic-2 decode of the draws
+    under the close order.
+    """
+    schedule = departure_schedule(inst)
+    decisions = [t for t, info in enumerate(schedule.steps) if not info.fill]
+    highs = np.array(schedule.choices, dtype=np.int64)[decisions]
+    genes = np.zeros((len(seeds), inst.horizon), dtype=np.int64)
+    for row, seed in zip(genes, seeds):
+        row[decisions] = rng_from_seed(seed).integers(highs)
+    return _decode2_batch(inst, genes, place_order(inst, GAMMA_CLOSE))[1]
+
+
+def _genetic1_fitness(inst: Instance) -> _Fitness:
+    """Genetic-1's fitness over a population of plans (place ids, each gene
+    fitting ``np.min_scalar_type(n_places)``): a plan's ``total_cost``, bit
+    for bit, or ``INFEASIBLE`` exactly where ``total_cost`` raises.
+
+    A copy of the free rule of ``occupation_intervals``: every fill step
+    holds the no-op, every decision a place, and the intervals
+    ``[t + 1, busy_end)`` on one place, taken in step order, begin no
+    earlier than the one before ends or, for a place's first, than its
+    initial pod leaves.  A step's to-leg is read from the place its
+    departing pod was stored on: by the decision that stored it (an
+    action-independent step index) or initially.  The legs are summed per
+    step and then cumulatively, in ``Replay.step``'s order.  The population
+    is screened on the first two rules at once; the rest runs per plan, so
+    temporaries stay about one plan in size.
+    """
+    schedule = departure_schedule(inst)
+    n, n_places = inst.horizon, inst.n_places
+    place_type = np.min_scalar_type(n_places)
+    fill = np.array([info.fill for info in schedule.steps], dtype=bool)
+    decisions = np.flatnonzero(~fill)
+    begins = decisions + 1
+    ends = np.array([schedule.steps[t].busy_end for t in decisions], dtype=np.int64)
+    first_free = np.array([0] + initial_busy_ends(inst), dtype=np.int64)
+    stations = np.array([info.station - 1 for info in schedule.steps], dtype=np.intp)
+    decision_stations = stations[decisions]
+    # source[t]: the departing pod's place as an index into the plan followed
+    # by the places 1..n_places, i.e. the step that stored it or n + p - 1
+    stored_by = [0] * (inst.n_pods + 1)
+    for p, h in enumerate(inst.initial_storage, start=1):
+        if h is not None:
+            stored_by[h] = n + p - 1
+    source = np.empty(n, dtype=np.intp)
+    for t, info in enumerate(schedule.steps):
+        source[t] = stored_by[info.pod]
+        if not info.fill:
+            stored_by[info.returning_pod] = t
+    places = np.arange(1, n_places + 1, dtype=place_type)
+    to_station = np.array(inst.costs.to_station)
+    from_station = np.array(inst.costs.from_station)
+
+    def cost(plan: np.ndarray) -> float:
+        chosen = plan[decisions]
+        order = np.argsort(chosen, kind="stable")
+        place = chosen[order]
+        ready = np.empty(len(order), dtype=np.int64)  # when each place is free
+        ready[1:] = ends[order[:-1]]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = place[1:] != place[:-1]
+        ready[first] = first_free[place[first]]
+        if (ready > begins[order]).any():
+            return INFEASIBLE
+        leaving = np.concatenate((plan, places))[source]
+        step_cost = to_station[leaving - 1, stations]
+        step_cost[decisions] += from_station[decision_stations, chosen - 1]
+        return float(np.cumsum(step_cost)[-1])
+
+    def fitness(population: list[list[int]]) -> list[float]:
+        plans = np.array(population, dtype=place_type)
+        chosen = plans[:, decisions]
+        screened = (~plans[:, fill].any(axis=1)
+                    & ((chosen >= 1) & (chosen <= n_places)).all(axis=1))
+        return [cost(plan) if ok else INFEASIBLE for plan, ok in zip(plans, screened)]
+
+    return fitness
+
+
 @dataclass
 class GaConfig:
     max_generations: Optional[int] = None
@@ -153,9 +241,9 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
     """Generational GA; returns the best feasible individual found, with the
     per-generation best-cost history (zero terminal cost only).
 
-    Each encoding binds its random individual, its population fitness and
-    its gene range once, above the shared loop.  An empty horizon gives the
-    empty plan at cost 0.
+    Each encoding binds its random start population, its population fitness
+    and its gene range once, above the shared loop.  An empty horizon gives
+    the empty plan at cost 0.
     """
     require_zero_terminal(inst)
     if encoding not in (GENETIC1, GENETIC2):
@@ -167,27 +255,22 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         gamma = place_order(inst, gamma_name)
         low = 0  # genes are free-place indices
 
-        def random_individual() -> list[int]:
-            return rng.integers(0, inst.n_places, size=n).tolist()
+        def random_population() -> list[list[int]]:
+            return [rng.integers(0, inst.n_places, size=n).tolist()
+                    for _ in range(POPULATION)]
 
         def fitness_of(population: list[list[int]]) -> tuple[list[float], _PlanOf]:
             totals, plans = _decode2_batch(inst, np.array(population, dtype=np.int64), gamma)
             return totals.tolist(), lambda i: plans[i].tolist()
     else:
         low = 1  # genes are place ids
+        score = _genetic1_fitness(inst)
 
-        def random_individual() -> list[int]:
-            policy = RandomPolicy(seed=int(rng.integers(2 ** 62)))
-            return Replay(inst).run(policy).actions
-
-        def cost(plan: list[int]) -> float:
-            try:
-                return total_cost(inst, plan)
-            except InfeasibleActionError:
-                return INFEASIBLE
+        def random_population() -> list[list[int]]:
+            return _random_plans(inst, rng.integers(2 ** 62, size=POPULATION).tolist()).tolist()
 
         def fitness_of(population: list[list[int]]) -> tuple[list[float], _PlanOf]:
-            return [cost(plan) for plan in population], population.__getitem__
+            return score(population), population.__getitem__
     if n == 0:
         return GaResult(actions=[], cost=0.0)
     mutation_rate = MUTATIONS_PER_CHROMOSOME / n
@@ -226,7 +309,7 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         best_genes, best_plan = population[best], plan_of(best)
         return fitness, True
 
-    population = [random_individual() for _ in range(POPULATION)]
+    population = random_population()
     fitness, _ = evaluate_all(population)
 
     def tournament() -> list[int]:

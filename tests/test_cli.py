@@ -316,6 +316,14 @@ class TestStudy:
             "0,10561.000000,10799.000000,11752.000000,12409.000000\n"
             "1,10927.000000,11016.000000,11521.000000,12354.000000\n")
 
+    def test_uniformity_seeds_below_one_refused(self, capsys):
+        assert main(["study", "uniformity", "--seeds", "0"]) == EXIT_CONFIG
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_seasonal_seeds_below_one_refused(self, capsys):
+        assert main(["study", "seasonal", "--seeds", "-2", "--steps", "100"]) == EXIT_CONFIG
+        assert "--seeds" in capsys.readouterr().err
+
     def test_seasonal_epoch_below_one_refused(self, capsys):
         assert main(["study", "seasonal", "--seeds", "1", "--steps", "100",
                      "--epoch", "0"]) == EXIT_CONFIG

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from podrepo import harness
-from podrepo.core import (NO_OP, CostModel, Instance, Replay, check_feasible,
-                          total_cost)
+from podrepo.core import (NO_OP, REASON_BUSY, REASON_PHASE, CostModel,
+                          InfeasibleActionError, Instance, Replay, Verdict,
+                          check_feasible, initial_busy_ends, total_cost)
 from podrepo.genetic import (GAMMA_AVG_COST, GAMMA_CLOSE, GAMMA_FAR,
-                             GAMMA_ZIGZAG, GENETIC1, GENETIC2, GaConfig,
-                             _decode2_batch, evolve, place_order)
+                             GAMMA_ZIGZAG, GENETIC1, GENETIC2, INFEASIBLE,
+                             GaConfig, _decode2_batch, _genetic1_fitness,
+                             _random_plans, evolve, place_order)
 from podrepo.instances import (build_medium_system, build_small_system,
                                rng_from_seed)
 from podrepo.policies import RandomPolicy
@@ -164,6 +166,115 @@ class TestBatchedDecode:
         gamma = place_order(inst, GAMMA_CLOSE)
         genes = [0, 2 ** 63 - 1, -2 ** 63]
         assert decode_row(inst, genes, gamma) == replay_decode2(inst, genes, gamma).actions
+
+
+START_CASES = {
+    **{f"tiny-{seed}": (lambda seed=seed: harness.build_tiny_random(seed))
+       for seed in range(50)},
+    "small": lambda: build_small_system(2, n=1000),
+    "medium": lambda: build_medium_system(1, n=300),
+}
+
+
+def total_or_infeasible(inst: Instance, plan) -> float:
+    """Genetic-1's fitness walked through ``Replay``: the oracle for the
+    batched check."""
+    try:
+        return total_cost(inst, plan)
+    except InfeasibleActionError:
+        return INFEASIBLE
+
+
+def stepped(inst: Instance, plan, t: int) -> Replay:
+    """A replay of the first ``t`` actions of ``plan``."""
+    replay = Replay(inst)
+    for a in plan[:t]:
+        replay.step(a)
+    return replay
+
+
+def held_by_initial_pod(inst, plan, t):
+    """A place whose initial pod is still stored at decision step ``t``."""
+    ends = initial_busy_ends(inst)
+    return next(p for p in range(1, inst.n_places + 1) if ends[p - 1] > t + 1)
+
+
+def held_by_decision(inst, plan, t):
+    """A place that an earlier decision of ``plan`` filled and that is still
+    held, not by the pod that departs at ``t``."""
+    replay = stepped(inst, plan, t)
+    leaving = replay.place_of[replay.current.pod]
+    steps = replay.schedule.steps
+    return next(plan[d] for d in range(t) if not steps[d].fill and plan[d] != leaving
+                and replay.pod_at[plan[d]] == steps[d].returning_pod)
+
+
+# way to fail -> (step kind, the action at that step, the verdict's reason)
+INFEASIBLE_CASES = {
+    "move-on-fill-step": ("fill", lambda inst, plan, t: 1, REASON_PHASE),
+    "no-op-on-decision": ("first-decision", lambda inst, plan, t: NO_OP, REASON_PHASE),
+    "place-beyond-range": ("first-decision", lambda inst, plan, t: inst.n_places + 1, REASON_BUSY),
+    "held-by-initial-pod": ("first-decision", held_by_initial_pod, REASON_BUSY),
+    "held-by-decision": ("late-decision", held_by_decision, REASON_BUSY),
+}
+
+
+class TestBatchedGenetic1:
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_start_plans_are_random_policy_plans(self, case):
+        inst = START_CASES[case]()
+        seeds = rng_from_seed(list(START_CASES).index(case)).integers(2 ** 62, size=4).tolist()
+        plans = _random_plans(inst, seeds)
+        assert plans.shape == (4, inst.horizon)
+        for seed, plan in zip(seeds, plans.tolist()):
+            assert plan == Replay(inst).run(RandomPolicy(seed)).actions
+
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+    def test_fitness_matches_total_cost(self, case):
+        inst = DIFFERENTIAL_CASES[case]()
+        rng = rng_from_seed(list(DIFFERENTIAL_CASES).index(case))
+        population = _random_plans(inst, range(8)).tolist()
+        for plan in list(population):
+            for _ in range(3):  # one gene moved to a random place, fill steps included
+                mutant = list(plan)
+                mutant[int(rng.integers(inst.horizon))] = int(rng.integers(1, inst.n_places + 1))
+                population.append(mutant)
+        fitness = _genetic1_fitness(inst)(population)
+        oracle = [total_or_infeasible(inst, plan) for plan in population]
+        assert [f.hex() for f in fitness] == [f.hex() for f in oracle]
+        assert INFEASIBLE in fitness and min(fitness) < INFEASIBLE
+
+    @pytest.mark.parametrize("case", INFEASIBLE_CASES)
+    def test_each_way_to_fail(self, case):
+        inst = build_small_system(1, n=200)
+        plan = Replay(inst).run(RandomPolicy(0)).actions
+        kind, action_at, reason = INFEASIBLE_CASES[case]
+        fills = [t for t, a in enumerate(plan) if a == NO_OP]
+        decisions = [t for t, a in enumerate(plan) if a != NO_OP]
+        t = {"fill": fills[0], "first-decision": decisions[0],
+             "late-decision": decisions[len(decisions) // 2]}[kind]
+        plan[t] = action_at(inst, plan, t)
+        assert check_feasible(inst, plan) == Verdict(ok=False, step=t, reason=reason)
+        assert _genetic1_fitness(inst)([plan]) == [INFEASIBLE]
+
+    def test_evolve_runs_no_replay(self, monkeypatch):
+        replays = []
+        init = Replay.__init__
+        monkeypatch.setattr(Replay, "__init__",
+                            lambda self, inst: replays.append(inst) or init(self, inst))
+        evolve(build_small_system(1, n=200), GENETIC1, config=GaConfig(max_generations=2))
+        assert replays == []
+
+    def test_place_left_at_the_same_step_is_feasible(self):
+        inst = build_small_system(1, n=200)
+        plan = Replay(inst).run(RandomPolicy(0)).actions
+        t = [t for t, a in enumerate(plan) if a != NO_OP][10]
+        replay = stepped(inst, plan, t)
+        leaving = replay.place_of[replay.current.pod]
+        assert plan[t] != leaving
+        replay.step(leaving)
+        plan = replay.run(RandomPolicy(1)).actions
+        assert _genetic1_fitness(inst)([plan])[0].hex() == total_cost(inst, plan).hex()
 
 
 class TestEvolve:
