@@ -113,7 +113,7 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--exact", "use_exact", is_flag=True,
               help="Solve the whole horizon in one search.")
-@click.option("--window", type=int, default=None,
+@click.option("--window", type=click.IntRange(min=1), default=None,
               help="Window size for the iterative solver.")
 @click.option("--node-budget", type=int, default=None)
 @click.option("--export-lp", type=click.Path(dir_okay=False), default=None)
@@ -121,16 +121,16 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
 def solve(instance: str, use_exact: bool, window: int, node_budget: int,
           export_lp: str, actions_out: str) -> None:
     """Solve an instance exactly or window by window."""
+    if use_exact and window is not None:
+        raise click.UsageError("--exact and --window are mutually exclusive")
+    if not use_exact and window is None and not export_lp:
+        raise click.UsageError("choose --exact, --window or --export-lp")
     inst = load_instance(instance)
     if export_lp:
         exact.export_bip(inst, export_lp)
         click.echo(f"wrote {export_lp}")
         if not use_exact and window is None:
             return
-    if use_exact and window is not None:
-        raise click.UsageError("--exact and --window are mutually exclusive")
-    if not use_exact and window is None:
-        raise click.UsageError("choose --exact, --window or --export-lp")
     if use_exact:
         result = exact.solve_exact(inst, node_budget=node_budget)
     else:
@@ -191,7 +191,7 @@ def uniformity(seeds: int, out: str) -> None:
 
 @study.command()
 @click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True)
-@click.option("--steps", "n", type=int, default=10000, show_default=True)
+@click.option("--steps", "n", type=click.IntRange(min=0), default=10000, show_default=True)
 @click.option("--epoch", type=int, default=2000, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def seasonal(seeds: int, n: int, epoch: int, out: str) -> None:

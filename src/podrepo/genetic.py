@@ -6,8 +6,10 @@ by ``_genetic1_fitness`` (``INFEASIBLE`` where ``total_cost`` would refuse
 the plan), and genetic-2's free-place indices under a place order gamma,
 decoded by ``_decode2_batch`` (total by construction -- every gene vector
 decodes to a feasible action sequence).  Genetic-1's start plans are
-``RandomPolicy`` plans, drawn and decoded by ``_random_plans``.  Operators
-follow a plain generational scheme with the paper's fixed settings:
+``RandomPolicy`` plans, drawn and decoded by ``_random_plans``.  A population
+is one array, individuals x steps, from the random start to the result; only
+the best plan becomes a list, when it improves.  Operators follow a plain
+generational scheme with the paper's fixed settings:
 ``POPULATION`` individuals, tournament selection of ``TOURNAMENT_SIZE``,
 two-point crossover at rate ``CROSSOVER_RATE``, per-gene mutation with
 ``MUTATIONS_PER_CHROMOSOME`` expected mutations per chromosome, elitism of
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,8 +39,6 @@ GAMMA_ZIGZAG = "zigzag"
 GAMMA_AVG_COST = "avg-cost"
 
 INFEASIBLE = math.inf
-_PlanOf = Callable[[int], list[int]]  # an individual's index -> its plan
-_Fitness = Callable[[list[list[int]]], list[float]]
 
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
@@ -148,10 +149,10 @@ def _random_plans(inst: Instance, seeds: Sequence[int]) -> np.ndarray:
     return _decode2_batch(inst, genes, place_order(inst, GAMMA_CLOSE))[1]
 
 
-def _genetic1_fitness(inst: Instance) -> _Fitness:
-    """Genetic-1's fitness over a population of plans (place ids, each gene
-    fitting ``np.min_scalar_type(n_places)``): a plan's ``total_cost``, bit
-    for bit, or ``INFEASIBLE`` exactly where ``total_cost`` raises.
+def _genetic1_fitness(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+    """Genetic-1's fitness over a population of plans (individuals x steps,
+    place ids in ``np.min_scalar_type(n_places)``): a plan's ``total_cost``,
+    bit for bit, or ``INFEASIBLE`` exactly where ``total_cost`` raises.
 
     A copy of the free rule of ``occupation_intervals``: every fill step
     holds the no-op, every decision a place, and the intervals
@@ -205,12 +206,11 @@ def _genetic1_fitness(inst: Instance) -> _Fitness:
         step_cost[decisions] += from_station[decision_stations, chosen - 1]
         return float(np.cumsum(step_cost)[-1])
 
-    def fitness(population: list[list[int]]) -> list[float]:
-        plans = np.array(population, dtype=place_type)
+    def fitness(plans: np.ndarray) -> np.ndarray:
         chosen = plans[:, decisions]
         screened = (~plans[:, fill].any(axis=1)
                     & ((chosen >= 1) & (chosen <= n_places)).all(axis=1))
-        return [cost(plan) if ok else INFEASIBLE for plan, ok in zip(plans, screened)]
+        return np.array([cost(plan) if ok else INFEASIBLE for plan, ok in zip(plans, screened)])
 
     return fitness
 
@@ -251,71 +251,63 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
     cfg = config or GaConfig()
     n = inst.horizon
     rng = rng_from_seed(cfg.seed)
+    # Genetic-2's genes are int64, which ``_decode2_batch`` reduces with ``%``
+    # (negative and extreme genes included).  Genetic-1's keep the plans'
+    # ``np.min_scalar_type(n_places)``: numpy's stable argsort in its fitness
+    # is a radix sort only for integers of 16 bits or fewer.
     if encoding == GENETIC2:
-        gamma = place_order(inst, gamma_name)
         low = 0  # genes are free-place indices
-
-        def random_population() -> list[list[int]]:
-            return [rng.integers(0, inst.n_places, size=n).tolist()
-                    for _ in range(POPULATION)]
-
-        def fitness_of(population: list[list[int]]) -> tuple[list[float], _PlanOf]:
-            totals, plans = _decode2_batch(inst, np.array(population, dtype=np.int64), gamma)
-            return totals.tolist(), lambda i: plans[i].tolist()
+        fitness_of = partial(_decode2_batch, inst, gamma=place_order(inst, gamma_name))
+        # one call per individual: a single (POPULATION, n) call draws a
+        # different stream, as each call discards its last unused 32 bits
+        population = np.array([rng.integers(0, inst.n_places, size=n)
+                               for _ in range(POPULATION)])
     else:
         low = 1  # genes are place ids
         score = _genetic1_fitness(inst)
+        population = _random_plans(inst, rng.integers(2 ** 62, size=POPULATION).tolist())
 
-        def random_population() -> list[list[int]]:
-            return _random_plans(inst, rng.integers(2 ** 62, size=POPULATION).tolist()).tolist()
-
-        def fitness_of(population: list[list[int]]) -> tuple[list[float], _PlanOf]:
-            return score(population), population.__getitem__
+        def fitness_of(population: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return score(population), population
     if n == 0:
         return GaResult(actions=[], cost=0.0)
     mutation_rate = MUTATIONS_PER_CHROMOSOME / n
 
-    def mutate(genes: list[int]) -> list[int]:
-        mask = rng.random(n) < mutation_rate
-        if not mask.any():
-            return genes
-        out = list(genes)
-        for i in np.flatnonzero(mask):
-            out[i] = int(rng.integers(low, low + inst.n_places))
-        return out
+    def crossover(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Copies of ``a`` and ``b`` as rows, a slice swapped at ``CROSSOVER_RATE``."""
+        pair = np.stack((a, b))
+        if rng.random() < CROSSOVER_RATE:
+            i, j = sorted(rng.integers(0, n, size=2))
+            pair[:, i:j] = pair[::-1, i:j]  # numpy copies an overlapping source first
+        return pair
 
-    def crossover(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-        if rng.random() >= CROSSOVER_RATE:
-            return list(a), list(b)
-        i, j = sorted(int(x) for x in rng.integers(0, n, size=2))
-        return (a[:i] + b[i:j] + a[j:], b[:i] + a[i:j] + b[j:])
+    def mutate(genes: np.ndarray) -> None:
+        """Redraw each gene of ``genes`` in place with ``mutation_rate``."""
+        for i in np.flatnonzero(rng.random(n) < mutation_rate):
+            genes[i] = rng.integers(low, low + inst.n_places)
 
     best_genes = best_plan = None
     best_fitness = INFEASIBLE
     infeasible = 0
 
-    def evaluate_all(population: list[list[int]]) -> tuple[list[float], bool]:
+    def evaluate_all(population: np.ndarray) -> tuple[np.ndarray, bool]:
         """Fitness of ``population``, and whether its first cheapest
         individual beat the best so far and became the new best."""
         nonlocal best_genes, best_plan, best_fitness, infeasible
-        fitness, plan_of = fitness_of(population)
-        infeasible += fitness.count(INFEASIBLE)
-        best = None
-        for i, f in enumerate(fitness):
-            if f < best_fitness:
-                best_fitness, best = f, i
-        if best is None:
+        fitness, plans = fitness_of(population)
+        infeasible += int((fitness == INFEASIBLE).sum())
+        best = int(fitness.argmin())
+        if fitness[best] >= best_fitness:
             return fitness, False
-        best_genes, best_plan = population[best], plan_of(best)
+        best_fitness = float(fitness[best])
+        best_genes, best_plan = population[best], plans[best].tolist()
         return fitness, True
 
-    population = random_population()
     fitness, _ = evaluate_all(population)
 
-    def tournament() -> list[int]:
+    def tournament() -> np.ndarray:
         picks = rng.integers(0, POPULATION, size=TOURNAMENT_SIZE)
-        winner = min(picks, key=lambda i: (fitness[i], i))
-        return population[winner]
+        return population[min(picks, key=lambda i: (fitness[i], i))]
 
     history: list[float] = []
     stall = 0
@@ -324,12 +316,13 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
         if cfg.max_generations is not None and generation >= cfg.max_generations:
             break
         generation += 1
-        offspring = [list(best_genes)]  # elitism of one
-        while len(offspring) < POPULATION:
-            c1, c2 = crossover(tournament(), tournament())
-            offspring.append(mutate(c1))
-            if len(offspring) < POPULATION:
-                offspring.append(mutate(c2))
+        offspring = np.empty_like(population)
+        offspring[0] = best_genes  # elitism of one
+        for k in range(1, POPULATION, 2):
+            children = crossover(tournament(), tournament())[:POPULATION - k]
+            for child in children:
+                mutate(child)
+            offspring[k:k + 2] = children
         population = offspring
         fitness, improved = evaluate_all(population)
         history.append(best_fitness)

@@ -217,6 +217,14 @@ class TestSolve:
                      "--window", "2"]) == EXIT_CONFIG
         assert main(["solve", str(tiny_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("refused", [["--exact", "--window", "3"], ["--window", "0"]])
+    def test_refused_options_write_no_lp(self, tiny_path, tmp_path, capsys, refused):
+        lp = tmp_path / "x.lp"
+        assert main(["solve", str(tiny_path), "--export-lp", str(lp), *refused]) == EXIT_CONFIG
+        assert not lp.exists()
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and "--window" in err
+
     def test_export_lp(self, tiny_path, tmp_path):
         lp = tmp_path / "model.lp"
         assert main(["solve", str(tiny_path), "--export-lp", str(lp)]) == EXIT_OK
@@ -323,6 +331,11 @@ class TestStudy:
     def test_seasonal_seeds_below_one_refused(self, capsys):
         assert main(["study", "seasonal", "--seeds", "-2", "--steps", "100"]) == EXIT_CONFIG
         assert "--seeds" in capsys.readouterr().err
+
+    def test_seasonal_negative_steps_refused(self, capsys):
+        assert main(["study", "seasonal", "--seeds", "1", "--steps", "-3"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "--steps" in err and "median" not in out
 
     def test_seasonal_epoch_below_one_refused(self, capsys):
         assert main(["study", "seasonal", "--seeds", "1", "--steps", "100",

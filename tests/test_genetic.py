@@ -176,6 +176,12 @@ START_CASES = {
 }
 
 
+def plan_array(inst: Instance, plans) -> np.ndarray:
+    """Plans as genetic-1 holds a population: one row each, in the smallest
+    dtype that fits a place id."""
+    return np.array(plans, dtype=np.min_scalar_type(inst.n_places))
+
+
 def total_or_infeasible(inst: Instance, plan) -> float:
     """Genetic-1's fitness walked through ``Replay``: the oracle for the
     batched check."""
@@ -239,7 +245,7 @@ class TestBatchedGenetic1:
                 mutant = list(plan)
                 mutant[int(rng.integers(inst.horizon))] = int(rng.integers(1, inst.n_places + 1))
                 population.append(mutant)
-        fitness = _genetic1_fitness(inst)(population)
+        fitness = _genetic1_fitness(inst)(plan_array(inst, population)).tolist()
         oracle = [total_or_infeasible(inst, plan) for plan in population]
         assert [f.hex() for f in fitness] == [f.hex() for f in oracle]
         assert INFEASIBLE in fitness and min(fitness) < INFEASIBLE
@@ -255,7 +261,7 @@ class TestBatchedGenetic1:
              "late-decision": decisions[len(decisions) // 2]}[kind]
         plan[t] = action_at(inst, plan, t)
         assert check_feasible(inst, plan) == Verdict(ok=False, step=t, reason=reason)
-        assert _genetic1_fitness(inst)([plan]) == [INFEASIBLE]
+        assert _genetic1_fitness(inst)(plan_array(inst, [plan])).tolist() == [INFEASIBLE]
 
     def test_evolve_runs_no_replay(self, monkeypatch):
         replays = []
@@ -274,7 +280,8 @@ class TestBatchedGenetic1:
         assert plan[t] != leaving
         replay.step(leaving)
         plan = replay.run(RandomPolicy(1)).actions
-        assert _genetic1_fitness(inst)([plan])[0].hex() == total_cost(inst, plan).hex()
+        fitness = _genetic1_fitness(inst)(plan_array(inst, [plan])).tolist()
+        assert fitness[0].hex() == total_cost(inst, plan).hex()
 
 
 class TestEvolve:
@@ -343,6 +350,25 @@ class TestEvolve:
         assert result.infeasible_evaluations == 989
         assert hashlib.sha256(json.dumps(result.actions).encode()).hexdigest() == (
             "db151a58c02604ebf7caa33eb27814145513ad1856a82cca3c648e3d1a968c17")
+
+    @pytest.mark.parametrize("encoding,cost,history,infeasible,digest", [
+        (GENETIC1, 12190.0, [12190.0] * 3, 297,
+         "740d473d06bc3dabb6af9dcdcf8f31f8f28528ff3931e3b50383dd0a55fe884f"),
+        (GENETIC2, 11982.0, [12181.0, 12091.0, 11982.0], 0,
+         "9dc1c25d6566acffd19a274baae71fdeeae55a043be1f7d291705eae0a7f63ca"),
+    ])
+    def test_medium_result_pinned(self, encoding, cost, history, infeasible, digest):
+        # 504 places: genetic-1's genes are uint16, genetic-2's int64
+        result = evolve(build_medium_system(1, n=300), encoding,
+                        config=GaConfig(seed=1, max_generations=3))
+        assert result.cost == cost and result.history == history
+        assert result.evaluations == 400
+        assert result.infeasible_evaluations == infeasible
+        assert hashlib.sha256(json.dumps(result.actions).encode()).hexdigest() == digest
+        # plain Python numbers, no numpy scalars
+        assert type(result.cost) is float
+        assert all(type(h) is float for h in result.history)
+        assert all(type(a) is int for a in result.actions)
 
     def test_genetic2_never_infeasible(self):
         inst = build_small_system(n=120)
