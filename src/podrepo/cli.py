@@ -115,7 +115,7 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
               help="Solve the whole horizon in one search.")
 @click.option("--window", type=click.IntRange(min=1), default=None,
               help="Window size for the iterative solver.")
-@click.option("--node-budget", type=int, default=None)
+@click.option("--node-budget", type=click.IntRange(min=0), default=None)
 @click.option("--export-lp", type=click.Path(dir_okay=False), default=None)
 @click.option("--actions-out", type=click.Path(dir_okay=False), default=None)
 def solve(instance: str, use_exact: bool, window: int, node_budget: int,
@@ -139,7 +139,9 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
     if actions_out:
         save_actions(result.actions, actions_out)
     status = "optimal" if result.optimal else "budget-limited"
-    click.echo(f"cost {result.cost:.6f} ({status}, {result.nodes} nodes)")
+    gap = (result.cost - result.lower_bound) / result.cost if result.cost else 0.0
+    click.echo(f"cost {result.cost:.6f} ({status}, {result.nodes} nodes), "
+               f"lower bound {result.lower_bound:.6f}, gap {gap:.2%}")
 
 
 @cli.command()

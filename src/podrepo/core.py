@@ -204,8 +204,9 @@ def _share_schedule(copy: Instance, original: Instance) -> None:
 
 
 def _simulate_queues(inst: Instance) -> Schedule:
+    departures = inst.departures
     dep_steps: list[list[int]] = [[] for _ in range(inst.n_pods)]
-    for t, (pod, _) in enumerate(inst.departures):
+    for t, (pod, _) in enumerate(departures):
         dep_steps[pod - 1].append(t)
 
     in_storage = [False] * (inst.n_pods + 1)
@@ -214,38 +215,38 @@ def _simulate_queues(inst: Instance) -> Schedule:
             in_storage[h] = True
     stored = sum(in_storage)
     queues = [list(q) for q in inst.initial_queues]
+    capacities = inst.station_capacities
+    n_places = inst.n_places
+    never = inst.horizon + 1
     # per pod: index of its next unconsumed departure
     next_dep_idx = [0] * (inst.n_pods + 1)
 
     steps: list[StepInfo] = []
     choices: list[int] = []
-    for t, (pod, station) in enumerate(inst.departures):
+    for t, (pod, station) in enumerate(departures):
         if not in_storage[pod]:
             raise InvalidInstanceError(f"departure {t}: pod {pod} not in storage")
         in_storage[pod] = False
         stored -= 1
         next_dep_idx[pod] += 1
-        si = station - 1
-        q = queues[si]
-        if len(q) < inst.station_capacities[si]:
+        q = queues[station - 1]
+        if len(q) < capacities[station - 1]:
             q.append(pod)
-            steps.append(StepInfo(pod=pod, station=station, fill=True))
+            steps.append(StepInfo(pod, station, True))
             choices.append(1)
         else:
             head = q.pop(0)
             q.append(pod)
             in_storage[head] = True
-            choices.append(inst.n_places - stored)
+            choices.append(n_places - stored)
             stored += 1
             later = dep_steps[head - 1]
             idx = next_dep_idx[head]
             if idx < len(later):
-                busy_end, next_station = later[idx] + 1, inst.departures[later[idx]][1]
+                busy_end, next_station = later[idx] + 1, departures[later[idx]][1]
             else:
-                busy_end, next_station = inst.horizon + 1, None
-            steps.append(StepInfo(pod=pod, station=station, fill=False,
-                                  returning_pod=head, busy_end=busy_end,
-                                  return_next_station=next_station))
+                busy_end, next_station = never, None
+            steps.append(StepInfo(pod, station, False, head, busy_end, next_station))
     return Schedule(
         steps=tuple(steps),
         final_queues=tuple(tuple(q) for q in queues),
@@ -298,6 +299,10 @@ class Replay:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.schedule = departure_schedule(inst)
+        # bound once: a step reads its legs without CostModel method calls
+        self._steps = self.schedule.steps
+        self._to_station = inst.costs.to_station
+        self._from_station = inst.costs.from_station
         self.place_of = [0] * (inst.n_pods + 1)  # 0 = not in storage
         self.pod_at: list[int] = [0] * (inst.n_places + 1)  # 0 = free
         for p, h in enumerate(inst.initial_storage, start=1):
@@ -318,7 +323,7 @@ class Replay:
     def current(self) -> StepInfo:
         """The pending step; past the end it raises like :meth:`step`."""
         try:
-            return self.schedule.steps[self.t]
+            return self._steps[self.t]
         except IndexError:
             raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
 
@@ -326,7 +331,7 @@ class Replay:
         """:meth:`admissible` as a mask: bit ``a`` set for each admissible
         action ``a``, so ``1 << NO_OP`` on a fill step or past the end."""
         try:
-            info = self.schedule.steps[self.t]
+            info = self._steps[self.t]
         except IndexError:
             return 1 << NO_OP
         if info.fill:
@@ -341,38 +346,39 @@ class Replay:
     def step(self, action: int) -> float:
         """Apply one step.  An infeasible action (any action past the end)
         raises before any state changes, so the replay stays usable."""
+        t = self.t
         try:
-            info = self.schedule.steps[self.t]
+            info = self._steps[t]
         except IndexError:
-            raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
-        place = self.place_of[info.pod]
-        if info.fill:
+            raise InfeasibleActionError(t, REASON_LENGTH, "no pending departure") from None
+        place_of, pod_at = self.place_of, self.pod_at
+        pod, station, fill = info.pod, info.station, info.fill
+        place = place_of[pod]
+        if fill:
             if action != NO_OP:
-                raise InfeasibleActionError(self.t, REASON_PHASE,
-                                            f"queue {info.station} filling")
+                raise InfeasibleActionError(t, REASON_PHASE, f"queue {station} filling")
         else:
             if action == NO_OP:
-                raise InfeasibleActionError(self.t, REASON_PHASE,
-                                            f"queue {info.station} full")
+                raise InfeasibleActionError(t, REASON_PHASE, f"queue {station} full")
             if not 1 <= action <= self.inst.n_places:
-                raise InfeasibleActionError(self.t, REASON_BUSY,
+                raise InfeasibleActionError(t, REASON_BUSY,
                                             f"place {action} does not exist")
-            if self.pod_at[action] != 0 and action != place:
-                raise InfeasibleActionError(self.t, REASON_BUSY,
-                                            f"place {action} holds pod {self.pod_at[action]}")
-        costs = self.inst.costs
-        cost = costs.to_stn(place, info.station)
-        self.pod_at[place] = 0
-        self.place_of[info.pod] = 0
-        if info.fill:
+            if pod_at[action] != 0 and action != place:
+                raise InfeasibleActionError(t, REASON_BUSY,
+                                            f"place {action} holds pod {pod_at[action]}")
+        cost = self._to_station[place - 1][station - 1]
+        pod_at[place] = 0
+        place_of[pod] = 0
+        if fill:
             self.free_bits |= 1 << place
         else:
-            self.pod_at[action] = info.returning_pod
-            self.place_of[info.returning_pod] = action
+            returning = info.returning_pod
+            pod_at[action] = returning
+            place_of[returning] = action
             if action != place:
                 self.free_bits ^= 1 << action | 1 << place
-            cost += costs.from_stn(info.station, action)
-        self.t += 1
+            cost += self._from_station[station - 1][action - 1]
+        self.t = t + 1
         self.total += cost
         self.actions.append(action)
         return cost
@@ -380,8 +386,9 @@ class Replay:
     def run(self, decide: Callable[["Replay"], int]) -> "Replay":
         """Step to the end: the no-op on fill steps, ``decide(self)`` on
         decision steps."""
-        for info in self.schedule.steps[self.t:]:
-            self.step(NO_OP if info.fill else decide(self))
+        step = self.step
+        for info in self._steps[self.t:]:
+            step(NO_OP if info.fill else decide(self))
         return self
 
     def storage_tuple(self) -> tuple[Optional[int], ...]:
@@ -462,29 +469,31 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
     if len(actions) != inst.horizon:
         raise InfeasibleActionError(0, REASON_LENGTH, "cannot build intervals")
     schedule = departure_schedule(inst)
+    departures = inst.departures
     intervals: list[OccupationInterval] = []
+    add = intervals.append
     # per place: the end of the last interval put on it
     busy_until = [0] + initial_busy_ends(inst)
     for p, h in enumerate(inst.initial_storage, start=1):
         if h is None:
             continue
         deps = schedule.pod_departure_steps[h - 1]
-        intervals.append(OccupationInterval(
-            place=p, pod=h, begin=0, end=busy_until[p], from_station=None,
-            to_station=inst.departures[deps[0]][1] if deps else None))
+        add(OccupationInterval(p, h, 0, busy_until[p], None,
+                               departures[deps[0]][1] if deps else None))
+    n_places = inst.n_places
     for t, (info, action) in enumerate(zip(schedule.steps, actions)):
-        if info.fill or action == NO_OP:
-            if info.fill != (action == NO_OP):
+        fill = info.fill
+        if fill or action == NO_OP:
+            if fill != (action == NO_OP):
                 raise InfeasibleActionError(t, REASON_PHASE, "cannot build intervals")
             continue
         # the place's last pod must leave at step t at the latest
-        if not 1 <= action <= inst.n_places or busy_until[action] > t + 1:
+        if not 1 <= action <= n_places or busy_until[action] > t + 1:
             raise InfeasibleActionError(t, REASON_BUSY, f"place {action} is not free")
-        busy_until[action] = info.busy_end
-        intervals.append(OccupationInterval(
-            place=action, pod=info.returning_pod, begin=t + 1, end=info.busy_end,
-            from_station=info.station, to_station=info.return_next_station,
-            decision_step=t))
+        end = info.busy_end
+        busy_until[action] = end
+        add(OccupationInterval(action, info.returning_pod, t + 1, end, info.station,
+                               info.return_next_station, t))
     return intervals
 
 

@@ -106,14 +106,18 @@ def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
     search returns.  The children are the free places in the decision's
     fixed ``(cost, place)`` order.  The admissible lower bound relaxes
     place-disjointness: every remaining decision is charged its cheapest
-    place over all places.  Equal-cost optima are resolved to the
-    lexicographically smallest action sequence, so pruning is strict
-    (bound > incumbent).
+    place among those free for it when the search starts.  A descent only
+    raises ``busy_until``, so that set holds every place the decision can
+    take at any node, and it is never empty.
+    Equal-cost optima are resolved to the lexicographically smallest action
+    sequence, so pruning is strict (bound > incumbent).
     """
     stop = len(decisions)
-    tails = [0.0] * (stop + 1)  # suffix sums of the cheapest costs
+    tails = [0.0] * (stop + 1)  # suffix sums of the cheapest free costs
     for i in range(stop - 1, -1, -1):
-        tails[i] = tails[i + 1] + decisions[i][2][0][0]
+        t, _, order = decisions[i]
+        cheapest = next(c for c, p in order if busy_until[p] <= t + 1)
+        tails[i] = tails[i + 1] + cheapest
     path: list[int] = []
     best_cost = inf
     best_path: Optional[list[int]] = None

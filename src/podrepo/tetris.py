@@ -58,24 +58,29 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     occ = _occupancy(inst, intervals)
 
     movable = [iv for iv in intervals if iv.decision_step is not None]
+    begins = np.array([iv.begin for iv in movable], dtype=np.intp)
     if mode == SORT_FREQUENCY:
-        freq = [len(d) for d in departure_schedule(inst).pod_departure_steps]
-        movable.sort(key=lambda iv: (-freq[iv.pod - 1], iv.begin, iv.pod))
+        freq = np.array([len(d) for d in departure_schedule(inst).pod_departure_steps])
+        primary = -freq[np.array([iv.pod for iv in movable], dtype=np.intp) - 1]
     else:
-        movable.sort(key=lambda iv: (iv.end - iv.begin, iv.begin, iv.pod))
+        primary = np.array([iv.end for iv in movable], dtype=np.intp) - begins
+    # a decision's interval begins at t + 1, so begins are unique and
+    # (primary, begin) is already a total order: the pod never breaks a tie
+    order = np.lexsort((begins, primary)).tolist()
 
-    table, ranks = start.table, start.ranks
+    table = start.table
+    lookup = {key: (costs, levels, table[key]) for key, (costs, levels) in start.ranks.items()}
+    bits = list(_BIT)  # np.uint64 scalars, so a move indexes no array
     # the candidates are the strictly cheaper levels; the first one with a
     # place whose bit is clear in the OR of the occupancy over [begin, end)
     # takes the interval, on its smallest such place
-    for iv in movable:
-        key = (iv.from_station, iv.to_station)
-        costs, levels = ranks[key]
-        here = table[key][iv.place]
+    for k in order:
+        place, _, begin, end, from_station, to_station, _ = movable[k]
+        costs, levels, row = lookup[from_station, to_station]
+        here = row[place]
         limit = bisect_left(costs, here)
         if not limit:
             continue
-        begin, end = iv.begin, iv.end
         words = np.bitwise_or.reduce(occ[:, begin:end], axis=1)
         clear = ~int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
         for i in range(limit):
@@ -86,8 +91,8 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
             continue
         # the old place's bits are all set over the span, the new one's clear
         p = (free & -free).bit_length() - 1
-        occ[iv.place >> 6, begin:end] ^= _BIT[iv.place & 63]
-        occ[p >> 6, begin:end] ^= _BIT[p & 63]
+        occ[place >> 6, begin:end] ^= bits[place & 63]
+        occ[p >> 6, begin:end] ^= bits[p & 63]
         actions[begin - 1] = p
         total += costs[i] - here
     return actions, total

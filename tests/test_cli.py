@@ -1,6 +1,7 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -195,6 +196,28 @@ class TestSolve:
         assert main(["solve", str(small_path), *mode,
                      "--node-budget", "0"]) == EXIT_BUDGET
         assert "node budget exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--window", "5"]])
+    def test_negative_node_budget_is_config_error(self, tiny_path, mode, capsys):
+        assert main(["solve", str(tiny_path), *mode,
+                     "--node-budget", "-1"]) == EXIT_CONFIG
+        assert "--node-budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--window", "5"]])
+    def test_prints_lower_bound_and_gap(self, tiny_path, mode, capsys):
+        assert main(["solve", str(tiny_path), *mode]) == EXIT_OK
+        inst = load_instance(tiny_path)
+        result = (exact.solve_exact(inst) if mode == ["--exact"]
+                  else exact.solve_iterative(inst, 5))
+        line = capsys.readouterr().out
+        match = re.fullmatch(r"cost (\S+) \(\S+, \d+ nodes\), "
+                             r"lower bound (\S+), gap (\S+)%\n", line)
+        assert match, line
+        cost, bound, gap = map(float, match.groups())
+        assert 0 < bound < cost
+        assert bound == pytest.approx(result.lower_bound, abs=1e-6)
+        assert gap == pytest.approx(100 * (result.cost - result.lower_bound) / result.cost,
+                                    abs=0.005)
 
     def test_reported_cost_is_reverified(self, tiny_path, tmp_path, monkeypatch, capsys):
         solve_exact = exact.solve_exact

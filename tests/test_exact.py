@@ -135,16 +135,16 @@ class TestPinnedResults:
     def test_iterative_windows_of_ten(self):
         result = solve_iterative(build_small_system(1, n=1000), 10)
         assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
-            13942.0, 208087, True, 10025.0)
+            13942.0, 99471, True, 10025.0)
         assert _digest(result.actions) == (
             "bac3a1f31302df2bd12b531e979ca689c8042caa396024bd17abc3a5db639428")
 
     def test_iterative_budget_cut_in_every_window(self):
         result = solve_iterative(build_small_system(1, n=300), 7, node_budget=50)
         assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
-            4310.0, 1934, False, 3025.0)
+            4304.0, 1752, False, 3025.0)
         assert _digest(result.actions) == (
-            "8296ccd54082d96f71a9a80d65e44265600d84d059b6fd56183aaae9a5a6d006")
+            "640c1787534c9ef5ab35a525d43a9a22da3beec3ce2722afcc7bbf0279e2aeb2")
 
 
 class TestLowerBound:

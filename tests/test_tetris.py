@@ -9,7 +9,8 @@ import pytest
 from podrepo import harness
 from podrepo.core import (CostModel, Replay, check_feasible,
                           occupation_intervals, total_cost)
-from podrepo.instances import REGIME_RANDOM_UNIFORM, build_small_system
+from podrepo.instances import (REGIME_RANDOM_UNIFORM, build_medium_system,
+                               build_small_system)
 from podrepo.policies import CheapestPolicy, decision_cost
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
                             MostExpensivePlacePolicy, tetris)
@@ -165,9 +166,25 @@ class TestBitmapSweepMatchesBisect:
         assert boundary_moves
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("build", [harness.seasonal_medium_instance,
-                                       harness.plain_medium_instance],
-                             ids=["seasonal", "plain"])
+    @pytest.mark.parametrize("build", [lambda n: harness.seasonal_medium_instance(0, n=n),
+                                       lambda n: harness.plain_medium_instance(0, n=n),
+                                       lambda n: build_medium_system(1, n=n)],
+                             ids=["seasonal", "plain", "medium"])
     def test_medium_instances(self, mode, build):
-        inst = build(0, n=2000)
+        inst = build(2000)
         assert tetris(inst, mode) == tetris_bisect(inst, mode)
+
+
+@pytest.mark.parametrize("build", [lambda: build_small_system(1),
+                                   lambda: build_medium_system(1, n=2000),
+                                   lambda: harness.seasonal_medium_instance(0, n=2000),
+                                   lambda: harness.plain_medium_instance(0, n=2000)],
+                         ids=["small", "medium", "seasonal", "plain"])
+def test_movable_interval_begins_are_unique(build):
+    # the sweep's lexsort orders by (primary key, begin) and leaves out the
+    # pod tie-break of the tuple sort: unique begins make it never decide
+    inst = build()
+    start = Replay(inst).run(MostExpensivePlacePolicy(inst)).actions
+    begins = [iv.begin for iv in occupation_intervals(inst, start)
+              if iv.decision_step is not None]
+    assert len(begins) == len(set(begins)) > 0
