@@ -7,7 +7,7 @@ import json
 import pytest
 
 from podrepo import harness
-from podrepo.core import Replay, check_feasible, departure_schedule
+from podrepo.core import NO_OP, Replay, check_feasible, departure_schedule
 from podrepo.genetic import GENETIC1, GaConfig, evolve
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
@@ -66,6 +66,36 @@ class TestRandomPolicy:
         place order: any change to either changes the actions."""
         inst = build()
         assert _digest(Replay(inst).run(RandomPolicy(7)).actions) == digest
+
+    def test_stream_continues_over_replays(self):
+        """One policy object over two replays in sequence: the second replay
+        takes the draws that follow the first one's."""
+        policy = RandomPolicy(7)
+        first = Replay(build_small_system(1, n=300)).run(policy)
+        second = Replay(build_medium_system(1, n=2000)).run(policy)
+        assert _digest(first.actions) == (
+            "8ede394d22f8128650740f133706f9c237ce31bd2faf3eac8e1c92635702a794")
+        assert first.total.hex() == "0x1.6390000000000p+12"
+        assert _digest(second.actions) == (
+            "bb62e7aed6771f003bbb14d5432396e7f897be28ff9af4464c735eb8264dedef")
+        assert second.total.hex() == "0x1.502f000000000p+16"
+
+    def test_stream_after_manual_steps(self):
+        """A replay stepped by hand through its first five decisions: the
+        policy draws for the remaining decisions only."""
+        replay = Replay(build_small_system(1, n=300))
+        decided = 0
+        while decided < 5:
+            if replay.current.fill:
+                replay.step(NO_OP)
+            else:
+                replay.step(min(replay.admissible()))
+                decided += 1
+        assert replay.t == 9
+        replay.run(RandomPolicy(3))
+        assert _digest(replay.actions) == (
+            "b6ab29294d8f3fd686850acab1f9026b74f3a8c52450459cc22464b3512ff33f")
+        assert replay.total.hex() == "0x1.5e00000000000p+12"
 
     def test_genetic1_start_population_pinned(self):
         # genetic-1 seeds its start population through RandomPolicy
@@ -141,6 +171,13 @@ class TestGreedyActionStreams:
         replay = Replay(medium_2000).run(MostExpensivePlacePolicy(medium_2000))
         assert _digest(replay.actions) == (
             "fab2c64d372cf7187cb5cb2f44ef78bbe5796e34e21cdd1f149eb1a5b0503881")
+
+    def test_fixed_pinned(self, medium_2000):
+        fa = compute_fixed_assignment(medium_2000)
+        replay = Replay(rearranged_instance(medium_2000, fa)).run(FixedPolicy(fa))
+        assert _digest(replay.actions) == (
+            "2c18bdee49f86e38d87260a8d1a6d270f9ca7d40c1f41b09534c56d57d69dae1")
+        assert replay.total.hex() == "0x1.b8da000000000p+15"
 
 
 class TestStationFrequencies:
