@@ -115,7 +115,9 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
               help="Solve the whole horizon in one search.")
 @click.option("--window", type=click.IntRange(min=1), default=None,
               help="Window size for the iterative solver.")
-@click.option("--node-budget", type=click.IntRange(min=0), default=None)
+@click.option("--node-budget", type=click.IntRange(min=0), default=None,
+              help="Search nodes per window; --exact defaults to "
+                   "exact.EXACT_NODE_BUDGET, --window to no limit.")
 @click.option("--export-lp", type=click.Path(dir_okay=False), default=None)
 @click.option("--actions-out", type=click.Path(dir_okay=False), default=None)
 def solve(instance: str, use_exact: bool, window: int, node_budget: int,
@@ -132,16 +134,16 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
         if not use_exact and window is None:
             return
     if use_exact:
-        result = exact.solve_exact(inst, node_budget=node_budget)
+        result = exact.solve_exact(inst, node_budget=exact.EXACT_NODE_BUDGET
+                                   if node_budget is None else node_budget)
     else:
         result = exact.solve_iterative(inst, window, node_budget=node_budget)
     harness.verify_cost(inst, "solve", result.actions, result.cost)
     if actions_out:
         save_actions(result.actions, actions_out)
     status = "optimal" if result.optimal else "budget-limited"
-    gap = (result.cost - result.lower_bound) / result.cost if result.cost else 0.0
     click.echo(f"cost {result.cost:.6f} ({status}, {result.nodes} nodes), "
-               f"lower bound {result.lower_bound:.6f}, gap {gap:.2%}")
+               f"lower bound {result.lower_bound:.6f}, gap {result.gap:.2%}")
 
 
 @cli.command()

@@ -39,6 +39,11 @@ from .policies import decision_cost_table
 # take about 60 thousand, the medium system's 20000 steps billions
 EXPORT_TERM_CAP = 10_000_000
 
+# the node budget of the `exact` policy and of `podrepo solve --exact`: 1.0
+# to 1.5 s of search on a 2-core x86 host; it proves the small system's seed
+# 1 at 20 steps (0.3M nodes) but not at 40
+EXACT_NODE_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class BipParameters:
@@ -89,6 +94,11 @@ class SolveResult:
     optimal: bool
     nodes: int
     lower_bound: float
+
+    @property
+    def gap(self) -> float:
+        """The cost's relative distance above the lower bound (0 at cost 0)."""
+        return (self.cost - self.lower_bound) / self.cost if self.cost else 0.0
 
 
 def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],

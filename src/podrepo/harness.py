@@ -178,7 +178,12 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
                                 config=genetic.GaConfig(seed=seed))
         actions, cost = result.actions, result.cost
     elif base == "exact":
-        result = exact.solve_exact(inst)
+        result = exact.solve_exact(inst, exact.EXACT_NODE_BUDGET)
+        if not result.optimal:
+            raise BudgetExceededError(
+                f"exact: node budget {exact.EXACT_NODE_BUDGET} exhausted without "
+                f"a proof: best cost {result.cost}, lower bound "
+                f"{result.lower_bound}, gap {result.gap:.2%}")
         actions, cost = result.actions, result.cost
     elif base == "iterative":
         result = exact.solve_iterative(inst, int(param) if param else 10)

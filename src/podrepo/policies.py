@@ -4,13 +4,16 @@ and the fixed-place policy with its offline assignment computation.
 A policy is a callable ``decide(replay) -> place`` that
 :meth:`~podrepo.core.Replay.run` calls at decision steps only (it steps the
 no-op on fill steps itself); every returned place is admissible by
-construction.  The greedy policies scan cost levels: one static mask of
-places per distinct cost, best cost first, ANDed with the replay's
-admissible mask.  Each keeps one map from a decision's (from-station,
-next-station) key to its levels, built with the policy, so a decision is
-one lookup and one scan.  Ties between equally cheap places are always
-broken by the smallest place id so replays are reproducible: that is the
-lowest set bit within a level.
+construction.  A decision reads the pending step once and builds the
+admissible mask from it: the free places plus the one the departing pod
+leaves.  The greedy policies scan cost levels: one static mask of
+places per distinct cost, best cost first, ANDed with that mask.  Each
+keeps one map from a decision's (from-station, next-station) key to its
+levels, built with the policy, so a decision is one lookup and one scan.
+Ties between equally cheap places are always broken by the smallest place
+id so replays are reproducible: that is the lowest set bit within a level.
+The random policy draws for a whole replay at its first decision there,
+since the admissible counts do not depend on the actions.
 """
 
 from __future__ import annotations
@@ -81,21 +84,60 @@ def cost_levels(row: list[float], n_places: int) -> tuple[list[float], list[int]
 
 
 class RandomPolicy:
-    """Uniform choice among the admissible free places: one draw below their
-    count, then that set bit of the admissible mask, counted from place 1."""
+    """Uniform choice among the admissible places: a draw ``k`` below their
+    count, then the k-th set bit of the admissible mask, counted from place 1.
+
+    That count is ``Schedule.choices[t]``, fixed before any action.  So at its
+    first decision on a replay the policy draws the ``k`` of every remaining
+    decision in one ``integers`` call, the stream of one draw per decision,
+    and then takes one draw per call.  While draws are pending, a call that
+    is not the replay's next decision (another replay, a repeated or a
+    skipped step) raises ``ValueError``.  Once they are used up, the next
+    replay starts a new batch, so replays in sequence continue one stream.
+    """
 
     def __init__(self, seed: int = 0):
         self.rng = rng_from_seed(seed)
+        self._replay: Optional[Replay] = None
+        # per pending decision of that replay: (step, departing pod, k)
+        self._pending: list[tuple[int, int, int]] = []
+        self._next = 0
+        self._prefix: list[int] = []  # _prefix[m]: the mask of bits 0..m
+
+    def _draw(self, replay: Replay) -> None:
+        """Draw the ``k`` of every decision from ``replay.t`` on."""
+        t, schedule = replay.t, replay.schedule
+        if replay is self._replay:
+            raise ValueError(f"step {t}: every decision of this replay is drawn")
+        steps = schedule.steps[t:]
+        decisions = [u for u, info in enumerate(steps, start=t) if not info.fill]
+        if not decisions or decisions[0] != t:
+            raise ValueError(f"step {t} is not a decision of the replay")
+        draws = self.rng.integers([schedule.choices[u] for u in decisions]).tolist()
+        self._pending = [(u, steps[u - t].pod, k) for u, k in zip(decisions, draws)]
+        self._replay, self._next = replay, 0
+        n_places = replay.inst.n_places
+        if len(self._prefix) <= n_places:
+            self._prefix = [(2 << m) - 1 for m in range(n_places + 1)]
 
     def __call__(self, replay: Replay) -> int:
-        mask = replay.admissible_bits()
-        k = int(self.rng.integers(mask.bit_count()))
+        i = self._next
+        if i == len(self._pending):
+            self._draw(replay)
+            i = 0
+        elif replay is not self._replay or replay.t != self._pending[i][0]:
+            raise ValueError(f"step {replay.t} is not the next decision "
+                             f"({self._pending[i][0]}) of the drawn replay")
+        self._next = i + 1
+        _, pod, k = self._pending[i]
+        mask = replay.free_bits | 1 << replay.place_of[pod]
+        prefix = self._prefix
         # bisect for the first place whose prefix of the mask (bits 0..p)
         # holds more than k set bits
         lo, hi = 0, mask.bit_length()
         while lo < hi:
             mid = (lo + hi) >> 1
-            if (mask & (2 << mid) - 1).bit_count() > k:
+            if (mask & prefix[mid]).bit_count() > k:
                 hi = mid
             else:
                 lo = mid + 1
@@ -127,7 +169,7 @@ class CheapestPolicy:
     def __call__(self, replay: Replay) -> int:
         """The smallest admissible place of the first level that has one."""
         info = replay.current
-        admissible = replay.admissible_bits()
+        admissible = replay.free_bits | 1 << replay.place_of[info.pod]
         for level in self.levels[(info.station, info.return_next_station)]:
             hit = admissible & level
             if hit:
@@ -213,7 +255,8 @@ class FixedPolicy:
     def __call__(self, replay: Replay) -> int:
         info = replay.current
         place = self.assignment[info.returning_pod]
-        if replay.pod_at[place] != 0 and replay.pod_at[place] != info.pod:
+        held = replay.pod_at[place]
+        if held != 0 and held != info.pod:
             raise ValueError(
                 f"assigned place {place} busy: initial state not consistent "
                 f"with the fixed assignment")

@@ -120,6 +120,11 @@ class TestRun:
         assert main(["run", str(small_path),
                      "--policy", "brute-force"]) == EXIT_BUDGET
 
+    def test_exact_without_proof_is_budget_error(self, small_path, monkeypatch, capsys):
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 1000)
+        assert main(["run", str(small_path), "--policy", "exact"]) == EXIT_BUDGET
+        assert "node budget 1000" in capsys.readouterr().err
+
     def test_too_deep_brute_force_is_budget_error(self, tmp_path, capsys):
         # one leaf, but 3000 steps: deeper than the oracle recurses
         deep = Instance(n_pods=2, n_places=1, station_capacities=(1,),
@@ -196,6 +201,11 @@ class TestSolve:
         assert main(["solve", str(small_path), *mode,
                      "--node-budget", "0"]) == EXIT_BUDGET
         assert "node budget exhausted" in capsys.readouterr().err
+
+    def test_exact_defaults_to_the_policy_budget(self, small_path, monkeypatch, capsys):
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 1000)
+        assert main(["solve", str(small_path), "--exact"]) == EXIT_OK
+        assert "(budget-limited, 1001 nodes)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", [["--exact"], ["--window", "5"]])
     def test_negative_node_budget_is_config_error(self, tiny_path, mode, capsys):

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from podrepo import harness
-from podrepo.core import (TERMINAL_RETURN_ALL, Replay, check_feasible,
-                          departure_schedule, terminal_cost, total_cost)
+from podrepo import exact, harness
+from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, Replay,
+                          check_feasible, departure_schedule, terminal_cost,
+                          total_cost)
 from podrepo.exact import solve_exact, solve_iterative
 from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
 from podrepo.instances import REGIME_PERIODIC, build_small_system
@@ -77,6 +78,12 @@ class TestRunPolicy:
         _, brute_cost = harness.brute_force_optimum(inst)
         _, cost, _ = harness.run_policy(inst, "exact")
         assert cost == brute_cost
+
+    def test_exact_without_proof_is_refused(self, monkeypatch):
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError,
+                           match=r"node budget 1000 .*best cost .*lower bound .*gap"):
+            harness.run_policy(build_small_system(1, n=100), "exact")
 
     def test_rearranged_instance_keeps_the_schedule(self):
         """``fixed`` replays and re-verifies the rearranged instance on the

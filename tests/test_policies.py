@@ -97,6 +97,50 @@ class TestRandomPolicy:
             "b6ab29294d8f3fd686850acab1f9026b74f3a8c52450459cc22464b3512ff33f")
         assert replay.total.hex() == "0x1.5e00000000000p+12"
 
+    @staticmethod
+    def first_decision(inst):
+        replay = Replay(inst)
+        while replay.current.fill:
+            replay.step(NO_OP)
+        return replay
+
+    def test_second_replay_while_draws_pending(self):
+        inst = build_small_system(1, n=100)
+        policy = RandomPolicy(0)
+        policy(self.first_decision(inst))
+        with pytest.raises(ValueError, match="not the next decision"):
+            policy(self.first_decision(inst))
+
+    def test_repeated_step(self):
+        replay = self.first_decision(build_small_system(1, n=100))
+        policy = RandomPolicy(0)
+        policy(replay)
+        with pytest.raises(ValueError, match="not the next decision"):
+            policy(replay)
+
+    def test_skipped_step(self):
+        replay = self.first_decision(build_small_system(1, n=100))
+        policy = RandomPolicy(0)
+        replay.step(policy(replay))
+        replay.step(min(replay.admissible()))
+        while replay.current.fill:
+            replay.step(NO_OP)
+        with pytest.raises(ValueError, match="not the next decision"):
+            policy(replay)
+
+    def test_repeated_last_decision(self):
+        replay = Replay(build_small_system(1, n=100))
+        policy = RandomPolicy(0)
+        replay.run(policy)
+        with pytest.raises(ValueError, match="every decision of this replay"):
+            policy(replay)
+
+    def test_fill_step_is_not_a_decision(self):
+        replay = Replay(build_small_system(1, n=100))
+        assert replay.current.fill
+        with pytest.raises(ValueError, match="not a decision"):
+            RandomPolicy(0)(replay)
+
     def test_genetic1_start_population_pinned(self):
         # genetic-1 seeds its start population through RandomPolicy
         result = evolve(build_small_system(1, n=300), GENETIC1,
