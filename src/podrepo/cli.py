@@ -116,8 +116,8 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
 @click.option("--window", type=click.IntRange(min=1), default=None,
               help="Window size for the iterative solver.")
 @click.option("--node-budget", type=click.IntRange(min=0), default=None,
-              help="Search nodes per window; --exact defaults to "
-                   "exact.EXACT_NODE_BUDGET, --window to no limit.")
+              help=f"Search nodes per window; --exact defaults to "
+                   f"{exact.EXACT_NODE_BUDGET:,}, --window to no limit.")
 @click.option("--export-lp", type=click.Path(dir_okay=False), default=None)
 @click.option("--actions-out", type=click.Path(dir_okay=False), default=None)
 def solve(instance: str, use_exact: bool, window: int, node_budget: int,
