@@ -99,8 +99,11 @@ class RandomPolicy:
     def __init__(self, seed: int = 0):
         self.rng = rng_from_seed(seed)
         self._replay: Optional[Replay] = None
-        # per pending decision of that replay: (step, departing pod, k)
-        self._pending: list[tuple[int, int, int]] = []
+        # the pending decisions of that replay: their steps, departing pods
+        # and draws, and the index of the next one
+        self._steps: list[int] = []
+        self._pods: list[int] = []
+        self._draws: list[int] = []
         self._next = 0
         self._prefix: list[int] = []  # _prefix[m]: the mask of bits 0..m
 
@@ -109,12 +112,12 @@ class RandomPolicy:
         t, schedule = replay.t, replay.schedule
         if replay is self._replay:
             raise ValueError(f"step {t}: every decision of this replay is drawn")
-        steps = schedule.steps[t:]
-        decisions = [u for u, info in enumerate(steps, start=t) if not info.fill]
-        if not decisions or decisions[0] != t:
+        steps = schedule.steps
+        if t >= len(steps) or steps[t].fill:
             raise ValueError(f"step {t} is not a decision of the replay")
-        draws = self.rng.integers([schedule.choices[u] for u in decisions]).tolist()
-        self._pending = [(u, steps[u - t].pod, k) for u, k in zip(decisions, draws)]
+        self._steps = decisions = [u for u in range(t, len(steps)) if not steps[u].fill]
+        self._pods = [steps[u].pod for u in decisions]
+        self._draws = self.rng.integers([schedule.choices[u] for u in decisions]).tolist()
         self._replay, self._next = replay, 0
         n_places = replay.inst.n_places
         if len(self._prefix) <= n_places:
@@ -122,15 +125,15 @@ class RandomPolicy:
 
     def __call__(self, replay: Replay) -> int:
         i = self._next
-        if i == len(self._pending):
+        if i == len(self._steps):
             self._draw(replay)
             i = 0
-        elif replay is not self._replay or replay.t != self._pending[i][0]:
+        elif replay is not self._replay or replay.t != self._steps[i]:
             raise ValueError(f"step {replay.t} is not the next decision "
-                             f"({self._pending[i][0]}) of the drawn replay")
+                             f"({self._steps[i]}) of the drawn replay")
         self._next = i + 1
-        _, pod, k = self._pending[i]
-        mask = replay.free_bits | 1 << replay.place_of[pod]
+        k = self._draws[i]
+        mask = replay.free_bits | 1 << replay.place_of[self._pods[i]]
         prefix = self._prefix
         # bisect for the first place whose prefix of the mask (bits 0..p)
         # holds more than k set bits
