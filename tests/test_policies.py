@@ -98,8 +98,8 @@ class TestRandomPolicy:
         assert replay.total.hex() == "0x1.5e00000000000p+12"
 
     @staticmethod
-    def first_decision(inst):
-        replay = Replay(inst)
+    def to_decision(replay):
+        """Step the no-op up to the replay's next decision."""
         while replay.current.fill:
             replay.step(NO_OP)
         return replay
@@ -107,26 +107,25 @@ class TestRandomPolicy:
     def test_second_replay_while_draws_pending(self):
         inst = build_small_system(1, n=100)
         policy = RandomPolicy(0)
-        policy(self.first_decision(inst))
+        policy(self.to_decision(Replay(inst)))
         with pytest.raises(ValueError, match="not the next decision"):
-            policy(self.first_decision(inst))
+            policy(self.to_decision(Replay(inst)))
 
     def test_repeated_step(self):
-        replay = self.first_decision(build_small_system(1, n=100))
+        replay = self.to_decision(Replay(build_small_system(1, n=100)))
         policy = RandomPolicy(0)
         policy(replay)
         with pytest.raises(ValueError, match="not the next decision"):
             policy(replay)
 
     def test_skipped_step(self):
-        replay = self.first_decision(build_small_system(1, n=100))
+        replay = self.to_decision(Replay(build_small_system(1, n=100)))
         policy = RandomPolicy(0)
         replay.step(policy(replay))
-        replay.step(min(replay.admissible()))
-        while replay.current.fill:
-            replay.step(NO_OP)
+        # one decision taken by hand
+        self.to_decision(replay).step(min(replay.admissible()))
         with pytest.raises(ValueError, match="not the next decision"):
-            policy(replay)
+            policy(self.to_decision(replay))
 
     def test_repeated_last_decision(self):
         replay = Replay(build_small_system(1, n=100))
