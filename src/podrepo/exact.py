@@ -106,7 +106,8 @@ def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
             ) -> tuple[float, Optional[list[int]], int, bool]:
     """Depth-first branch and bound over ``(step, busy end, order)``
     decisions; returns the best cost and path (``None`` if the budget ran
-    out first), the node count and whether the budget ran out.
+    out first), the number of expanded nodes (at most ``node_budget``) and
+    whether the budget ran out.
 
     The state is ``busy_until[p]``, the end of the last interval on place
     ``p``.  The decision at step ``t`` may take ``p`` while
@@ -139,9 +140,9 @@ def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
             if g < best_cost or (g == best_cost and path < best_path):
                 best_cost, best_path = g, list(path)
             return False
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if node_budget is not None and nodes >= node_budget:
             return True
+        nodes += 1
         t, end, order = decisions[i]
         tail = tails[i + 1]
         for c, p in order:

@@ -22,7 +22,7 @@ from . import exact, genetic, tetris
 from .core import (BudgetExceededError, Instance, CostModel, Replay,
                    departure_schedule, require_zero_terminal, terminal_cost,
                    total_cost, validate_instance)
-from .instances import (REGIME_PERIODIC, _draw_pod, _line_system, _pick,
+from .instances import (REGIME_PERIODIC, _draw_block, _draw_pod, _line_system,
                         _pod_weight_vector, _station_cdf, REGIMES,
                         co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
@@ -351,7 +351,7 @@ def _medium_instance_with(departure_draw: Callable, seed: int, n: int) -> Instan
     initial_queues = ((), ())
     departures = co_simulated_departures(
         MEDIUM_N_PODS, capacities, initial_storage, initial_queues, n,
-        departure_draw(rng))
+        departure_draw(rng, n))
     inst = Instance(n_pods=MEDIUM_N_PODS, n_places=MEDIUM_N_PLACES,
                     station_capacities=capacities, costs=medium_cost_model(),
                     initial_storage=initial_storage, initial_queues=initial_queues,
@@ -376,17 +376,18 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> In
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
     alpha = [SEASONAL_CONCENTRATION] * MEDIUM_N_PODS
 
-    def make_draw(rng):
-        # the tiny floor keeps every stored pod drawable in every season
-        state = {"weights": _pod_weight_vector(rng.dirichlet(alpha) + 1e-300),
-                 "epoch": 0}
+    def make_draw(rng, n):
+        weights = pod_u = picks = None
 
         def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
-            if t // epoch != state["epoch"]:
-                state["epoch"] = t // epoch
-                state["weights"] = _pod_weight_vector(rng.dirichlet(alpha) + 1e-300)
-            pod = _draw_pod(state["weights"], in_storage, rng)
-            return pod, _pick(stations, rng) + 1
+            nonlocal weights, pod_u, picks
+            i = t % epoch
+            if not i:  # a new season: its weights, then its block of uniforms
+                # the tiny floor keeps every stored pod drawable in every season
+                weights = _pod_weight_vector(rng.dirichlet(alpha) + 1e-300)
+                pod_u, picks = _draw_block(rng, stations, min(epoch, n - t),
+                                           station_first=False)
+            return _draw_pod(weights, in_storage, pod_u[i]), picks[i]
 
         return draw
 
@@ -398,12 +399,12 @@ def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
     base = np.asarray(geometric_weights(MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO))
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
 
-    def make_draw(rng):
+    def make_draw(rng, n):
         weights = _pod_weight_vector(base[rng.permutation(MEDIUM_N_PODS)])
+        pod_u, picks = _draw_block(rng, stations, n, station_first=False)
 
         def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
-            pod = _draw_pod(weights, in_storage, rng)
-            return pod, _pick(stations, rng) + 1
+            return _draw_pod(weights, in_storage, pod_u[t]), picks[t]
 
         return draw
 

@@ -70,24 +70,50 @@ def _pick(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _draw_pod(weights: np.ndarray, in_storage: np.ndarray,
-              rng: np.random.Generator) -> int:
-    """A stored pod drawn with probability proportional to its weight.
+def _draw_block(rng: np.random.Generator, stations: np.ndarray, n: int,
+                station_first: bool) -> tuple[list[float], list[int]]:
+    """The pod doubles and the 1-based stations of ``n`` steps (none for
+    ``n <= 0``), drawn as one block of two doubles per step: the station's
+    first if ``station_first``, else the pod's.  Each station is picked from
+    the cdf ``stations`` as :func:`_pick` would pick it from its double."""
+    u = rng.random(2 * max(n, 0))
+    station_u, pod_u = (u[0::2], u[1::2]) if station_first else (u[1::2], u[0::2])
+    return pod_u.tolist(), (stations.searchsorted(station_u, side="right") + 1).tolist()
 
-    ``weights`` and the bool mask ``in_storage`` are indexed by pod id.  The
-    draw is bit-identical to ``pods[rng.choice(len(pods), p=w / w.sum())]``
-    over ``pods = sorted(storage)``: boolean indexing keeps pod ids
-    ascending, and the cdf is built with ``choice``'s own arithmetic.
+
+def _draw_pod(weights: np.ndarray, in_storage: np.ndarray, u: float) -> int:
+    """The stored pod that the uniform double ``u`` draws, with probability
+    proportional to its weight.
+
+    ``weights`` and the bool mask ``in_storage`` are indexed by pod id.  With
+    ``u = rng.random()`` the draw is bit-identical to
+    ``pods[rng.choice(len(pods), p=w / w.sum())]`` over
+    ``pods = sorted(storage)``: boolean indexing keeps pod ids ascending, and
+    the cdf is ``choice``'s own ``cumsum(w / total)``.  ``choice`` then
+    divides the cdf by its last entry and takes the first index whose entry
+    is above ``u``.  That divide is skipped here: a correctly rounded
+    division by the positive last entry is monotone, so the index found for
+    ``u * last`` is settled by comparing the few quotients around it.
+
+    The caller owns the stream: the random regimes of
+    :func:`generate_departures` pass the second double of each step's pair
+    (after the station's), the seasonal and plain medium builders the first.
     """
     w = weights[in_storage]
     if not w.size:
         raise ValueError("storage is empty")
-    total = w.sum()
+    total = np.add.reduce(w)
     if not 0.0 < total < np.inf:
         raise ValueError("the stored pods' weights must have a positive, finite sum")
-    cdf = (w / total).cumsum()
-    cdf /= cdf[-1]
-    return int(in_storage.nonzero()[0][_pick(cdf, rng)])
+    w /= total
+    cdf = np.add.accumulate(w)
+    last = cdf.item(-1)
+    i = int(cdf.searchsorted(u * last, side="right"))
+    while i and cdf.item(i - 1) / last > u:
+        i -= 1
+    while cdf.item(i) / last <= u:
+        i += 1
+    return int(in_storage.nonzero()[0][i])
 
 
 def co_simulated_departures(
@@ -103,7 +129,12 @@ def co_simulated_departures(
 
     Membership is a bool mask indexed by pod id (entry 0 unused), updated in
     place; ``draw(t, in_storage)`` must return a departure whose pod is set
-    in it, and must not change it.
+    in it, and must not change it.  The loop draws nothing itself and calls
+    ``draw`` once per step in step order, so the stream order is the draw's:
+    :func:`generate_departures` states its regimes' orders, and the seasonal
+    and plain medium builders of :mod:`podrepo.harness` draw one block of
+    uniforms per season or per instance, each step's pod double before its
+    station double.
     """
     in_storage = np.zeros(n_pods + 1, dtype=bool)
     in_storage[[h for h in initial_storage if h is not None]] = True
@@ -137,7 +168,14 @@ def generate_departures(
         pod_weights: Optional[Sequence[float]] = None,
         station_weights: Optional[Sequence[float]] = None,
 ) -> tuple[tuple[int, int], ...]:
-    """Generate ``n`` departures under one of the four uniformity regimes."""
+    """Generate ``n`` departures under one of the four uniformity regimes.
+
+    Stream order of the generator seeded with ``seed``: ``periodic`` draws
+    nothing.  The two random regimes draw one block of ``2 * n`` doubles up
+    front, each step's station double and then its pod double.
+    ``periodic-random`` draws step by step: a permutation of the pods
+    whenever its current block runs out, then the step's station double.
+    """
     n_stations = len(station_capacities)
     if station_weights is None:
         station_weights = [1.0 / n_stations] * n_stations
@@ -152,10 +190,10 @@ def generate_departures(
         if regime == REGIME_RANDOM_UNIFORM or pod_weights is None:
             pod_weights = [1.0 / n_pods] * n_pods
         weights = _pod_weight_vector(pod_weights)
+        pod_u, picks = _draw_block(rng, stations, n, station_first=True)
 
         def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
-            station = _pick(stations, rng) + 1
-            return _draw_pod(weights, in_storage, rng), station
+            return _draw_pod(weights, in_storage, pod_u[t]), picks[t]
 
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
                                        initial_queues, n, draw)

@@ -205,7 +205,7 @@ class TestSolve:
     def test_exact_defaults_to_the_policy_budget(self, small_path, monkeypatch, capsys):
         monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 1000)
         assert main(["solve", str(small_path), "--exact"]) == EXIT_OK
-        assert "(budget-limited, 1001 nodes)" in capsys.readouterr().out
+        assert "(budget-limited, 1000 nodes)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", [["--exact"], ["--window", "5"]])
     def test_negative_node_budget_is_config_error(self, tiny_path, mode, capsys):

@@ -128,7 +128,7 @@ class TestPinnedResults:
     def test_exact_at_node_budget(self):
         result = solve_exact(build_small_system(1, n=1000), node_budget=200000)
         assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
-            14642.0, 200001, False, 10025.0)
+            14642.0, 200000, False, 10025.0)
         assert _digest(result.actions) == (
             "a636fed7c0fd9414bb3d35fffb8dcb87ff4daf6216af82c8c839fcb3d0caf73e")
 
@@ -142,7 +142,7 @@ class TestPinnedResults:
     def test_iterative_budget_cut_in_every_window(self):
         result = solve_iterative(build_small_system(1, n=300), 7, node_budget=50)
         assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
-            4304.0, 1752, False, 3025.0)
+            4304.0, 1723, False, 3025.0)
         assert _digest(result.actions) == (
             "640c1787534c9ef5ab35a525d43a9a22da3beec3ce2722afcc7bbf0279e2aeb2")
 

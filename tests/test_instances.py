@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from podrepo.core import InvalidInstanceError, validate_instance
 from podrepo.instances import (MEDIUM_N_PLACES, MEDIUM_N_PODS,
@@ -19,7 +20,7 @@ def draw_departure(storage_pods, pod_weights, station_weights, rng):
     in_storage = np.zeros(len(pod_weights) + 1, dtype=bool)
     in_storage[list(storage_pods)] = True
     station = _pick(_station_cdf(station_weights), rng) + 1
-    return _draw_pod(_pod_weight_vector(pod_weights), in_storage, rng), station
+    return _draw_pod(_pod_weight_vector(pod_weights), in_storage, rng.random()), station
 
 
 class TestGeometricWeights:
@@ -74,6 +75,52 @@ class TestNextDeparture:
     def test_empty_storage_rejected(self):
         with pytest.raises(ValueError):
             draw_departure([], [1.0], [1.0], rng_from_seed(0))
+
+
+# ties, zeros next to positive weights, and the seasonal builder's floor
+WEIGHT = st.one_of(st.sampled_from([0.0, 1e-300, 0.25, 1.0, 3.0]),
+                   st.floats(1e-300, 1e6))
+
+
+@st.composite
+def stored_weights(draw):
+    """Pod weights (a list, or a sparse Dirichlet with the ``1e-300`` floor
+    that the seasonal builder adds) and which pods are stored."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        rng = rng_from_seed(draw(st.integers(0, 2 ** 32)))
+        weights = rng.dirichlet([0.1] * n) + 1e-300
+    else:
+        weights = np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n)))
+    return weights, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+class TestDrawPodMatchesChoice:
+    """``_draw_pod`` skips ``Generator.choice``'s normalising divide, and must
+    still pick the very pod that ``choice`` picks from the same double."""
+
+    @given(case=stored_weights(), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=300, deadline=None)
+    def test_same_pod_as_choice(self, case, seed):
+        weights, stored = case
+        pods = [h for h in range(1, len(weights) + 1) if stored[h - 1]]
+        w = weights[[h - 1 for h in pods]]
+        assume(pods and w.sum() > 0)
+        in_storage = np.array([False, *stored])
+        vector = _pod_weight_vector(weights)
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        for _ in range(20):
+            assert (_draw_pod(vector, in_storage, rng_a.random())
+                    == pods[rng_b.choice(len(pods), p=w / w.sum())])
+        # doubles on and next to choice's normalised cdf entries, where
+        # skipping the divide could move the index by one
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        for edge in cdf[:-1]:
+            for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                if u < 1.0:  # the range of ``Generator.random``
+                        assert (_draw_pod(vector, in_storage, float(u))
+                            == pods[cdf.searchsorted(u, side="right")])
 
 
 class TestGenerateDepartures:
