@@ -351,7 +351,7 @@ def _medium_instance_with(departure_draw: Callable, seed: int, n: int) -> Instan
     initial_queues = ((), ())
     departures = co_simulated_departures(
         MEDIUM_N_PODS, capacities, initial_storage, initial_queues, n,
-        departure_draw(rng, n))
+        departure_draw(rng))
     inst = Instance(n_pods=MEDIUM_N_PODS, n_places=MEDIUM_N_PLACES,
                     station_capacities=capacities, costs=medium_cost_model(),
                     initial_storage=initial_storage, initial_queues=initial_queues,
@@ -376,7 +376,7 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> In
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
     alpha = [SEASONAL_CONCENTRATION] * MEDIUM_N_PODS
 
-    def make_draw(rng, n):
+    def make_draw(rng):
         weights = pod_u = picks = None
 
         def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
@@ -399,7 +399,7 @@ def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
     base = np.asarray(geometric_weights(MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO))
     stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
 
-    def make_draw(rng, n):
+    def make_draw(rng):
         weights = _pod_weight_vector(base[rng.permutation(MEDIUM_N_PODS)])
         pod_u, picks = _draw_block(rng, stations, n, station_first=False)
 
