@@ -119,7 +119,7 @@ class TestDrawPodMatchesChoice:
         for edge in cdf[:-1]:
             for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
                 if u < 1.0:  # the range of ``Generator.random``
-                        assert (_draw_pod(vector, in_storage, float(u))
+                    assert (_draw_pod(vector, in_storage, float(u))
                             == pods[cdf.searchsorted(u, side="right")])
 
 
