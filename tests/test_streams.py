@@ -13,13 +13,24 @@ import pytest
 
 from podrepo.harness import (build_tiny_random, build_tiny_symmetric,
                              plain_medium_instance, seasonal_medium_instance)
-from podrepo.instances import (REGIME_RANDOM_UNIFORM, REGIMES, build_medium_system,
-                               build_small_system, generate_departures)
+from podrepo.instances import (REGIME_RANDOM_GEOMETRIC, REGIME_RANDOM_UNIFORM,
+                               REGIMES, build_medium_system, build_small_system,
+                               generate_departures)
 
 
 def _digest(departures) -> str:
     pairs = tuple((int(h), int(s)) for h, s in departures)
     return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+def _queued(regime):
+    """Twelve pods on eleven places, queues of capacity 2 and 3 that start
+    non-empty, and pod weights with zeros next to positive ones."""
+    return generate_departures(
+        12, (2, 3), (1, 2, None, 4, 5, 6, None, 8, 10, 11, None), ((3,), (7, 9, 12)),
+        regime=regime, seed=7, n=400,
+        pod_weights=[0.0, 0.3, 0.0, 0.0, 1.5, 0.2, 0.0, 2.0, 0.7, 0.0, 1.0, 0.4],
+        station_weights=(0.3, 0.7))
 
 
 def _tiny_symmetric(regime):
@@ -43,6 +54,8 @@ CASES = {
     "plain-2": lambda: plain_medium_instance(2, n=10000).departures,
     "tiny-random-0..9": lambda: [build_tiny_random(seed).departures
                                  for seed in range(10)],
+    "queued-random-geometric": lambda: _queued(REGIME_RANDOM_GEOMETRIC),
+    "queued-random-uniform": lambda: _queued(REGIME_RANDOM_UNIFORM),
     **{f"tiny-symmetric-{regime}": (lambda r=regime: _tiny_symmetric(r))
        for regime in REGIMES},
 }
@@ -50,6 +63,8 @@ CASES = {
 DIGESTS = {
     "medium-1": "6e2483fea5bd3a750214b111caed9fc14e8e0fd6fb975802febf7dd8d3dedf95",
     "medium-uniform-1": "f406137d2c29252debe6ab555e14b416a12ad6548f2a0c4d4e3169e39bc15f96",
+    "queued-random-geometric": "f3257d71d0c04b0f9270c6149a9067b717e15f693da0d6ddde9f7f3191ee4e13",
+    "queued-random-uniform": "5c2bc81a470abc4e456ee2baa6b52ec0b635070b2c89bc9aa58a3e737a40f7d4",
     "plain-1": "f9928e07c926315f81917ea5cf52a98237b775d90ddc3acce94341e6ecf1f1b1",
     "plain-2": "201188d5bc90241c5a5b26593571ce03f7d2a3f116cea13b1edbbbddf1f3adf0",
     "seasonal-1": "640fda0be92170446acd68d9ac52a5658b6d534a563cc77e1c4f888e665c2f4c",
@@ -82,3 +97,20 @@ def test_no_steps_give_no_departures(n):
     for regime in REGIMES:
         assert generate_departures(6, (1, 1), tuple(range(1, 7)), ((), ()),
                                    regime=regime, seed=3, n=n) == ()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("n_pods, capacity, regime, pod_weights, message", [
+    # one pod and a queue of two: the second draw finds storage empty
+    (1, 2, REGIME_RANDOM_UNIFORM, None, "storage is empty"),
+    # the only pod of positive weight sits in the queue at the second draw
+    (2, 1, REGIME_RANDOM_GEOMETRIC, [1.0, 0.0],
+     "the stored pods' weights must have a positive, finite sum"),
+    (2, 1, REGIME_RANDOM_GEOMETRIC, [1e308, 1e308],
+     "the stored pods' weights must have a positive, finite sum"),
+])
+def test_draw_error_text_is_pinned(n_pods, capacity, regime, pod_weights, message):
+    with pytest.raises(ValueError) as raised:
+        generate_departures(n_pods, (capacity,), tuple(range(1, n_pods + 1)), ((),),
+                            regime=regime, seed=0, n=2, pod_weights=pod_weights)
+    assert str(raised.value) == message
