@@ -33,7 +33,7 @@ def cli() -> None:
 @cli.command()
 @click.option("--system", type=click.Choice(["small", "medium", "tiny"]),
               default="small", show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--steps", "n", type=click.IntRange(min=0), default=None,
               help="Horizon length; defaults to the system's standard horizon.")
 @click.option("--regime", type=click.Choice(list(instances.REGIMES)),
@@ -76,7 +76,7 @@ def gen(system: str, seed: int, n: int, regime: str, out: str) -> None:
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--policy", default="cheapest:decision", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 @click.option("--actions-out", type=click.Path(dir_okay=False), default=None)
 def run(instance: str, policy: str, seed: int, out_dir: str,
@@ -96,7 +96,7 @@ def run(instance: str, policy: str, seed: int, out_dir: str,
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--policy", "policies", multiple=True, required=True,
               help="Repeatable; e.g. --policy random --policy tetris:frequency")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 def compare(instance: str, policies: tuple[str, ...], seed: int,
             out_dir: str) -> None:

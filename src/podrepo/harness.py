@@ -22,7 +22,7 @@ from . import exact, genetic, tetris
 from .core import (BudgetExceededError, Instance, CostModel, Replay,
                    departure_schedule, require_zero_terminal, terminal_cost,
                    total_cost, validate_instance)
-from .instances import (REGIME_PERIODIC, _draw_block, _draw_pod, _line_system,
+from .instances import (REGIME_PERIODIC, _Storage, _draw_block, _line_system,
                         _pod_weight_vector, _station_cdf, REGIMES,
                         co_simulated_departures, generate_departures,
                         geometric_weights, medium_cost_model,
@@ -379,7 +379,7 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> In
     def make_draw(rng):
         weights = pod_u = picks = None
 
-        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
+        def draw(t: int, storage: _Storage) -> tuple[int, int]:
             nonlocal weights, pod_u, picks
             i = t % epoch
             if not i:  # a new season: its weights, then its block of uniforms
@@ -387,7 +387,7 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> In
                 weights = _pod_weight_vector(rng.dirichlet(alpha) + 1e-300)
                 pod_u, picks = _draw_block(rng, stations, min(epoch, n - t),
                                            station_first=False)
-            return _draw_pod(weights, in_storage, pod_u[i]), picks[i]
+            return storage.draw(weights, pod_u[i]), picks[i]
 
         return draw
 
@@ -403,8 +403,8 @@ def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
         weights = _pod_weight_vector(base[rng.permutation(MEDIUM_N_PODS)])
         pod_u, picks = _draw_block(rng, stations, n, station_first=False)
 
-        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
-            return _draw_pod(weights, in_storage, pod_u[t]), picks[t]
+        def draw(t: int, storage: _Storage) -> tuple[int, int]:
+            return storage.draw(weights, pod_u[t]), picks[t]
 
         return draw
 

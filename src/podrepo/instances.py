@@ -95,9 +95,9 @@ def _draw_pod(weights: np.ndarray, in_storage: np.ndarray, u: float) -> int:
     division by the positive last entry is monotone, so the index found for
     ``u * last`` is settled by comparing the few quotients around it.
 
-    The caller owns the stream: the random regimes of
-    :func:`generate_departures` pass the second double of each step's pair
-    (after the station's), the seasonal and plain medium builders the first.
+    It is the reference that :meth:`_Storage.draw` is tested against, and
+    that draw's fallback wherever its prefix-sum tree cannot certify the pod,
+    so both ``ValueError`` messages of a departure draw come from here.
     """
     w = weights[in_storage]
     if not w.size:
@@ -116,42 +116,149 @@ def _draw_pod(weights: np.ndarray, in_storage: np.ndarray, u: float) -> int:
     return int(in_storage.nonzero()[0][i])
 
 
+class _Storage:
+    """Storage membership while departures are co-simulated: the bool mask
+    ``mask`` indexed by pod id (entry 0 unused), and an exact prefix-sum tree
+    (Fenwick 1994) of the stored pods' weights for :meth:`draw`.
+
+    The tree holds the weights of the array last passed to :meth:`draw`, each
+    as the integer ``w * 2**shift``, with the smallest shift that makes every
+    weight of that array one; its size is the power of two above the pod
+    count, and pods past the last weigh 0.  :meth:`leave` and :meth:`store`
+    keep the mask and the tree in step.  A draw with another array rebuilds
+    the tree, so an array must not change while it is in use.
+    """
+
+    def __init__(self, n_pods: int, stored: Sequence[int]):
+        self.mask = np.zeros(n_pods + 1, dtype=bool)
+        self.mask[list(stored)] = True
+        size = 1 << n_pods.bit_length()
+        self._top = size >> 1  # the descent's first step
+        self._slack = 4 * n_pods + 16  # D of the certificate, in units of 2**-53
+        self._weights: Optional[np.ndarray] = None
+        self._ints = [0] * (size + 1)  # scaled weight by pod id
+        self._tree = [0] * (size + 1)  # prefix-sum tree of the stored scaled weights
+        self._total = 0  # the stored pods' scaled weights, exactly
+        self._cap = 0  # scaled 2**1023: a total up to it sums to a finite double
+        self._shift = 0
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.mask, dtype=dtype, copy=copy)
+
+    def leave(self, pod: int) -> None:
+        self.mask[pod] = False
+        self._add(pod, -self._ints[pod])
+
+    def store(self, pod: int) -> None:
+        self.mask[pod] = True
+        self._add(pod, self._ints[pod])
+
+    def _add(self, pod: int, delta: int) -> None:
+        if delta:
+            self._total += delta
+            tree = self._tree
+            size = len(tree)
+            while pod < size:
+                tree[pod] += delta
+                pod += pod & -pod
+
+    def _build(self, weights: np.ndarray) -> None:
+        ratios = [w.as_integer_ratio() for w in weights.tolist()]
+        shift = max(den.bit_length() for _, den in ratios) - 1
+        pad = [0] * (len(self._tree) - len(ratios))
+        ints = [num << (shift + 1 - den.bit_length()) for num, den in ratios] + pad
+        tree = [w if stored else 0 for w, stored in zip(ints, self.mask.tolist())] + pad
+        self._total = sum(tree)
+        for i in range(1, len(tree)):
+            j = i + (i & -i)
+            if j < len(tree):
+                tree[j] += tree[i]
+        self._weights, self._ints, self._tree = weights, ints, tree
+        self._cap, self._shift = 1 << (1023 + shift), shift
+
+    def draw(self, weights: np.ndarray, u: float) -> int:
+        """The stored pod that :func:`_draw_pod` draws from ``weights`` (from
+        :func:`_pod_weight_vector`) and the double ``u``.
+
+        Let m pods be stored, Q_j the exact sum of the first j of their
+        weights and W = Q_m, and eps = 2**-53.  ``_draw_pod`` rounds a total
+        T in any order, then p_i = fl(w_i / T), the running sums S_j of the
+        p_i left to right, and c_j = fl(S_j / S_m), and takes the first pod
+        with c_j > u.  Each p_i is (w_i / T)(1 + e_i) with |e_i| <= eps, or
+        within 2**-1075 of w_i / T when it is subnormal; the j - 1 additions
+        of S_j add at most (j - 1) eps, relatively, since every term is
+        non-negative.  T cancels in S_j / S_m, and the divide adds one eps,
+        so |c_j - Q_j / W| <= (2m + 1) eps plus second-order terms, below
+        (2m + 3) eps for any m < 2**20, plus m * 2**-1074 from subnormal
+        quotients.  D = 4 n_pods + 16 is above twice that bound.
+
+        The tree descends to the largest pod id k whose exact prefix P(k) of
+        stored weights is at most u W.  Pod k + 1 is then stored with a
+        positive weight, and it is the pod ``_draw_pod`` takes whenever
+        P(k) <= (u - D eps) W and P(k + 1) > (u + D eps) W: every stored pod
+        up to k has c_j < u and pod k + 1 has c_j > u.  These tests are exact
+        integer arithmetic for any double ``u``.  A draw that fails them,
+        an empty total, and a total above 2**1023 (which could round to
+        infinity) go to ``_draw_pod``, which also raises its errors.
+        """
+        if weights is not self._weights:
+            self._build(weights)
+        total = self._total
+        if 0 < total <= self._cap:
+            num, den = u.as_integer_ratio()
+            e = den.bit_length() - 1
+            below = rest = (num * total) >> e  # the largest integer <= u W
+            tree, k, step = self._tree, 0, self._top
+            while step:
+                if tree[k + step] <= rest:
+                    k += step
+                    rest -= tree[k]
+                step >>= 1
+            below -= rest
+            margin = self._slack << e
+            scale = 53 + e
+            if ((below << scale) <= ((num << 53) - margin) * total
+                    and (below + self._ints[k + 1]) << scale > ((num << 53) + margin) * total):
+                return k + 1
+        return _draw_pod(weights, self.mask, u)
+
+
 def co_simulated_departures(
         n_pods: int,
         station_capacities: Sequence[int],
         initial_storage: Sequence[Optional[int]],
         initial_queues: Sequence[Sequence[int]],
         n: int,
-        draw: Callable[[int, np.ndarray], tuple[int, int]],
+        draw: Callable[[int, _Storage], tuple[int, int]],
 ) -> tuple[tuple[int, int], ...]:
     """Build a departure sequence by co-simulating the (action-independent)
     storage membership and queue dynamics.
 
-    Membership is a bool mask indexed by pod id (entry 0 unused), updated in
-    place; ``draw(t, in_storage)`` must return a departure whose pod is set
-    in it, and must not change it.  The loop draws nothing itself and calls
+    Membership is a :class:`_Storage`, updated in place; ``draw(t,
+    storage)`` must return a departure whose pod is set in ``storage.mask``,
+    and must not change it.  The loop draws nothing itself and calls
     ``draw`` once per step in step order, so the stream order is the draw's:
     :func:`generate_departures` states its regimes' orders, and the seasonal
     and plain medium builders of :mod:`podrepo.harness` draw one block of
     uniforms per season or per instance, each step's pod double before its
     station double.
     """
-    in_storage = np.zeros(n_pods + 1, dtype=bool)
-    in_storage[[h for h in initial_storage if h is not None]] = True
+    storage = _Storage(n_pods, [h for h in initial_storage if h is not None])
+    mask = storage.mask
     queues = [list(q) for q in initial_queues]
     departures: list[tuple[int, int]] = []
     for t in range(n):
-        pod, station = draw(t, in_storage)
-        if not (0 < pod <= n_pods and in_storage[pod]):
+        pod, station = draw(t, storage)
+        if not (0 < pod <= n_pods and mask[pod]):
             raise InvalidInstanceError(f"draw at step {t} chose pod {pod} not in storage")
         if not 0 < station <= len(queues):
             raise InvalidInstanceError(f"draw at step {t} chose unknown station {station}")
-        in_storage[pod] = False
+        storage.leave(pod)
         q = queues[station - 1]
         if len(q) < station_capacities[station - 1]:
             q.append(pod)
         else:
-            in_storage[q.pop(0)] = True
+            storage.store(q.pop(0))
             q.append(pod)
         departures.append((pod, station))
     return tuple(departures)
@@ -192,8 +299,8 @@ def generate_departures(
         weights = _pod_weight_vector(pod_weights)
         pod_u, picks = _draw_block(rng, stations, n, station_first=True)
 
-        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
-            return _draw_pod(weights, in_storage, pod_u[t]), picks[t]
+        def draw(t: int, storage: _Storage) -> tuple[int, int]:
+            return storage.draw(weights, pod_u[t]), picks[t]
 
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
                                        initial_queues, n, draw)
@@ -201,8 +308,9 @@ def generate_departures(
     if regime == REGIME_PERIODIC_RANDOM:
         block: list[int] = []
 
-        def draw(t: int, in_storage: np.ndarray) -> tuple[int, int]:
+        def draw(t: int, storage: _Storage) -> tuple[int, int]:
             nonlocal block
+            in_storage = storage.mask
             while True:
                 if not block:
                     block = (rng.permutation(n_pods) + 1).tolist()

@@ -72,6 +72,17 @@ class TestGen:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "compare"])
+def test_negative_seed_is_named(command, small_path, tmp_path, capsys):
+    args = {"gen": ["--out", str(tmp_path / "neg.json")],
+            "run": [str(small_path)],
+            "compare": [str(small_path), "--policy", "random"]}[command]
+    assert main([command, *args, "--seed", "-1"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "--seed" in err and not out
+    assert not (tmp_path / "neg.json").exists()
+
+
 class TestRun:
     def test_writes_results_and_actions(self, small_path, tmp_path):
         out_dir = tmp_path / "out"

@@ -1,13 +1,16 @@
 """Test-system builders and departure-sequence generation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from podrepo import instances
 from podrepo.core import InvalidInstanceError, validate_instance
 from podrepo.instances import (MEDIUM_N_PLACES, MEDIUM_N_PODS,
-                               MEDIUM_STATION_WEIGHTS, REGIMES, _draw_pod,
-                               _pick, _pod_weight_vector, _station_cdf,
+                               MEDIUM_STATION_WEIGHTS, REGIMES, _Storage,
+                               _draw_pod, _pick, _pod_weight_vector, _station_cdf,
                                build_medium_system, build_small_system,
                                co_simulated_departures,
                                generate_departures, geometric_weights,
@@ -84,12 +87,15 @@ WEIGHT = st.one_of(st.sampled_from([0.0, 1e-300, 0.25, 1.0, 3.0]),
 
 @st.composite
 def stored_weights(draw):
-    """Pod weights (a list, or a sparse Dirichlet with the ``1e-300`` floor
-    that the seasonal builder adds) and which pods are stored."""
+    """Pod weights (a list, a sparse Dirichlet with the ``1e-300`` floor that
+    the seasonal builder adds, or geometric) and which pods are stored."""
     n = draw(st.integers(1, 40))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["list", "dirichlet", "geometric"]))
+    if kind == "dirichlet":
         rng = rng_from_seed(draw(st.integers(0, 2 ** 32)))
         weights = rng.dirichlet([0.1] * n) + 1e-300
+    elif kind == "geometric":
+        weights = np.array(geometric_weights(n, draw(st.floats(1.0, 1e3))))
     else:
         weights = np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n)))
     return weights, draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -121,6 +127,90 @@ class TestDrawPodMatchesChoice:
                 if u < 1.0:  # the range of ``Generator.random``
                     assert (_draw_pod(vector, in_storage, float(u))
                             == pods[cdf.searchsorted(u, side="right")])
+
+
+def _outcome(draw, *args):
+    """A draw's pod, or the text of the ``ValueError`` it raises."""
+    try:
+        return draw(*args)
+    except ValueError as error:
+        return str(error)
+
+
+def _edges(weights, in_storage):
+    """Doubles on and next to ``choice``'s normalised cdf entries over the
+    stored pods, inside the range of ``Generator.random``."""
+    w = weights[in_storage]
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    near = [u for edge in cdf[:-1]
+            for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))]
+    return [float(u) for u in near if 0.0 <= u < 1.0]
+
+
+class TestStorageDraw:
+    """``_Storage.draw`` picks from an exact prefix-sum tree and must pick
+    the very pod that the reference ``_draw_pod`` picks from the same double,
+    falling back to it where the tree cannot tell."""
+
+    @given(case=stored_weights(), walk=st.lists(st.integers(1, 40), max_size=12),
+           scale=st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** 1000]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_same_pod_as_reference_along_a_walk(self, case, walk, scale, seed):
+        weights, stored = case
+        n = len(weights)
+        vector = _pod_weight_vector(weights * scale)
+        storage = _Storage(n, [h for h in range(1, n + 1) if stored[h - 1]])
+        rng = rng_from_seed(seed)
+        for i, h in enumerate(walk):
+            h = (h - 1) % n + 1
+            if i == len(walk) // 2:  # an equal array in a new object rebuilds the tree
+                vector = vector.copy()
+            for u in (*rng.random(4).tolist(), 0.0, 2.0 ** -53):
+                assert (_outcome(storage.draw, vector, u)
+                        == _outcome(_draw_pod, vector, storage.mask.copy(), u))
+            (storage.leave if storage.mask[h] else storage.store)(h)
+        if 0 < vector[storage.mask].sum() < np.inf:
+            for u in _edges(vector, storage.mask):
+                assert storage.draw(vector, u) == _draw_pod(vector, storage.mask.copy(), u)
+
+    @given(case=stored_weights(), walk=st.lists(st.integers(1, 40), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_tree_holds_exact_stored_sums_after_a_walk(self, case, walk):
+        weights, stored = case
+        n = len(weights)
+        vector = _pod_weight_vector(weights)
+        storage = _Storage(n, [h for h in range(1, n + 1) if stored[h - 1]])
+        storage._build(vector)
+        for h in walk:
+            h = (h - 1) % n + 1
+            (storage.leave if storage.mask[h] else storage.store)(h)
+        unit = Fraction(1, 2 ** storage._shift)
+        exact = [Fraction(float(w)) if on else Fraction(0)
+                 for w, on in zip(vector, storage.mask)]
+        exact += [Fraction(0)] * (len(storage._tree) - len(exact))
+        assert storage._total * unit == sum(exact)
+        # each node holds the exact sum of its range of pod ids
+        for i in range(1, len(storage._tree)):
+            assert storage._tree[i] * unit == sum(exact[i - (i & -i) + 1:i + 1])
+
+    def test_edge_double_takes_the_fallback(self, monkeypatch):
+        calls = []
+
+        def reference(*args):
+            calls.append(args[2])
+            return _draw_pod(*args)
+
+        monkeypatch.setattr(instances, "_draw_pod", reference)
+        vector = _pod_weight_vector([1.0, 1.0, 2.0])
+        storage = _Storage(3, [1, 2, 3])
+        # 0.25 is a cdf edge: choice's entry for pod 1 equals it exactly
+        assert storage.draw(vector, 0.25) == 2 and calls == [0.25]
+        # far from every edge, the tree alone decides
+        assert storage.draw(vector, 0.4) == 2 and storage.draw(vector, 0.9) == 3
+        assert calls == [0.25]
 
 
 class TestGenerateDepartures:
