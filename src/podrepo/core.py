@@ -262,6 +262,11 @@ def validate_instance(inst: Instance) -> None:
     if any(c < 1 for c in inst.station_capacities):
         raise InvalidInstanceError("station capacity must be positive")
     inst.costs.validate(inst.n_places, inst.n_stations)
+    if inst.costs.terminal == TERMINAL_RETURN_ALL and inst.n_pods > inst.n_places:
+        # the queued pods outnumber the free places at the end of any plan
+        raise InvalidInstanceError(
+            f"terminal cost {TERMINAL_RETURN_ALL} needs a place for every pod: "
+            f"{inst.n_pods} pods, {inst.n_places} places")
     if len(inst.initial_storage) != inst.n_places:
         raise InvalidInstanceError("initial storage length != place count")
     seen: set[int] = set()
@@ -297,7 +302,11 @@ class Replay:
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
+        # no reference to the instance itself: a replay cached on its
+        # instance would otherwise form a cycle that only the cyclic
+        # garbage collector frees
+        self.horizon = inst.horizon
+        self.n_places = inst.n_places
         self.schedule = departure_schedule(inst)
         # bound once: a step reads its legs without CostModel method calls
         self._steps = self.schedule.steps
@@ -317,7 +326,7 @@ class Replay:
 
     @property
     def done(self) -> bool:
-        return self.t >= self.inst.horizon
+        return self.t >= self.horizon
 
     @property
     def current(self) -> StepInfo:
@@ -360,7 +369,7 @@ class Replay:
         else:
             if action == NO_OP:
                 raise InfeasibleActionError(t, REASON_PHASE, f"queue {station} full")
-            if not 1 <= action <= self.inst.n_places:
+            if not 1 <= action <= self.n_places:
                 raise InfeasibleActionError(t, REASON_BUSY,
                                             f"place {action} does not exist")
             if pod_at[action] != 0 and action != place:
@@ -384,8 +393,9 @@ class Replay:
         return cost
 
     def run(self, decide: Callable[["Replay"], int]) -> "Replay":
-        """Step to the end: the no-op on fill steps, ``decide(self)`` on
-        decision steps."""
+        """Play the steps that are left: the no-op on fill steps,
+        ``decide(self)`` on decision steps.  On a finished replay it returns
+        at once."""
         step = self.step
         for info in self._steps[self.t:]:
             step(NO_OP if info.fill else decide(self))

@@ -160,13 +160,15 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     base, param = parse_policy_name(name)
     run_inst = inst
     policy = None  # set by the online policies, which replay it below
+    replay = None  # set with the policy when it runs on a shared replay
     started = time.perf_counter()
     if base == "random":
         policy = RandomPolicy(seed)
     elif base == "cheapest":
         policy = CheapestPolicy(inst, param or CHEAPEST_DECISION)
     elif base == "most-expensive":
-        policy = tetris.MostExpensivePlacePolicy(inst)
+        # the start that tetris shares: played once per instance
+        policy, replay = tetris.most_expensive_start(inst)
     elif base == "fixed":
         assignment = compute_fixed_assignment(inst)
         run_inst = rearranged_instance(inst, assignment)
@@ -191,8 +193,8 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     else:
         actions, cost = brute_force_optimum(inst)
     if policy is not None:
-        replay = Replay(run_inst).run(policy)
-        actions = replay.actions
+        replay = (replay or Replay(run_inst)).run(policy)
+        actions = list(replay.actions)
         cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
                                             replay.schedule.final_queues)
     wall = time.perf_counter() - started

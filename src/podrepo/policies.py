@@ -119,7 +119,7 @@ class RandomPolicy:
         self._pods = [steps[u].pod for u in decisions]
         self._draws = self.rng.integers([schedule.choices[u] for u in decisions]).tolist()
         self._replay, self._next = replay, 0
-        n_places = replay.inst.n_places
+        n_places = replay.n_places
         if len(self._prefix) <= n_places:
             self._prefix = [(2 << m) - 1 for m in range(n_places + 1)]
 

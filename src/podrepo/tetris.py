@@ -9,6 +9,10 @@ keeps the plan as a bit-packed place-by-time occupancy matrix, so one
 OR-reduce over an interval's steps answers the free-span test for every
 place at once; the candidates are scanned as cost-level masks, cheapest
 first.
+
+Both modes start from the same replay, and the most-expensive policy run
+plays it too: :func:`most_expensive_start` keeps one policy and one replay
+per instance object, and the first caller plays it to the end.
 """
 
 from __future__ import annotations
@@ -42,6 +46,22 @@ class MostExpensivePlacePolicy:
     __call__ = CheapestPolicy.__call__
 
 
+def most_expensive_start(inst: Instance) -> tuple[MostExpensivePlacePolicy, Replay]:
+    """The most-expensive-place policy of ``inst`` and its replay, made on the
+    first call for an instance object and cached on it in ``_start``, like
+    :func:`~podrepo.core.departure_schedule`'s ``_schedule``.
+
+    Each caller runs ``replay.run(policy)``: the first one plays the start,
+    later ones return at once.  The replay's action list is shared, so a
+    caller copies it before handing it out.
+    """
+    start = getattr(inst, "_start", None)
+    if start is None:
+        start = (MostExpensivePlacePolicy(inst), Replay(inst))
+        object.__setattr__(inst, "_start", start)
+    return start
+
+
 def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:
     """Run the heuristic; returns the action sequence and its total cost
     (zero terminal cost only)."""
@@ -49,9 +69,8 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     if mode not in (SORT_FREQUENCY, SORT_DURATION):
         raise ValueError(f"unknown tetris mode: {mode}")
 
-    start = MostExpensivePlacePolicy(inst)
-    replay = Replay(inst).run(start)
-    actions = list(replay.actions)
+    start, replay = most_expensive_start(inst)
+    actions = list(replay.run(start).actions)
     total = replay.total
 
     intervals = occupation_intervals(inst, actions)
@@ -71,6 +90,7 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
     table = start.table
     lookup = {key: (costs, levels, table[key]) for key, (costs, levels) in start.ranks.items()}
     bits = list(_BIT)  # np.uint64 scalars, so a move indexes no array
+    rows = list(occ)  # 1-D views of the word rows, so a move slices one axis
     # the candidates are the strictly cheaper levels; the first one with a
     # place whose bit is clear in the OR of the occupancy over [begin, end)
     # takes the interval, on its smallest such place
@@ -82,7 +102,7 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
         if not limit:
             continue
         words = np.bitwise_or.reduce(occ[:, begin:end], axis=1)
-        clear = ~int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+        clear = ~int.from_bytes(words.tobytes(), "little")
         for i in range(limit):
             free = levels[i] & clear
             if free:
@@ -91,8 +111,12 @@ def tetris(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float
             continue
         # the old place's bits are all set over the span, the new one's clear
         p = (free & -free).bit_length() - 1
-        occ[place >> 6, begin:end] ^= bits[place & 63]
-        occ[p >> 6, begin:end] ^= bits[p & 63]
+        old_word, new_word = place >> 6, p >> 6
+        if old_word == new_word:
+            rows[old_word][begin:end] ^= bits[place & 63] | bits[p & 63]
+        else:
+            rows[old_word][begin:end] ^= bits[place & 63]
+            rows[new_word][begin:end] ^= bits[p & 63]
         actions[begin - 1] = p
         total += costs[i] - here
     return actions, total
@@ -109,7 +133,8 @@ def _occupancy(inst: Instance, intervals: list[OccupationInterval]) -> np.ndarra
     place = np.array([iv.place for iv in intervals], dtype=np.intp)
     begin = np.array([iv.begin for iv in intervals], dtype=np.intp)
     end = np.array([iv.end for iv in intervals], dtype=np.intp)
-    flips = np.zeros((inst.n_places // 64 + 1, inst.horizon + 2), dtype=np.uint64)
+    # little-endian words, so a word's bytes are its bits in place order
+    flips = np.zeros((inst.n_places // 64 + 1, inst.horizon + 2), dtype="<u8")
     np.bitwise_xor.at(flips, (place >> 6, begin), _BIT[place & 63])
     np.bitwise_xor.at(flips, (place >> 6, end), _BIT[place & 63])
-    return np.bitwise_xor.accumulate(flips, axis=1)
+    return np.bitwise_xor.accumulate(flips, axis=1, out=flips)

@@ -4,7 +4,8 @@ The functional model of the game: immutable states and a step function that
 re-derives everything from the state at hand: the queue phase, the departing
 pod's place and the admissible set.  It shares no step logic with
 :class:`podrepo.core.Replay`, which the library runs on, so the tests compare
-the two.
+the two; :func:`reference_cost` steps a whole plan through it.
+:func:`total_or_infeasible` is genetic-1's fitness walked through ``Replay``.
 
 :func:`tetris_bisect` is the tetris sweep on per-place sorted interval lists,
 the oracle for the library's bitmap sweep.  Its most-expensive-place start
@@ -21,7 +22,8 @@ from typing import Optional, Sequence
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           InfeasibleActionError, Instance, InvalidInstanceError,
                           Replay, departure_schedule, occupation_intervals,
-                          require_zero_terminal)
+                          require_zero_terminal, terminal_cost, total_cost)
+from podrepo.genetic import INFEASIBLE
 from podrepo.policies import decision_cost_table
 from podrepo.tetris import SORT_DURATION, SORT_FREQUENCY
 
@@ -130,6 +132,27 @@ def step_cost(inst: Instance, state: SystemState, action: int) -> float:
     if action != NO_OP:
         cost += inst.costs.from_stn(station, action)
     return cost
+
+
+def reference_cost(inst: Instance, actions: Sequence[int]) -> float:
+    """Cost of ``actions`` stepped through the functional model, terminal
+    cost included."""
+    state = initial_state(inst)
+    cost = 0.0
+    for a in actions:
+        cost += step_cost(inst, state, a)
+        state = transition(inst, state, a)
+    assert not state.future_departures
+    return cost + terminal_cost(inst, state.storage, state.queues)
+
+
+def total_or_infeasible(inst: Instance, plan: Sequence[int]) -> float:
+    """Genetic-1's fitness walked through ``Replay``: the oracle for the
+    batched check."""
+    try:
+        return total_cost(inst, plan)
+    except InfeasibleActionError:
+        return INFEASIBLE
 
 
 def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:

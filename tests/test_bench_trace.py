@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from podrepo import harness
+from podrepo.core import departure_schedule
 from podrepo.instances import build_small_system
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,9 +40,11 @@ def test_traced_comparison_gives_layer_metrics(spans):
     inst = build_small_system(n=200)
     with spans.Tracer() as tracer:
         harness.run_comparison(inst, ["random", "cheapest", "most-expensive",
-                                      "tetris", "fixed"])
+                                      "tetris:frequency", "tetris:duration", "fixed"])
     metrics = layers.layer_metrics(tracer.spans)
     assert set(metrics) == set(layers.METRICS)
-    assert metrics["harness.policy_runs"] == 5
-    assert metrics["tetris.intervals"] > 0
+    assert metrics["harness.policy_runs"] == 6
+    # both modes read the shared start's decisions from their own span
+    decisions = sum(not info.fill for info in departure_schedule(inst).steps)
+    assert metrics["tetris.intervals"] == 2 * decisions > 0
     assert metrics["policies.us_per_decision.fixed"] > 0

@@ -124,6 +124,24 @@ class TestRun:
                      "--node-budget", "1"]) == EXIT_CONFIG
         assert main(["run", str(path), "--policy", "cheapest"]) == EXIT_OK
 
+    def test_return_all_pods_without_room_runs_no_replay(self, tmp_path, monkeypatch,
+                                                         capsys):
+        crowded = Instance(n_pods=3, n_places=2, station_capacities=(1,),
+                           costs=CostModel(to_station=((1.0,), (2.0,)),
+                                           from_station=((1.0, 2.0),),
+                                           terminal=TERMINAL_RETURN_ALL),
+                           initial_storage=(1, 2), initial_queues=((3,),),
+                           departures=((1, 1), (2, 1)))
+        path = tmp_path / "crowded.json"
+        save_instance(crowded, path)
+        replays = []
+        init = Replay.__init__
+        monkeypatch.setattr(Replay, "__init__",
+                            lambda self, inst: replays.append(inst) or init(self, inst))
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "3 pods, 2 places" in capsys.readouterr().err
+        assert replays == []
+
     def test_unknown_policy_is_config_error(self, small_path):
         assert main(["run", str(small_path), "--policy", "magic"]) == EXIT_CONFIG
 

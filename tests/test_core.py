@@ -504,6 +504,21 @@ class TestHostileInstanceFiles:
         del doc["terminal_cost"]
         assert instance_from_dict(doc) == harness.build_tiny_random(5)
 
+    def test_return_all_pods_needs_a_place_for_every_pod(self, tmp_path):
+        # three pods on two places: the queued pod never finds a free place
+        inst = Instance(n_pods=3, n_places=2, station_capacities=(1,),
+                        costs=CostModel(to_station=((1.0,), (2.0,)),
+                                        from_station=((1.0, 2.0),),
+                                        terminal=TERMINAL_RETURN_ALL),
+                        initial_storage=(1, 2), initial_queues=((3,),),
+                        departures=((1, 1), (2, 1)))
+        path = tmp_path / "crowded.json"
+        save_instance(inst, path)
+        with pytest.raises(InvalidInstanceError,
+                           match="terminal cost return-all-pods .*3 pods, 2 places"):
+            load_instance(path)
+        validate_instance(replace(inst, costs=replace(inst.costs, terminal="zero")))
+
     def test_programmatic_nan_cost_rejected(self):
         costs = CostModel(to_station=((float("nan"),),), from_station=((1.0,),))
         with pytest.raises(InvalidInstanceError):

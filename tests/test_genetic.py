@@ -9,8 +9,8 @@ import pytest
 
 from podrepo import harness
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_PHASE, CostModel,
-                          InfeasibleActionError, Instance, Replay, Verdict,
-                          check_feasible, initial_busy_ends, total_cost)
+                          Instance, Replay, Verdict, check_feasible,
+                          initial_busy_ends, total_cost)
 from podrepo.genetic import (GAMMA_AVG_COST, GAMMA_CLOSE, GAMMA_FAR,
                              GAMMA_ZIGZAG, GENETIC1, GENETIC2, INFEASIBLE,
                              GaConfig, _decode2_batch, _genetic1_fitness,
@@ -18,6 +18,7 @@ from podrepo.genetic import (GAMMA_AVG_COST, GAMMA_CLOSE, GAMMA_FAR,
 from podrepo.instances import (build_medium_system, build_small_system,
                                rng_from_seed)
 from podrepo.policies import RandomPolicy
+from reference import total_or_infeasible
 
 
 def walkthrough_instance() -> Instance:
@@ -180,15 +181,6 @@ def plan_array(inst: Instance, plans) -> np.ndarray:
     """Plans as genetic-1 holds a population: one row each, in the smallest
     dtype that fits a place id."""
     return np.array(plans, dtype=np.min_scalar_type(inst.n_places))
-
-
-def total_or_infeasible(inst: Instance, plan) -> float:
-    """Genetic-1's fitness walked through ``Replay``: the oracle for the
-    batched check."""
-    try:
-        return total_cost(inst, plan)
-    except InfeasibleActionError:
-        return INFEASIBLE
 
 
 def stepped(inst: Instance, plan, t: int) -> Replay:

@@ -6,14 +6,13 @@ import pytest
 
 from podrepo import exact, harness
 from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, Replay,
-                          check_feasible, departure_schedule, terminal_cost,
-                          total_cost)
+                          check_feasible, departure_schedule, total_cost)
 from podrepo.exact import solve_exact, solve_iterative
 from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
 from podrepo.instances import REGIME_PERIODIC, build_small_system
 from podrepo.policies import compute_fixed_assignment, rearranged_instance
 from podrepo.tetris import tetris
-from reference import admissible_actions, initial_state, step_cost, transition
+from reference import admissible_actions, initial_state, reference_cost, transition
 
 
 class TestBruteForce:
@@ -153,18 +152,6 @@ class TestReturnAllPods:
         inst = replace(inst, costs=replace(inst.costs, terminal=TERMINAL_RETURN_ALL))
         with pytest.raises(ValueError, match="return-all-pods"):
             harness.brute_force_optimum(inst)
-
-
-def reference_cost(inst, actions):
-    """Cost of ``actions`` stepped through the functional reference model,
-    terminal cost included."""
-    state = initial_state(inst)
-    cost = 0.0
-    for a in actions:
-        cost += step_cost(inst, state, a)
-        state = transition(inst, state, a)
-    assert not state.future_departures
-    return cost + terminal_cost(inst, state.storage, state.queues)
 
 
 # every policy run_policy accepts: each base name, each cheapest variant,

@@ -8,12 +8,18 @@ all of it at a bounded example count.
 
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from podrepo import harness
-from podrepo.core import TERMINAL_RETURN_ALL, CostModel, Instance, validate_instance
+from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance, Replay,
+                          validate_instance)
 from podrepo.exact import solve_exact
+from podrepo.genetic import (GENETIC1, GENETIC2, GaConfig, _genetic1_fitness,
+                             _random_plans, evolve)
 from podrepo.instances import REGIME_RANDOM_UNIFORM, generate_departures
+from podrepo.policies import RandomPolicy
+from reference import reference_cost, total_or_infeasible
 
 ONLINE = ("random", "cheapest:to-storage", "cheapest:avg",
           "cheapest:decision", "most-expensive", "fixed")
@@ -66,6 +72,7 @@ def test_every_solver_and_policy_on_tiny_instances(inst):
     result = solve_exact(inst)
     assert result.optimal
     assert (result.actions, result.cost) == (brute_actions, brute_cost)
+    assert reference_cost(inst, result.actions) == result.cost
     # run_policy raises CostMismatchError when its re-verification fails
     for name in OFFLINE:
         assert harness.run_policy(inst, name)[1] >= brute_cost
@@ -73,3 +80,29 @@ def test_every_solver_and_policy_on_tiny_instances(inst):
     for name in ONLINE:
         harness.run_policy(inst, name, seed=3)
         harness.run_policy(returning, name, seed=3)
+
+
+@given(inst=tiny_instances(), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_genetic1_start_plans_and_fitness_on_tiny_instances(inst, seed):
+    seeds = [seed, seed + 1, seed + 2]
+    plans = _random_plans(inst, seeds)
+    assert plans.tolist() == [Replay(inst).run(RandomPolicy(s)).actions for s in seeds]
+    # each start plan again with one gene moved, fill steps included
+    rng = np.random.default_rng(seed)
+    mutants = plans.copy()
+    for plan in mutants:
+        plan[rng.integers(inst.horizon)] = rng.integers(1, inst.n_places + 1)
+    population = np.vstack((plans, mutants)).astype(np.min_scalar_type(inst.n_places))
+    fitness = _genetic1_fitness(inst)(population).tolist()
+    assert ([f.hex() for f in fitness]
+            == [total_or_infeasible(inst, plan).hex() for plan in population.tolist()])
+
+
+@given(inst=tiny_instances(), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_genetic_encodings_never_beat_the_optimum(inst, seed):
+    _, optimum = harness.brute_force_optimum(inst)
+    for encoding in (GENETIC1, GENETIC2):
+        result = evolve(inst, encoding, config=GaConfig(max_generations=3, seed=seed))
+        assert result.cost >= optimum

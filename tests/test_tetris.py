@@ -1,6 +1,8 @@
 """Interval-moving heuristic and its most-expensive-place initialization."""
 
+import gc
 import importlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,8 @@ from podrepo.instances import (REGIME_RANDOM_UNIFORM, build_medium_system,
                                build_small_system)
 from podrepo.policies import CheapestPolicy, decision_cost
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
-                            MostExpensivePlacePolicy, tetris)
+                            MostExpensivePlacePolicy, most_expensive_start,
+                            tetris)
 from reference import tetris_bisect
 
 # ``podrepo.tetris`` is the function the package re-exports, not the module
@@ -125,6 +128,64 @@ class TestTetris:
 
 
 MODES = [SORT_FREQUENCY, SORT_DURATION]
+SHARING = ["most-expensive", "tetris:frequency", "tetris:duration"]
+
+
+class TestSharedStart:
+    """The most-expensive row and both tetris modes play one start replay
+    per instance object."""
+
+    def test_one_start_per_comparison(self, monkeypatch):
+        policies, replays = [], []
+        policy_init = MostExpensivePlacePolicy.__init__
+        monkeypatch.setattr(MostExpensivePlacePolicy, "__init__",
+                            lambda self, inst: policies.append(inst) or policy_init(self, inst))
+        monkeypatch.setattr(tetris_module, "Replay",
+                            lambda inst: replays.append(inst) or Replay(inst))
+        inst = build_small_system(n=300)
+        rows = harness.run_comparison(inst, SHARING)
+        assert policies == [inst] and replays == [inst]
+        assert rows[0].actions == Replay(inst).run(MostExpensivePlacePolicy(inst)).actions
+
+    @pytest.mark.parametrize("first", SHARING)
+    def test_results_do_not_depend_on_the_order(self, first):
+        expected = {name: harness.run_policy(build_small_system(n=300), name)[:2]
+                    for name in SHARING}
+        inst = build_small_system(n=300)
+        order = [first] + [name for name in SHARING if name != first]
+        assert {name: harness.run_policy(inst, name)[:2] for name in order} == expected
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_returned_actions_are_copies(self, mode):
+        expected = tetris(build_small_system(n=300), mode)
+        inst = build_small_system(n=300)
+        actions = harness.run_policy(inst, "most-expensive")[0]
+        actions[:] = [0] * len(actions)
+        assert tetris(inst, mode) == expected
+        row = harness.run_comparison(inst, ["most-expensive"])[0]
+        row.actions.reverse()
+        assert tetris(inst, mode) == expected
+
+    def test_replaced_copy_gets_its_own_start(self):
+        inst = build_small_system(n=300)
+        start = most_expensive_start(inst)
+        assert most_expensive_start(inst) is start
+        copy = replace(inst)
+        assert tetris(copy, SORT_FREQUENCY) == tetris(inst, SORT_FREQUENCY)
+        copy_policy, copy_replay = most_expensive_start(copy)
+        assert copy_policy is not start[0] and copy_replay is not start[1]
+
+    def test_compared_instance_is_freed_without_the_collector(self):
+        inst = build_small_system(n=300)
+        harness.run_comparison(inst, SHARING)
+        assert not hasattr(most_expensive_start(inst)[1], "inst")
+        ref = weakref.ref(inst)
+        gc.disable()
+        try:
+            del inst
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBitmapSweepMatchesBisect:
