@@ -52,7 +52,7 @@ def gen(system: str, seed: int, n: int, regime: str, out: str) -> None:
         inst = instances.build_small_system(seed=seed, n=n, regime=regime)
         meta["pod_weights"] = instances.geometric_weights(
             instances.SMALL_N_PODS, instances.SMALL_WEIGHT_RATIO)
-        meta["station_weights"] = [0.5, 0.5]
+        meta["station_weights"] = list(instances.SMALL_STATION_WEIGHTS)
     elif system == "medium":
         n = n if n is not None else 20000
         inst = instances.build_medium_system(seed=seed, n=n, regime=regime)

@@ -336,21 +336,13 @@ class Replay:
         except IndexError:
             raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
 
-    def admissible_bits(self) -> int:
-        """:meth:`admissible` as a mask: bit ``a`` set for each admissible
-        action ``a``, so ``1 << NO_OP`` on a fill step or past the end."""
-        try:
-            info = self._steps[self.t]
-        except IndexError:
-            return 1 << NO_OP
-        if info.fill:
-            return 1 << NO_OP
-        return self.free_bits | 1 << self.place_of[info.pod]
-
     def admissible(self) -> list[int]:
         """Admissible actions, ascending: the free places plus the place the
         departing pod leaves, or ``[NO_OP]`` on a fill step or past the end."""
-        return set_bits(self.admissible_bits())
+        if self.done or self._steps[self.t].fill:
+            return [NO_OP]
+        mask = self.free_bits | 1 << self.place_of[self.current.pod]
+        return [p for p in range(1, self.n_places + 1) if mask >> p & 1]
 
     def step(self, action: int) -> float:
         """Apply one step.  An infeasible action (any action past the end)
@@ -403,16 +395,6 @@ class Replay:
 
     def storage_tuple(self) -> tuple[Optional[int], ...]:
         return tuple(h if h != 0 else None for h in self.pod_at[1:])
-
-
-def set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
 
 
 def terminal_cost(inst: Instance, final_storage: Sequence[Optional[int]],
@@ -616,9 +598,18 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(path) -> Instance:
+def _load_json(path, what: str):
+    """The JSON document of ``path``; one nested too deeply for the parser
+    raises ``InvalidInstanceError`` naming the file."""
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidInstanceError(f"{what} {path} is nested too deeply") from None
+
+
+def load_instance(path) -> Instance:
+    return instance_from_dict(_load_json(path, "instance file"))
 
 
 def save_actions(actions: Sequence[int], path) -> None:
@@ -630,8 +621,7 @@ def save_actions(actions: Sequence[int], path) -> None:
 def load_actions(path) -> list[int]:
     """The action list of a JSON file; a document that is not a list of
     integers raises ``InvalidInstanceError``."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "action file")
     if type(doc) is not list:
         raise InvalidInstanceError(f"an action file holds a list, not {type(doc).__name__}")
     return list(_ints(doc, "actions"))

@@ -23,12 +23,10 @@ suite cross-checks.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Optional
-
-import numpy as np
 
 from .core import (NO_OP, BudgetExceededError, Instance, departure_schedule,
                    initial_busy_ends, require_zero_terminal)
@@ -177,13 +175,14 @@ def _solve_windows(inst: Instance, window_size: int,
     into the next window."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
-    weights = decision_weights(inst, params)
     steps = departure_schedule(inst).steps
     decision_steps = params.decision_steps
-    # each distinct cost row ranked once, as (cost, place) pairs
-    rows = {id(w): w for w in weights.values()}
-    orders = {key: sorted(zip(w, range(1, len(w) + 1))) for key, w in rows.items()}
-    decisions = [(t, steps[t].busy_end, orders[id(weights[t])]) for t in decision_steps]
+    # each cost row ranked once, as (cost, place) pairs
+    orders = {key: sorted(zip(row[1:], range(1, len(row))))
+              for key, row in decision_cost_table(inst).items()}
+    decisions = [(t, steps[t].busy_end,
+                  orders[steps[t].station, steps[t].return_next_station])
+                 for t in decision_steps]
     busy_until = [0, *params.initial_busy_end]
     actions = [NO_OP] * inst.horizon
     cost = params.base_cost
@@ -248,10 +247,9 @@ def export_bip(inst: Instance, path) -> None:
     steps = departure_schedule(inst).steps
     # decision i's place rows hold x_i_p and the i earlier decisions less
     # those whose interval ended by t_i + 1 (a later one cannot end by then)
-    begins = np.array(params.decision_steps) + 1
-    ends = np.sort([steps[t].busy_end for t in params.decision_steps])
-    alive = np.arange(len(begins)) - np.searchsorted(ends, begins, side="right")
-    terms = inst.n_places * int(alive.sum() + len(begins))
+    ends = sorted(steps[t].busy_end for t in params.decision_steps)
+    terms = inst.n_places * sum(i + 1 - bisect_right(ends, t + 1)
+                                for i, t in enumerate(params.decision_steps))
     if terms > EXPORT_TERM_CAP:
         raise BudgetExceededError(f"about {terms} place-row terms exceed the "
                                   f"export cap {EXPORT_TERM_CAP}")

@@ -89,11 +89,7 @@ def _draw_pod(weights: np.ndarray, in_storage: np.ndarray, u: float) -> int:
     ``u = rng.random()`` the draw is bit-identical to
     ``pods[rng.choice(len(pods), p=w / w.sum())]`` over
     ``pods = sorted(storage)``: boolean indexing keeps pod ids ascending, and
-    the cdf is ``choice``'s own ``cumsum(w / total)``.  ``choice`` then
-    divides the cdf by its last entry and takes the first index whose entry
-    is above ``u``.  That divide is skipped here: a correctly rounded
-    division by the positive last entry is monotone, so the index found for
-    ``u * last`` is settled by comparing the few quotients around it.
+    the cdf, its normalising divide and the search are ``choice``'s own.
 
     It is the reference that :meth:`_Storage.draw` is tested against, and
     that draw's fallback wherever its prefix-sum tree cannot certify the pod,
@@ -105,15 +101,9 @@ def _draw_pod(weights: np.ndarray, in_storage: np.ndarray, u: float) -> int:
     total = np.add.reduce(w)
     if not 0.0 < total < np.inf:
         raise ValueError("the stored pods' weights must have a positive, finite sum")
-    w /= total
-    cdf = np.add.accumulate(w)
-    last = cdf.item(-1)
-    i = int(cdf.searchsorted(u * last, side="right"))
-    while i and cdf.item(i - 1) / last > u:
-        i -= 1
-    while cdf.item(i) / last <= u:
-        i += 1
-    return int(in_storage.nonzero()[0][i])
+    cdf = np.add.accumulate(w / total)
+    cdf /= cdf[-1]
+    return int(in_storage.nonzero()[0][cdf.searchsorted(u, side="right")])
 
 
 class _Storage:
@@ -141,9 +131,6 @@ class _Storage:
         self._total = 0  # the stored pods' scaled weights, exactly
         self._cap = 0  # scaled 2**1023: a total up to it sums to a finite double
         self._shift = 0
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.mask, dtype=dtype, copy=copy)
 
     def leave(self, pod: int) -> None:
         self.mask[pod] = False
@@ -311,25 +298,17 @@ def generate_departures(
         def draw(t: int, storage: _Storage) -> tuple[int, int]:
             nonlocal block
             in_storage = storage.mask
+            # correction rule: the block's first stored pod swaps with its
+            # head and departs; a block with none gives way to a fresh one
             while True:
                 if not block:
                     block = (rng.permutation(n_pods) + 1).tolist()
-                pod = block[0]
-                if in_storage[pod]:
-                    block.pop(0)
+                j = next((j for j, h in enumerate(block) if in_storage[h]), None)
+                if j is not None:
                     break
-                # correction rule: swap with the next in-storage pod in the
-                # block, skip to a fresh block when there is none
-                for j in range(1, len(block)):
-                    if in_storage[block[j]]:
-                        block[0], block[j] = block[j], block[0]
-                        break
-                else:
-                    block = []
-                    continue
-                pod = block.pop(0)
-                break
-            return pod, _pick(stations, rng) + 1
+                block = []
+            block[0], block[j] = block[j], block[0]
+            return block.pop(0), _pick(stations, rng) + 1
 
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
                                        initial_queues, n, draw)
@@ -344,6 +323,7 @@ SMALL_N_PLACES = 10
 SMALL_QUEUE_CAPACITY = 2
 SMALL_WEIGHT_RATIO = 20.0
 SMALL_BASE_COST = 4
+SMALL_STATION_WEIGHTS = (0.5, 0.5)
 
 
 def _line_costs(n_places: int) -> CostModel:
@@ -364,7 +344,7 @@ def _line_system(n_pods: int, queue_capacity: int, regime: str,
         n_pods, capacities, initial_storage, initial_queues,
         regime=regime, seed=seed, n=n,
         pod_weights=geometric_weights(n_pods, SMALL_WEIGHT_RATIO),
-        station_weights=(0.5, 0.5))
+        station_weights=SMALL_STATION_WEIGHTS)
     inst = Instance(n_pods=n_pods, n_places=n_pods, station_capacities=capacities,
                     costs=_line_costs(n_pods),
                     initial_storage=initial_storage, initial_queues=initial_queues,

@@ -203,6 +203,14 @@ class TestRun:
         assert main(["run", str(bad)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    def test_deeply_nested_instance_is_config_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", str(deep)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: instance file" in err and "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 class TestCompare:
     def test_deterministic_csv(self, small_path, tmp_path):
@@ -338,6 +346,16 @@ class TestChart:
         assert main(["chart", str(tiny_path), str(hostile),
                      "--out", str(out)]) == EXIT_CONFIG
         assert "error: actions must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_action_file_rejected(self, tiny_path, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "chart.svg"
+        assert main(["chart", str(tiny_path), str(deep), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: action file" in err and "nested too deeply" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_refused_window_writes_no_file(self, tiny_path, tmp_path):

@@ -397,6 +397,14 @@ class TestSerialization:
         with pytest.raises(InvalidInstanceError):
             load_actions(path)
 
+    @pytest.mark.parametrize("loader", [load_instance, load_actions])
+    def test_deeply_nested_file_rejected(self, tmp_path, loader):
+        # json's decoder answers deep nesting with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InvalidInstanceError, match="deep.json is nested too deeply"):
+            loader(path)
+
     def test_small_system_roundtrip(self, tmp_path):
         inst = build_small_system(seed=1, n=50)
         path = tmp_path / "small.json"

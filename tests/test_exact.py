@@ -13,7 +13,7 @@ from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, Replay,
                           check_feasible, departure_schedule, total_cost)
 from podrepo.exact import (decision_weights, derive_bip_parameters, export_bip,
                            solve_exact, solve_iterative)
-from podrepo.instances import build_small_system
+from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import CHEAPEST_DECISION, CheapestPolicy, RandomPolicy
 
 
@@ -292,6 +292,14 @@ class TestModelExport:
         # the estimate counts every place row, also the ones left out
         estimate = int(str(err.value).split()[1])
         assert written <= estimate <= written + inst.n_places
+
+    @pytest.mark.parametrize("build, n, terms", [(build_small_system, 1000, 59530),
+                                                 (build_medium_system, 200, 6364512)],
+                             ids=["small", "medium"])
+    def test_term_estimate_is_pinned(self, tmp_path, monkeypatch, build, n, terms):
+        monkeypatch.setattr(exact, "EXPORT_TERM_CAP", 0)
+        with pytest.raises(BudgetExceededError, match=f"^about {terms} place-row terms"):
+            export_bip(build(1, n=n), tmp_path / "model.lp")
 
     def test_refuses_return_all_pods(self, tmp_path):
         """The model has no terminal-cost term, like the solvers."""

@@ -1,5 +1,6 @@
 """Experiment orchestration, the exhaustive oracle, and the studies."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -245,6 +246,26 @@ class TestRunComparison:
         csv_b = (tmp_path / "b" / "results.csv").read_bytes()
         assert csv_a == csv_b
         assert (tmp_path / "a" / "timings.json").exists()
+
+    def test_shared_start_is_timed_on_its_own(self, tmp_path, monkeypatch):
+        """The most-expensive start is played before the first row that
+        shares it, so that row's wall time does not hold it."""
+        played = []
+        run_policy = harness.run_policy
+
+        def spy(inst, name, seed=0):
+            start = getattr(inst, "_start", None)
+            played.append((name, start is not None and start[1].done))
+            return run_policy(inst, name, seed)
+
+        monkeypatch.setattr(harness, "run_policy", spy)
+        inst = build_small_system(n=150)
+        names = ["random", "cheapest:decision", "tetris:duration", "most-expensive"]
+        harness.run_comparison(inst, names, out_dir=tmp_path)
+        assert played == [("random", False), ("cheapest:decision", False),
+                          ("tetris:duration", True), ("most-expensive", True)]
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert list(timings) == [*names, "most-expensive start"]
 
     def test_instance_not_mutated(self):
         inst = build_small_system(n=150)

@@ -102,8 +102,8 @@ def stored_weights(draw):
 
 
 class TestDrawPodMatchesChoice:
-    """``_draw_pod`` skips ``Generator.choice``'s normalising divide, and must
-    still pick the very pod that ``choice`` picks from the same double."""
+    """``_draw_pod`` must pick the very pod that ``Generator.choice`` picks
+    from the same double."""
 
     @given(case=stored_weights(), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
@@ -118,8 +118,8 @@ class TestDrawPodMatchesChoice:
         for _ in range(20):
             assert (_draw_pod(vector, in_storage, rng_a.random())
                     == pods[rng_b.choice(len(pods), p=w / w.sum())])
-        # doubles on and next to choice's normalised cdf entries, where
-        # skipping the divide could move the index by one
+        # doubles on and next to choice's normalised cdf entries, where a
+        # cdf rounded another way could move the index by one
         cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
         for edge in cdf[:-1]:
@@ -353,8 +353,8 @@ class TestDrawErrors:
     def test_draw_sees_membership_mask(self):
         seen = []
 
-        def draw(t, in_storage):
-            seen.append(np.flatnonzero(in_storage).tolist())
+        def draw(t, storage):
+            seen.append(np.flatnonzero(storage.mask).tolist())
             return seen[-1][0], 1
 
         deps = co_simulated_departures(3, (1,), (1, None, 3), ((2,),), 3, draw)
