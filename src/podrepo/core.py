@@ -145,8 +145,7 @@ class OccupationInterval(NamedTuple):
     decision_step: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     """Action-independent facts about one time step.
 
     ``fill`` marks queue-filling steps (forced no-op).  For decision steps,
@@ -154,6 +153,13 @@ class StepInfo:
     the chosen place over ``[t + 1, busy_end)``, up to and including its next
     departure (``busy_end`` is ``horizon + 1`` when it never departs again),
     and ``return_next_station`` is that departure's station, if any.
+
+    A tuple record: a schedule builds one per step, several times faster
+    than a frozen dataclass.  CPython 3.11 specializes neither a field read
+    of it nor an unpack, so each costs more than a dataclass field read.  A
+    loop over the steps that reads three or more fields unpacks the record
+    (``pod, station, fill, returning, end, next_station``); one that reads
+    fewer reads them by name.
     """
 
     pod: int
@@ -222,6 +228,8 @@ def _simulate_queues(inst: Instance) -> Schedule:
     next_dep_idx = [0] * (inst.n_pods + 1)
 
     steps: list[StepInfo] = []
+    # StepInfo's generated __new__ with its defaults costs twice this
+    new = tuple.__new__
     choices: list[int] = []
     for t, (pod, station) in enumerate(departures):
         if not in_storage[pod]:
@@ -232,7 +240,7 @@ def _simulate_queues(inst: Instance) -> Schedule:
         q = queues[station - 1]
         if len(q) < capacities[station - 1]:
             q.append(pod)
-            steps.append(StepInfo(pod, station, True))
+            steps.append(new(StepInfo, (pod, station, True, None, None, None)))
             choices.append(1)
         else:
             head = q.pop(0)
@@ -246,7 +254,7 @@ def _simulate_queues(inst: Instance) -> Schedule:
                 busy_end, next_station = later[idx] + 1, departures[later[idx]][1]
             else:
                 busy_end, next_station = never, None
-            steps.append(StepInfo(pod, station, False, head, busy_end, next_station))
+            steps.append(new(StepInfo, (pod, station, False, head, busy_end, next_station)))
     return Schedule(
         steps=tuple(steps),
         final_queues=tuple(tuple(q) for q in queues),
@@ -287,8 +295,9 @@ def validate_instance(inst: Instance) -> None:
             seen.add(h)
     if len(seen) != inst.n_pods:
         raise InvalidInstanceError("every pod must appear exactly once")
+    n_pods, n_stations = inst.n_pods, inst.n_stations
     for t, (h, s) in enumerate(inst.departures):
-        if not 1 <= h <= inst.n_pods or not 1 <= s <= inst.n_stations:
+        if not 1 <= h <= n_pods or not 1 <= s <= n_stations:
             raise InvalidInstanceError(f"departure {t} references unknown pod or station")
     departure_schedule(inst)
 
@@ -353,7 +362,7 @@ class Replay:
         except IndexError:
             raise InfeasibleActionError(t, REASON_LENGTH, "no pending departure") from None
         place_of, pod_at = self.place_of, self.pod_at
-        pod, station, fill = info.pod, info.station, info.fill
+        pod, station, fill, returning, _, _ = info
         place = place_of[pod]
         if fill:
             if action != NO_OP:
@@ -373,7 +382,6 @@ class Replay:
         if fill:
             self.free_bits |= 1 << place
         else:
-            returning = info.returning_pod
             pod_at[action] = returning
             place_of[returning] = action
             if action != place:
@@ -473,8 +481,8 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
         add(OccupationInterval(p, h, 0, busy_until[p], None,
                                departures[deps[0]][1] if deps else None))
     n_places = inst.n_places
-    for t, (info, action) in enumerate(zip(schedule.steps, actions)):
-        fill = info.fill
+    for t, ((_, station, fill, returning, end, next_station), action) in enumerate(
+            zip(schedule.steps, actions)):
         if fill or action == NO_OP:
             if fill != (action == NO_OP):
                 raise InfeasibleActionError(t, REASON_PHASE, "cannot build intervals")
@@ -482,10 +490,8 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
         # the place's last pod must leave at step t at the latest
         if not 1 <= action <= n_places or busy_until[action] > t + 1:
             raise InfeasibleActionError(t, REASON_BUSY, f"place {action} is not free")
-        end = info.busy_end
         busy_until[action] = end
-        add(OccupationInterval(action, info.returning_pod, t + 1, end, info.station,
-                               info.return_next_station, t))
+        add(OccupationInterval(action, returning, t + 1, end, station, next_station, t))
     return intervals
 
 
@@ -593,9 +599,11 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
+    """Write ``inst`` as one line of JSON: ``json.dumps`` runs json's C
+    encoder, which ``json.dump`` and any ``indent`` bypass.  An indented file
+    loads all the same."""
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(instance_to_dict(inst)) + "\n")
 
 
 def _load_json(path, what: str):
@@ -614,8 +622,7 @@ def load_instance(path) -> Instance:
 
 def save_actions(actions: Sequence[int], path) -> None:
     with open(path, "w") as fh:
-        json.dump(list(actions), fh)
-        fh.write("\n")
+        fh.write(json.dumps(list(actions)) + "\n")
 
 
 def load_actions(path) -> list[int]:

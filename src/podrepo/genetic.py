@@ -113,17 +113,17 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
     total = np.zeros(rows)
     chosen_at = np.zeros((length, rows), dtype=gamma_arr.dtype)
     fills = np.zeros(length, dtype=bool)
-    for t, info in enumerate(steps):
-        s = info.station - 1
-        dep = place_of[info.pod]
+    for t, (pod, station, fill, returning, _, _) in enumerate(steps):
+        s = station - 1
+        dep = place_of[pod]
         flat[dep] = True
-        if info.fill:
+        if fill:
             fills[t] = True
             total += to_leg[s][dep]
             continue
         chosen = flat.nonzero()[0][pick[t]]
         flat[chosen] = False
-        place_of[info.returning_pod] = chosen
+        place_of[returning] = chosen
         chosen_at[t] = chosen - row_start
         total += to_leg[s][dep] + from_leg[s][chosen]
     actions = gamma_arr[chosen_at.T]

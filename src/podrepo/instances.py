@@ -115,8 +115,9 @@ class _Storage:
     as the integer ``w * 2**shift``, with the smallest shift that makes every
     weight of that array one; its size is the power of two above the pod
     count, and pods past the last weigh 0.  :meth:`leave` and :meth:`store`
-    keep the mask and the tree in step.  A draw with another array rebuilds
-    the tree, so an array must not change while it is in use.
+    keep the mask and the tree in step: each walks the pod's path, the tree
+    nodes that hold its weight, listed once per pod id.  A draw with another
+    array rebuilds the tree, so an array must not change while it is in use.
     """
 
     def __init__(self, n_pods: int, stored: Sequence[int]):
@@ -128,26 +129,35 @@ class _Storage:
         self._weights: Optional[np.ndarray] = None
         self._ints = [0] * (size + 1)  # scaled weight by pod id
         self._tree = [0] * (size + 1)  # prefix-sum tree of the stored scaled weights
+        # per pod id i: the nodes that hold its weight, i, i + (i & -i), ... up to size
+        self._paths: list[list[int]] = [[]]
+        for i in range(1, n_pods + 1):
+            path = []
+            while i <= size:
+                path.append(i)
+                i += i & -i
+            self._paths.append(path)
         self._total = 0  # the stored pods' scaled weights, exactly
         self._cap = 0  # scaled 2**1023: a total up to it sums to a finite double
         self._shift = 0
 
     def leave(self, pod: int) -> None:
         self.mask[pod] = False
-        self._add(pod, -self._ints[pod])
+        w = self._ints[pod]
+        if w:
+            self._total -= w
+            tree = self._tree
+            for node in self._paths[pod]:
+                tree[node] -= w
 
     def store(self, pod: int) -> None:
         self.mask[pod] = True
-        self._add(pod, self._ints[pod])
-
-    def _add(self, pod: int, delta: int) -> None:
-        if delta:
-            self._total += delta
+        w = self._ints[pod]
+        if w:
+            self._total += w
             tree = self._tree
-            size = len(tree)
-            while pod < size:
-                tree[pod] += delta
-                pod += pod & -pod
+            for node in self._paths[pod]:
+                tree[node] += w
 
     def _build(self, weights: np.ndarray) -> None:
         ratios = [w.as_integer_ratio() for w in weights.tolist()]

@@ -171,9 +171,9 @@ class CheapestPolicy:
 
     def __call__(self, replay: Replay) -> int:
         """The smallest admissible place of the first level that has one."""
-        info = replay.current
-        admissible = replay.free_bits | 1 << replay.place_of[info.pod]
-        for level in self.levels[(info.station, info.return_next_station)]:
+        pod, station, _, _, _, next_station = replay.current
+        admissible = replay.free_bits | 1 << replay.place_of[pod]
+        for level in self.levels[(station, next_station)]:
             hit = admissible & level
             if hit:
                 return (hit & -hit).bit_length() - 1
@@ -185,10 +185,10 @@ def station_frequencies(inst: Instance) -> tuple[list[list[int]], list[list[int]
     from the departure sequence alone."""
     f_to = [[0] * inst.n_stations for _ in range(inst.n_pods)]
     f_from = [[0] * inst.n_stations for _ in range(inst.n_pods)]
-    for info in departure_schedule(inst).steps:
-        f_to[info.pod - 1][info.station - 1] += 1
-        if not info.fill:
-            f_from[info.returning_pod - 1][info.station - 1] += 1
+    for pod, station, fill, returning, _, _ in departure_schedule(inst).steps:
+        f_to[pod - 1][station - 1] += 1
+        if not fill:
+            f_from[returning - 1][station - 1] += 1
     return f_to, f_from
 
 

@@ -16,13 +16,13 @@ import podrepo
 from podrepo import core, harness
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           TERMINAL_RETURN_ALL, CostModel, InfeasibleActionError,
-                          Instance, InvalidInstanceError, Replay, check_feasible,
-                          departure_schedule, initial_busy_ends,
+                          Instance, InvalidInstanceError, Replay, StepInfo,
+                          check_feasible, departure_schedule, initial_busy_ends,
                           instance_from_dict, instance_to_dict, load_actions,
                           load_instance, occupation_intervals, save_actions,
                           save_instance, terminal_cost, total_cost,
                           validate_instance)
-from podrepo.instances import build_small_system
+from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (RandomPolicy, compute_fixed_assignment,
                               rearranged_instance)
 from reference import (admissible_actions, enqueue, initial_state, step_cost,
@@ -147,6 +147,20 @@ class TestSchedule:
                 replay.step(action)
                 state = transition(run, state, action)
             assert len(schedule.choices) == run.horizon
+
+    def test_step_record_unpacks_to_its_fields_in_order(self):
+        # loops that read three or more fields of every step unpack the record
+        for info in departure_schedule(harness.build_tiny_random(3)).steps:
+            pod, station, fill, returning, end, next_station = info
+            assert (pod, station, fill, returning, end, next_station) == (
+                info.pod, info.station, info.fill, info.returning_pod, info.busy_end,
+                info.return_next_station)
+        assert tuple(StepInfo(4, 2, True)) == (4, 2, True, None, None, None)
+
+    def test_step_record_is_immutable(self):
+        info = departure_schedule(harness.build_tiny_random(3)).steps[0]
+        with pytest.raises(AttributeError):
+            info.pod = 99
 
     def test_pod_departure_steps_cover_departures(self):
         inst = harness.build_tiny_random(1)
@@ -410,6 +424,30 @@ class TestSerialization:
         path = tmp_path / "small.json"
         save_instance(inst, path)
         assert load_instance(path) == inst
+
+    @pytest.mark.parametrize("build", [lambda: harness.build_tiny_random(7),
+                                       lambda: build_small_system(seed=2, n=300),
+                                       lambda: build_medium_system(1, n=2000)],
+                             ids=["tiny", "small", "medium"])
+    def test_saved_file_loads_to_an_equal_instance_and_schedule(self, tmp_path, build):
+        inst = build()
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        assert loaded == inst
+        assert departure_schedule(loaded) == departure_schedule(inst)
+
+    def test_indented_file_still_loads(self, tmp_path):
+        inst = build_small_system(seed=1, n=80)
+        path = tmp_path / "indented.json"
+        with open(path, "w") as fh:
+            json.dump(instance_to_dict(inst), fh, indent=1)
+        assert load_instance(path) == inst
+
+    def test_action_file_bytes(self, tmp_path):
+        path = tmp_path / "actions.json"
+        save_actions([3, 0, 12], path)
+        assert path.read_text() == "[3, 0, 12]\n"
 
 
 @given(seed=st.integers(0, 10_000))

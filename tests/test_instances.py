@@ -195,6 +195,21 @@ class TestStorageDraw:
         # each node holds the exact sum of its range of pod ids
         for i in range(1, len(storage._tree)):
             assert storage._tree[i] * unit == sum(exact[i - (i & -i) + 1:i + 1])
+        # the walked paths leave the very tree a build from the mask gives
+        rebuilt = _Storage(n, storage.mask.nonzero()[0].tolist())
+        rebuilt._build(vector)
+        assert (storage._tree, storage._total) == (rebuilt._tree, rebuilt._total)
+
+    def test_paths_are_the_fenwick_walk(self):
+        for n in range(1, 1025):
+            storage = _Storage(n, [])
+            size = len(storage._tree) - 1
+            for pod in range(1, n + 1):
+                walk, i = [], pod
+                while i <= size:
+                    walk.append(i)
+                    i += i & -i
+                assert storage._paths[pod] == walk
 
     def test_edge_double_takes_the_fallback(self, monkeypatch):
         calls = []
