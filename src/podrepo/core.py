@@ -8,7 +8,8 @@ and the action chooses which storage place receives it.
 
 :class:`Replay` is the one step engine of the library: the policies, the
 solvers' commits, the chart trace and the verification replays all step it,
-and :meth:`Replay.run` asks a policy for an action at decision steps only.
+and :meth:`Replay.run` asks a policy ``decide(replay, info)`` for an action
+at decision steps only, handing it the pending step's record ``info``.
 The test suite checks it against a functional reference model.
 
 The queue dynamics do not depend on the actions: :func:`departure_schedule`
@@ -337,20 +338,12 @@ class Replay:
     def done(self) -> bool:
         return self.t >= self.horizon
 
-    @property
-    def current(self) -> StepInfo:
-        """The pending step; past the end it raises like :meth:`step`."""
-        try:
-            return self._steps[self.t]
-        except IndexError:
-            raise InfeasibleActionError(self.t, REASON_LENGTH, "no pending departure") from None
-
     def admissible(self) -> list[int]:
         """Admissible actions, ascending: the free places plus the place the
         departing pod leaves, or ``[NO_OP]`` on a fill step or past the end."""
         if self.done or self._steps[self.t].fill:
             return [NO_OP]
-        mask = self.free_bits | 1 << self.place_of[self.current.pod]
+        mask = self.free_bits | 1 << self.place_of[self._steps[self.t].pod]
         return [p for p in range(1, self.n_places + 1) if mask >> p & 1]
 
     def step(self, action: int) -> float:
@@ -392,13 +385,13 @@ class Replay:
         self.actions.append(action)
         return cost
 
-    def run(self, decide: Callable[["Replay"], int]) -> "Replay":
+    def run(self, decide: Callable[["Replay", StepInfo], int]) -> "Replay":
         """Play the steps that are left: the no-op on fill steps,
-        ``decide(self)`` on decision steps.  On a finished replay it returns
-        at once."""
+        ``decide(self, info)`` on decision steps, where ``info`` is the
+        pending step's record.  On a finished replay it returns at once."""
         step = self.step
         for info in self._steps[self.t:]:
-            step(NO_OP if info.fill else decide(self))
+            step(NO_OP if info.fill else decide(self, info))
         return self
 
     def storage_tuple(self) -> tuple[Optional[int], ...]:

@@ -1,17 +1,18 @@
 """Online repositioning policies: random, the three cheapest-place variants,
 and the fixed-place policy with its offline assignment computation.
 
-A policy is a callable ``decide(replay) -> place`` that
+A policy is a callable ``decide(replay, info) -> place`` that
 :meth:`~podrepo.core.Replay.run` calls at decision steps only (it steps the
-no-op on fill steps itself); every returned place is admissible by
-construction.  A decision reads the pending step once and builds the
-admissible mask from it: the free places plus the one the departing pod
-leaves.  The greedy policies scan cost levels: one static mask of
-places per distinct cost, best cost first, ANDed with that mask.  Each
-keeps one map from a decision's (from-station, next-station) key to its
-levels, built with the policy, so a decision is one lookup and one scan.
-Ties between equally cheap places are always broken by the smallest place
-id so replays are reproducible: that is the lowest set bit within a level.
+no-op on fill steps itself), with ``info`` the pending step's record; every
+returned place is admissible by construction.  A decision reads the pending
+step from ``info`` alone and builds the admissible mask from it: the free
+places plus the one the departing pod leaves.  The greedy policies scan
+cost levels: one static mask of places per distinct cost, best cost first,
+ANDed with that mask.  Each keeps one map from a decision's (from-station,
+next-station) key to its levels, built with the policy, so a decision is one
+lookup and one scan.  Ties between equally cheap places are always broken
+by the smallest place id so replays are reproducible: that is the lowest
+set bit within a level.
 The random policy draws for a whole replay at its first decision there,
 since the admissible counts do not depend on the actions.
 """
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Instance, Replay, _share_schedule, departure_schedule
+from .core import Instance, Replay, StepInfo, _share_schedule, departure_schedule
 from .instances import rng_from_seed
 
 CHEAPEST_TO_STORAGE = "to-storage"
@@ -99,10 +100,9 @@ class RandomPolicy:
     def __init__(self, seed: int = 0):
         self.rng = rng_from_seed(seed)
         self._replay: Optional[Replay] = None
-        # the pending decisions of that replay: their steps, departing pods
-        # and draws, and the index of the next one
+        # the pending decisions of that replay: their steps and draws, and
+        # the index of the next one
         self._steps: list[int] = []
-        self._pods: list[int] = []
         self._draws: list[int] = []
         self._next = 0
         self._prefix: list[int] = []  # _prefix[m]: the mask of bits 0..m
@@ -116,14 +116,13 @@ class RandomPolicy:
         if t >= len(steps) or steps[t].fill:
             raise ValueError(f"step {t} is not a decision of the replay")
         self._steps = decisions = [u for u in range(t, len(steps)) if not steps[u].fill]
-        self._pods = [steps[u].pod for u in decisions]
         self._draws = self.rng.integers([schedule.choices[u] for u in decisions]).tolist()
         self._replay, self._next = replay, 0
         n_places = replay.n_places
         if len(self._prefix) <= n_places:
             self._prefix = [(2 << m) - 1 for m in range(n_places + 1)]
 
-    def __call__(self, replay: Replay) -> int:
+    def __call__(self, replay: Replay, info: StepInfo) -> int:
         i = self._next
         if i == len(self._steps):
             self._draw(replay)
@@ -133,7 +132,7 @@ class RandomPolicy:
                              f"({self._steps[i]}) of the drawn replay")
         self._next = i + 1
         k = self._draws[i]
-        mask = replay.free_bits | 1 << replay.place_of[self._pods[i]]
+        mask = replay.free_bits | 1 << replay.place_of[info.pod]
         prefix = self._prefix
         # bisect for the first place whose prefix of the mask (bits 0..p)
         # holds more than k set bits
@@ -169,9 +168,9 @@ class CheapestPolicy:
             rows = dict.fromkeys(rows, [0.0] + avg_costs(inst))
         self.levels = {key: cost_levels(row, inst.n_places)[1] for key, row in rows.items()}
 
-    def __call__(self, replay: Replay) -> int:
+    def __call__(self, replay: Replay, info: StepInfo) -> int:
         """The smallest admissible place of the first level that has one."""
-        pod, station, _, _, _, next_station = replay.current
+        pod, station, _, _, _, next_station = info
         admissible = replay.free_bits | 1 << replay.place_of[pod]
         for level in self.levels[(station, next_station)]:
             hit = admissible & level
@@ -255,8 +254,7 @@ class FixedPolicy:
     def __init__(self, assignment: dict[int, int]):
         self.assignment = assignment
 
-    def __call__(self, replay: Replay) -> int:
-        info = replay.current
+    def __call__(self, replay: Replay, info: StepInfo) -> int:
         place = self.assignment[info.returning_pod]
         held = replay.pod_at[place]
         if held != 0 and held != info.pod:

@@ -6,6 +6,9 @@ pod's place and the admissible set.  It shares no step logic with
 :class:`podrepo.core.Replay`, which the library runs on, so the tests compare
 the two; :func:`reference_cost` steps a whole plan through it.
 :func:`total_or_infeasible` is genetic-1's fitness walked through ``Replay``.
+:func:`fractional_medium` is a medium instance whose legs are not whole
+numbers, so solvers that sum them in another order than the replay report
+totals that differ from the replay's in the last bits.
 
 :func:`tetris_bisect` is the tetris sweep on per-place sorted interval lists,
 the oracle for the library's bitmap sweep.  Its most-expensive-place start
@@ -16,7 +19,7 @@ cost-level policy.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
@@ -24,6 +27,7 @@ from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           Replay, departure_schedule, occupation_intervals,
                           require_zero_terminal, terminal_cost, total_cost)
 from podrepo.genetic import INFEASIBLE
+from podrepo.instances import build_medium_system
 from podrepo.policies import decision_cost_table
 from podrepo.tetris import SORT_DURATION, SORT_FREQUENCY
 
@@ -164,8 +168,7 @@ def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int]
 
     table = decision_cost_table(inst)
 
-    def most_expensive(replay: Replay) -> int:
-        info = replay.current
+    def most_expensive(replay: Replay, info) -> int:
         row = table[(info.station, info.return_next_station)]
         return max(replay.admissible(), key=row.__getitem__)
 
@@ -214,3 +217,14 @@ def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int]
                 total += cost - here
                 break
     return actions, total
+
+
+def fractional_medium(n: int = 2000) -> Instance:
+    """``build_medium_system(1, n)`` with 0.1 added to every leg to a station
+    and 0.3 to every leg from one."""
+    inst = build_medium_system(1, n=n)
+    costs = inst.costs
+    return replace(inst, costs=replace(
+        costs,
+        to_station=tuple(tuple(c + 0.1 for c in row) for row in costs.to_station),
+        from_station=tuple(tuple(c + 0.3 for c in row) for row in costs.from_station)))

@@ -47,4 +47,6 @@ def test_traced_comparison_gives_layer_metrics(spans):
     # both modes read the shared start's decisions from their own span
     decisions = sum(not info.fill for info in departure_schedule(inst).steps)
     assert metrics["tetris.intervals"] == 2 * decisions > 0
-    assert metrics["policies.us_per_decision.fixed"] > 0
+    # every policy class is seen through its traced ``Replay.run(decide)``
+    for policy in ("random", "cheapest", "most_expensive", "fixed"):
+        assert metrics[f"policies.us_per_decision.{policy}"] > 0, policy

@@ -12,6 +12,7 @@ from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance, Replay,
                           load_actions, load_instance, save_instance)
 from podrepo.harness import build_tiny_random
 from podrepo.instances import build_small_system
+from reference import fractional_medium
 
 
 @pytest.fixture()
@@ -212,7 +213,19 @@ class TestRun:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def fractional_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fractional") / "fractional.json"
+    save_instance(fractional_medium(), path)
+    return path
+
+
 class TestCompare:
+    def test_fractional_costs_verify(self, fractional_path, tmp_path):
+        # tetris sums its legs in another order than the verifying replay
+        assert main(["compare", str(fractional_path), "--policy", "tetris:frequency",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+
     def test_deterministic_csv(self, small_path, tmp_path):
         args = ["compare", str(small_path), "--policy", "random",
                 "--policy", "tetris:frequency", "--seed", "3"]
@@ -232,6 +245,9 @@ class TestSolve:
 
     def test_window_mode(self, tiny_path):
         assert main(["solve", str(tiny_path), "--window", "2"]) == EXIT_OK
+
+    def test_window_mode_on_fractional_costs(self, fractional_path):
+        assert main(["solve", str(fractional_path), "--window", "1"]) == EXIT_OK
 
     @pytest.mark.parametrize("mode", [["--exact"], ["--window", "5"]])
     def test_exhausted_node_budget_is_budget_error(self, small_path, mode, capsys):

@@ -137,13 +137,13 @@ class TestSchedule:
             state = initial_state(run)
             policy = RandomPolicy(seed)
             while not replay.done:
-                t, info = replay.t, replay.current
+                t, info = replay.t, schedule.steps[replay.t]
                 assert schedule.choices[t] == len(admissible_actions(run, state))
                 if not info.fill:
                     later = [u for u in range(t + 1, run.horizon)
                              if run.departures[u][0] == info.returning_pod]
                     assert info.busy_end == (later[0] + 1 if later else run.horizon + 1)
-                action = NO_OP if info.fill else policy(replay)
+                action = NO_OP if info.fill else policy(replay, info)
                 replay.step(action)
                 state = transition(run, state, action)
             assert len(schedule.choices) == run.horizon
@@ -234,7 +234,8 @@ class TestReplay:
         policy = RandomPolicy(seed)
         total = 0.0
         while not replay.done:
-            action = NO_OP if replay.current.fill else policy(replay)
+            info = replay.schedule.steps[replay.t]
+            action = NO_OP if info.fill else policy(replay, info)
             assert action in admissible_actions(inst, state)
             total += step_cost(inst, state, action)
             state = transition(inst, state, action)
@@ -246,13 +247,15 @@ class TestReplay:
         inst = build_small_system(n=200)
         asked = []
 
-        def record(replay):
-            asked.append(replay.t)
+        def record(replay, info):
+            asked.append((replay.t, info))
             return replay.admissible()[0]
 
         replay = Replay(inst).run(record)
         steps = departure_schedule(inst).steps
-        assert asked == [t for t, info in enumerate(steps) if not info.fill]
+        # each call gets the pending step's own record, not a copy
+        assert all(info is steps[t] for t, info in asked)
+        assert [t for t, _ in asked] == [t for t, info in enumerate(steps) if not info.fill]
         assert 0 < len(asked) < inst.horizon
         assert [a == NO_OP for a in replay.actions] == [info.fill for info in steps]
 
@@ -268,12 +271,13 @@ class TestReplay:
     def test_rejected_step_leaves_replay_unchanged(self):
         inst = build_small_system(seed=1, n=60)
         replay = Replay(inst)
-        while replay.current.fill:
+        steps = replay.schedule.steps
+        while steps[replay.t].fill:
             replay.step(NO_OP)
         replay.step(replay.admissible()[0])
-        while replay.current.fill:
+        while steps[replay.t].fill:
             replay.step(NO_OP)
-        info = replay.current
+        info = steps[replay.t]
         busy = next(p for p in range(1, inst.n_places + 1)
                     if replay.pod_at[p] not in (0, info.pod))
         snapshot = (replay.t, replay.total, list(replay.actions),
@@ -295,7 +299,7 @@ class TestReplay:
         replay = Replay(inst)
         snapshot = (replay.t, replay.total, list(replay.actions),
                     list(replay.pod_at), list(replay.place_of), replay.admissible())
-        assert replay.current.fill
+        assert replay.schedule.steps[0].fill
         with pytest.raises(InfeasibleActionError) as err:
             replay.step(1)
         assert err.value.reason == REASON_PHASE

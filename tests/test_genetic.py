@@ -106,7 +106,7 @@ def replay_decode2(inst: Instance, genes, gamma) -> Replay:
         rank[p] = i
     replay = Replay(inst)
     for gene in genes:
-        if replay.current.fill:
+        if replay.schedule.steps[replay.t].fill:
             replay.step(NO_OP)
         else:
             admissible = sorted(replay.admissible(), key=rank.__getitem__)
@@ -201,8 +201,8 @@ def held_by_decision(inst, plan, t):
     """A place that an earlier decision of ``plan`` filled and that is still
     held, not by the pod that departs at ``t``."""
     replay = stepped(inst, plan, t)
-    leaving = replay.place_of[replay.current.pod]
     steps = replay.schedule.steps
+    leaving = replay.place_of[steps[t].pod]
     return next(plan[d] for d in range(t) if not steps[d].fill and plan[d] != leaving
                 and replay.pod_at[plan[d]] == steps[d].returning_pod)
 
@@ -268,7 +268,7 @@ class TestBatchedGenetic1:
         plan = Replay(inst).run(RandomPolicy(0)).actions
         t = [t for t, a in enumerate(plan) if a != NO_OP][10]
         replay = stepped(inst, plan, t)
-        leaving = replay.place_of[replay.current.pod]
+        leaving = replay.place_of[replay.schedule.steps[t].pod]
         assert plan[t] != leaving
         replay.step(leaving)
         plan = replay.run(RandomPolicy(1)).actions

@@ -13,7 +13,8 @@ from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
 from podrepo.instances import REGIME_PERIODIC, build_small_system
 from podrepo.policies import compute_fixed_assignment, rearranged_instance
 from podrepo.tetris import tetris
-from reference import admissible_actions, initial_state, reference_cost, transition
+from reference import (admissible_actions, fractional_medium, initial_state,
+                       reference_cost, transition)
 
 
 class TestBruteForce:
@@ -289,6 +290,36 @@ class TestTinyBuilders:
         assert inst.departures[:4] == ((1, 1), (2, 2), (3, 1), (4, 2))
         for p in range(1, 6):
             assert inst.costs.to_stn(p, 1) == inst.costs.from_stn(2, p)
+
+
+class TestVerifyCost:
+    """Re-verification compares up to rounding: the solvers sum the same legs
+    in another order than the replay."""
+
+    @pytest.fixture(scope="class")
+    def fractional(self):
+        return fractional_medium()
+
+    @pytest.mark.parametrize("name", ["tetris:frequency", "tetris:duration",
+                                      "iterative:1", "iterative:2"])
+    def test_other_summation_order_passes(self, fractional, name):
+        actions, cost = harness.run_policy(fractional, name)[:2]
+        check = total_cost(fractional, actions)
+        # the orders do differ in the last bits on this instance
+        assert cost != check
+        assert cost == pytest.approx(check, rel=1e-12)
+
+    @pytest.mark.parametrize("tamper", [0.1, -0.1])
+    def test_one_tenth_leg_still_raises(self, fractional, monkeypatch, tamper):
+        run = harness.tetris.tetris
+
+        def tampered(inst, mode):
+            actions, cost = run(inst, mode)
+            return actions, cost + tamper
+
+        monkeypatch.setattr(harness.tetris, "tetris", tampered)
+        with pytest.raises(harness.CostMismatchError, match="replayed cost"):
+            harness.run_policy(fractional, "tetris:frequency")
 
 
 class TestStudies:

@@ -40,8 +40,8 @@ class TestRandomPolicy:
         inst = build_small_system(n=50)
         policy = RandomPolicy(0)
 
-        def checked(replay):
-            action = policy(replay)
+        def checked(replay, info):
+            action = policy(replay, info)
             assert action in replay.admissible()
             return action
 
@@ -86,7 +86,7 @@ class TestRandomPolicy:
         replay = Replay(build_small_system(1, n=300))
         decided = 0
         while decided < 5:
-            if replay.current.fill:
+            if replay.schedule.steps[replay.t].fill:
                 replay.step(NO_OP)
             else:
                 replay.step(min(replay.admissible()))
@@ -99,46 +99,51 @@ class TestRandomPolicy:
 
     @staticmethod
     def to_decision(replay):
-        """Step the no-op up to the replay's next decision."""
-        while replay.current.fill:
+        """Step the no-op up to the replay's next decision; the replay and
+        that decision's record, the arguments ``Replay.run`` passes."""
+        steps = replay.schedule.steps
+        while steps[replay.t].fill:
             replay.step(NO_OP)
-        return replay
+        return replay, steps[replay.t]
 
     def test_second_replay_while_draws_pending(self):
         inst = build_small_system(1, n=100)
         policy = RandomPolicy(0)
-        policy(self.to_decision(Replay(inst)))
+        policy(*self.to_decision(Replay(inst)))
         with pytest.raises(ValueError, match="not the next decision"):
-            policy(self.to_decision(Replay(inst)))
+            policy(*self.to_decision(Replay(inst)))
 
     def test_repeated_step(self):
-        replay = self.to_decision(Replay(build_small_system(1, n=100)))
+        replay, info = self.to_decision(Replay(build_small_system(1, n=100)))
         policy = RandomPolicy(0)
-        policy(replay)
+        policy(replay, info)
         with pytest.raises(ValueError, match="not the next decision"):
-            policy(replay)
+            policy(replay, info)
 
     def test_skipped_step(self):
-        replay = self.to_decision(Replay(build_small_system(1, n=100)))
+        replay, info = self.to_decision(Replay(build_small_system(1, n=100)))
         policy = RandomPolicy(0)
-        replay.step(policy(replay))
+        replay.step(policy(replay, info))
         # one decision taken by hand
-        self.to_decision(replay).step(min(replay.admissible()))
+        self.to_decision(replay)
+        replay.step(min(replay.admissible()))
         with pytest.raises(ValueError, match="not the next decision"):
-            policy(self.to_decision(replay))
+            policy(*self.to_decision(replay))
 
     def test_repeated_last_decision(self):
         replay = Replay(build_small_system(1, n=100))
         policy = RandomPolicy(0)
         replay.run(policy)
+        last = max(t for t, info in enumerate(replay.schedule.steps) if not info.fill)
         with pytest.raises(ValueError, match="every decision of this replay"):
-            policy(replay)
+            policy(replay, replay.schedule.steps[last])
 
     def test_fill_step_is_not_a_decision(self):
         replay = Replay(build_small_system(1, n=100))
-        assert replay.current.fill
+        info = replay.schedule.steps[0]
+        assert info.fill
         with pytest.raises(ValueError, match="not a decision"):
-            RandomPolicy(0)(replay)
+            RandomPolicy(0)(replay, info)
 
     def test_genetic1_start_population_pinned(self):
         # genetic-1 seeds its start population through RandomPolicy
@@ -166,8 +171,8 @@ class TestCheapestPolicy:
         inst = build_small_system(n=100)
         policy = CheapestPolicy(inst, CHEAPEST_TO_STORAGE)
 
-        def checked(replay):
-            action = policy(replay)
+        def checked(replay, info):
+            action = policy(replay, info)
             # cost grows with the place id, so the smallest id wins
             assert action == min(replay.admissible())
             return action

@@ -28,9 +28,8 @@ class TestMostExpensivePlace:
         inst = build_small_system(n=200)
         policy = MostExpensivePlacePolicy(inst)
 
-        def checked(replay):
-            action = policy(replay)
-            info = replay.current
+        def checked(replay, info):
+            action = policy(replay, info)
             best = max(decision_cost(inst, p, info.station, info.return_next_station)
                        for p in replay.admissible())
             assert decision_cost(inst, action, info.station,
