@@ -138,7 +138,7 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
                                    if node_budget is None else node_budget)
     else:
         result = exact.solve_iterative(inst, window, node_budget=node_budget)
-    harness.verify_cost(inst, "solve", result.actions, result.cost)
+    result.cost = harness.verify_cost(inst, "solve", result.actions, result.cost)
     if actions_out:
         save_actions(result.actions, actions_out)
     status = "optimal" if result.optimal else "budget-limited"

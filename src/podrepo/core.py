@@ -467,13 +467,12 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
     add = intervals.append
     # per place: the end of the last interval put on it
     busy_until = [0] + initial_busy_ends(inst)
+    n_places, horizon = inst.n_places, inst.horizon
     for p, h in enumerate(inst.initial_storage, start=1):
-        if h is None:
-            continue
-        deps = schedule.pod_departure_steps[h - 1]
-        add(OccupationInterval(p, h, 0, busy_until[p], None,
-                               departures[deps[0]][1] if deps else None))
-    n_places = inst.n_places
+        if h is not None:  # the pod departs at step end - 1, if end <= horizon
+            end = busy_until[p]
+            add(OccupationInterval(p, h, 0, end, None,
+                                   departures[end - 1][1] if end <= horizon else None))
     for t, ((_, station, fill, returning, end, next_station), action) in enumerate(
             zip(schedule.steps, actions)):
         if fill or action == NO_OP:

@@ -45,44 +45,44 @@ EXACT_NODE_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class BipParameters:
-    """Interval-view parameters of the placement program.
+    """The placement program's interval model, shared by the exact solvers,
+    the LP export and genetic-1's fitness.
 
-    The decision at step ``t`` holds its place over ``[t + 1, busy_end)``,
-    with ``busy_end`` read from the schedule's step ``t``.
-    ``initial_busy_end[p-1]`` is the first time place ``p`` becomes free;
-    ``base_cost`` collects the uninfluenceable to-station legs.
+    Decision ``i``, at step ``decision_steps[i]``, holds its place over
+    ``[decision_steps[i] + 1, busy_ends[i])``; ``keys[i]`` is its
+    (from-station, next-station) cost-row key.  Place ``p`` is first free at
+    ``initial_busy_end[p-1]``: 0 if empty, ``horizon + 1`` if its pod never
+    departs.  ``base_cost`` collects the uninfluenceable to-station legs.
     """
 
     decision_steps: tuple[int, ...]
+    busy_ends: tuple[int, ...]
+    keys: tuple[tuple[int, Optional[int]], ...]
     initial_busy_end: tuple[int, ...]
     base_cost: float
 
 
 def derive_bip_parameters(inst: Instance) -> BipParameters:
-    schedule = departure_schedule(inst)
+    """The interval model, from one pass over the cached schedule."""
+    rows = [(t, end, (station, next_station))
+            for t, (_, station, fill, _, end, next_station)
+            in enumerate(departure_schedule(inst).steps) if not fill]
+    decision_steps, busy_ends, keys = zip(*rows) if rows else ((), (), ())
+    initial = tuple(initial_busy_ends(inst))
     base = 0.0
-    for p, h in enumerate(inst.initial_storage, start=1):
-        if h is None:
-            continue
-        deps = schedule.pod_departure_steps[h - 1]
-        if deps:
-            base += inst.costs.to_stn(p, inst.departures[deps[0]][1])
-    return BipParameters(
-        decision_steps=tuple(t for t, info in enumerate(schedule.steps) if not info.fill),
-        initial_busy_end=tuple(initial_busy_ends(inst)),
-        base_cost=base,
-    )
+    for p, end in enumerate(initial, start=1):
+        if 0 < end <= inst.horizon:  # the initial pod departs at step end - 1
+            base += inst.costs.to_stn(p, inst.departures[end - 1][1])
+    return BipParameters(decision_steps, busy_ends, keys, initial, base)
 
 
 def decision_weights(inst: Instance, params: BipParameters) -> dict[int, list[float]]:
     """Per decision step: cost of choosing each place (index p-1).
 
-    Steps with the same (from, to) stations share one row of the decision
-    cost table; the rows are read-only."""
+    Steps with the same key share one row of the decision cost table; the
+    rows are read-only."""
     rows = {key: row[1:] for key, row in decision_cost_table(inst).items()}
-    steps = departure_schedule(inst).steps
-    return {t: rows[(steps[t].station, steps[t].return_next_station)]
-            for t in params.decision_steps}
+    return {t: rows[key] for t, key in zip(params.decision_steps, params.keys)}
 
 
 @dataclass
@@ -175,14 +175,12 @@ def _solve_windows(inst: Instance, window_size: int,
     into the next window."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
-    steps = departure_schedule(inst).steps
     decision_steps = params.decision_steps
     # each cost row ranked once, as (cost, place) pairs
     orders = {key: sorted(zip(row[1:], range(1, len(row))))
               for key, row in decision_cost_table(inst).items()}
-    decisions = [(t, steps[t].busy_end,
-                  orders[steps[t].station, steps[t].return_next_station])
-                 for t in decision_steps]
+    decisions = [(t, end, orders[key]) for t, end, key
+                 in zip(decision_steps, params.busy_ends, params.keys)]
     busy_until = [0, *params.initial_busy_end]
     actions = [NO_OP] * inst.horizon
     cost = params.base_cost
@@ -244,10 +242,9 @@ def export_bip(inst: Instance, path) -> None:
     memory stays about one row, not the whole text."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
-    steps = departure_schedule(inst).steps
     # decision i's place rows hold x_i_p and the i earlier decisions less
     # those whose interval ended by t_i + 1 (a later one cannot end by then)
-    ends = sorted(steps[t].busy_end for t in params.decision_steps)
+    ends = sorted(params.busy_ends)
     terms = inst.n_places * sum(i + 1 - bisect_right(ends, t + 1)
                                 for i, t in enumerate(params.decision_steps))
     if terms > EXPORT_TERM_CAP:
@@ -262,16 +259,16 @@ def export_bip(inst: Instance, path) -> None:
         fh.write(" obj: " + " + ".join(f"{weights[t][p - 1]:.17g} x_{t}_{p}"
                                        for t in params.decision_steps for p in places)
                  + "\nSubject To\n")
-        alive: list[int] = []  # earlier decisions whose interval covers t + 1
-        for t in params.decision_steps:
-            alive = [tau for tau in alive if steps[tau].busy_end > t + 1]
+        alive: list[tuple[int, int]] = []  # (step, busy end) covering t + 1
+        for t, end in zip(params.decision_steps, params.busy_ends):
+            alive = [(tau, e) for tau, e in alive if e > t + 1]
             fh.write(f" assign_{t}: " + " + ".join(f"x_{t}_{p}" for p in places) + " = 1\n")
             for p in places:
                 bound = 0 if params.initial_busy_end[p - 1] > t + 1 else 1
                 if alive or not bound:
-                    row = "".join(f"x_{tau}_{p} + " for tau in alive)
+                    row = "".join(f"x_{tau}_{p} + " for tau, _ in alive)
                     fh.write(f" place_{t}_{p}: {row}x_{t}_{p} <= {bound}\n")
-            alive.append(t)
+            alive.append((t, end))
         fh.write("Binary\n")
         fh.writelines(f" x_{t}_{p}\n" for t in params.decision_steps for p in places)
         fh.write("End\n")

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NO_OP, Instance, departure_schedule, initial_busy_ends,
-                   require_zero_terminal)
+from .core import NO_OP, Instance, departure_schedule, require_zero_terminal
+from .exact import derive_bip_parameters
 from .instances import rng_from_seed
 from .policies import avg_costs
 
@@ -154,38 +154,35 @@ def _genetic1_fitness(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     place ids in ``np.min_scalar_type(n_places)``): a plan's ``total_cost``,
     bit for bit, or ``INFEASIBLE`` exactly where ``total_cost`` raises.
 
-    A copy of the free rule of ``occupation_intervals``: every fill step
-    holds the no-op, every decision a place, and the intervals
-    ``[t + 1, busy_end)`` on one place, taken in step order, begin no
-    earlier than the one before ends or, for a place's first, than its
-    initial pod leaves.  A step's to-leg is read from the place its
-    departing pod was stored on: by the decision that stored it (an
-    action-independent step index) or initially.  The legs are summed per
-    step and then cumulatively, in ``Replay.step``'s order.  The population
-    is screened on the first two rules at once; the rest runs per plan, so
-    temporaries stay about one plan in size.
+    A copy of the free rule of ``occupation_intervals`` over the interval
+    model of ``exact.derive_bip_parameters``: every fill step holds the
+    no-op, every decision a place, and the intervals ``[t + 1, busy_end)``
+    on one place, taken in step order, begin no earlier than the one before
+    ends or, for a place's first, than its initial pod leaves.  A step's
+    to-leg is read from the place its departing pod was stored on: step
+    ``t`` departs the pod of the one interval that ends at ``t + 1``, stored
+    by a decision (an action-independent step index) or initially.  The legs
+    are summed per step and then cumulatively, in ``Replay.step``'s order.
+    The population is screened on the first two rules at once; the rest runs
+    per plan, so temporaries stay about one plan in size.
     """
-    schedule = departure_schedule(inst)
+    params = derive_bip_parameters(inst)
     n, n_places = inst.horizon, inst.n_places
     place_type = np.min_scalar_type(n_places)
-    fill = np.array([info.fill for info in schedule.steps], dtype=bool)
-    decisions = np.flatnonzero(~fill)
+    decisions = np.array(params.decision_steps, dtype=np.intp)
+    fill = np.ones(n, dtype=bool)
+    fill[decisions] = False
     begins = decisions + 1
-    ends = np.array([schedule.steps[t].busy_end for t in decisions], dtype=np.int64)
-    first_free = np.array([0] + initial_busy_ends(inst), dtype=np.int64)
-    stations = np.array([info.station - 1 for info in schedule.steps], dtype=np.intp)
+    ends = np.array(params.busy_ends, dtype=np.int64)
+    first_free = np.array((0, *params.initial_busy_end), dtype=np.int64)
+    stations = np.array([s - 1 for _, s in inst.departures], dtype=np.intp)
     decision_stations = stations[decisions]
-    # source[t]: the departing pod's place as an index into the plan followed
-    # by the places 1..n_places, i.e. the step that stored it or n + p - 1
-    stored_by = [0] * (inst.n_pods + 1)
-    for p, h in enumerate(inst.initial_storage, start=1):
-        if h is not None:
-            stored_by[h] = n + p - 1
-    source = np.empty(n, dtype=np.intp)
-    for t, info in enumerate(schedule.steps):
-        source[t] = stored_by[info.pod]
-        if not info.fill:
-            stored_by[info.returning_pod] = t
+    # stored_by[t + 1]: where step t's departing pod was, as an index into the
+    # plan followed by places 1..n_places (entries 0 and n + 1 are never read)
+    stored_by = np.empty(n + 2, dtype=np.intp)
+    stored_by[ends] = decisions
+    stored_by[first_free[1:]] = np.arange(n, n + n_places)
+    source = stored_by[1:n + 1]
     places = np.arange(1, n_places + 1, dtype=place_type)
     to_station = np.array(inst.costs.to_station)
     from_station = np.array(inst.costs.from_station)

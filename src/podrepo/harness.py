@@ -151,9 +151,10 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     """Run one named policy or solver; returns (actions, cost, wall_seconds).
 
     A name is ``base`` or ``base:param`` (:func:`parse_policy_name`).  The
-    online policies report their replay total plus the terminal cost; the
+    online policies sum their replay total plus the terminal cost; the
     solvers optimise under zero terminal cost and refuse any other cost
-    model.  The reported cost is re-verified against an independent replay.
+    model.  The cost returned is that of an independent replay of the plan
+    (:func:`verify_cost`), which the run's own sum must match.
     The ``fixed`` policy replays a cost-free rearranged initial state and is
     therefore not directly comparable with the others.
     """
@@ -198,22 +199,23 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
         cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
                                             replay.schedule.final_queues)
     wall = time.perf_counter() - started
-    verify_cost(run_inst, name, actions, cost)
-    return actions, cost, wall
+    return actions, verify_cost(run_inst, name, actions, cost), wall
 
 
 class CostMismatchError(RuntimeError):
     """A replay of a reported plan does not reproduce its reported cost."""
 
 
-def verify_cost(inst: Instance, name: str, actions: list[int], cost: float) -> None:
-    """Raise :class:`CostMismatchError` unless an independent replay of
-    ``actions`` costs ``cost``, up to a relative ``1e-9``: tetris and the
+def verify_cost(inst: Instance, name: str, actions: list[int], cost: float) -> float:
+    """The total of an independent replay of ``actions``, which callers
+    report, so one plan has one cost.  Raise :class:`CostMismatchError`
+    unless it equals ``cost`` up to a relative ``1e-9``: tetris and the
     window solver sum the same legs in another order than the replay, and two
     summation orders of the same legs differ by rounding only."""
     check = total_cost(inst, actions)
     if not math.isclose(check, cost, rel_tol=1e-9, abs_tol=1e-9):
         raise CostMismatchError(f"{name}: reported cost {cost} != replayed cost {check}")
+    return check
 
 
 @dataclass

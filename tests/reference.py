@@ -10,6 +10,10 @@ the two; :func:`reference_cost` steps a whole plan through it.
 numbers, so solvers that sum them in another order than the replay report
 totals that differ from the replay's in the last bits.
 
+:func:`check_interval_model` checks ``exact.derive_bip_parameters``
+against the schedule's step records, with :func:`first_leg_base_cost` (the
+per-pod walk over ``pod_departure_steps``) as the reference base cost.
+
 :func:`tetris_bisect` is the tetris sweep on per-place sorted interval lists,
 the oracle for the library's bitmap sweep.  Its most-expensive-place start
 takes the argmax of the admissible list, so it also checks the library's
@@ -24,8 +28,10 @@ from typing import Optional, Sequence
 
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           InfeasibleActionError, Instance, InvalidInstanceError,
-                          Replay, departure_schedule, occupation_intervals,
-                          require_zero_terminal, terminal_cost, total_cost)
+                          Replay, departure_schedule, initial_busy_ends,
+                          occupation_intervals, require_zero_terminal,
+                          terminal_cost, total_cost)
+from podrepo.exact import derive_bip_parameters
 from podrepo.genetic import INFEASIBLE
 from podrepo.instances import build_medium_system
 from podrepo.policies import decision_cost_table
@@ -157,6 +163,33 @@ def total_or_infeasible(inst: Instance, plan: Sequence[int]) -> float:
         return total_cost(inst, plan)
     except InfeasibleActionError:
         return INFEASIBLE
+
+
+def first_leg_base_cost(inst: Instance) -> float:
+    """The to-station legs of the initial pods: each pod's first departure
+    read from ``pod_departure_steps``, summed in place order."""
+    schedule = departure_schedule(inst)
+    base = 0.0
+    for p, h in enumerate(inst.initial_storage, start=1):
+        if h is None:
+            continue
+        deps = schedule.pod_departure_steps[h - 1]
+        if deps:
+            base += inst.costs.to_stn(p, inst.departures[deps[0]][1])
+    return base
+
+
+def check_interval_model(inst: Instance) -> None:
+    """Assert that the interval model restates the schedule exactly."""
+    steps = departure_schedule(inst).steps
+    params = derive_bip_parameters(inst)
+    decisions = tuple(t for t, info in enumerate(steps) if not info.fill)
+    assert params.decision_steps == decisions
+    assert params.busy_ends == tuple(steps[t].busy_end for t in decisions)
+    assert params.keys == tuple((steps[t].station, steps[t].return_next_station)
+                                for t in decisions)
+    assert params.initial_busy_end == tuple(initial_busy_ends(inst))
+    assert params.base_cost == first_leg_base_cost(inst)
 
 
 def tetris_bisect(inst: Instance, mode: str = SORT_FREQUENCY) -> tuple[list[int], float]:

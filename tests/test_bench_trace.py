@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from podrepo import harness
+from podrepo import exact, genetic, harness
 from podrepo.core import departure_schedule
 from podrepo.instances import build_small_system
 
@@ -50,3 +50,18 @@ def test_traced_comparison_gives_layer_metrics(spans):
     # every policy class is seen through its traced ``Replay.run(decide)``
     for policy in ("random", "cheapest", "most_expensive", "fixed"):
         assert metrics[f"policies.us_per_decision.{policy}"] > 0, policy
+
+
+def test_traced_offline_solvers_give_layer_metrics(spans, tmp_path):
+    layers = importlib.import_module("layers")
+    inst = build_small_system(n=200)
+    # called through their modules, where the tracer wraps them
+    with spans.Tracer() as tracer:
+        exact.solve_exact(inst, node_budget=2000)
+        exact.solve_iterative(inst, 5)
+        exact.export_bip(inst, tmp_path / "model.lp")
+        genetic.evolve(inst, genetic.GENETIC1, config=genetic.GaConfig(max_generations=2))
+    metrics = layers.layer_metrics(tracer.spans)
+    for name in ("exact.solve_s", "exact.nodes", "exact.iterative_s",
+                 "exact.export_s", "exact.lp_bytes", "genetic.evaluations.genetic1"):
+        assert metrics[name] > 0, name

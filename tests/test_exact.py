@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from podrepo import exact, harness
-from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, Replay,
-                          check_feasible, departure_schedule, total_cost)
-from podrepo.exact import (decision_weights, derive_bip_parameters, export_bip,
-                           solve_exact, solve_iterative)
+from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, CostModel,
+                          Instance, Replay, check_feasible, departure_schedule,
+                          occupation_intervals, total_cost, validate_instance)
+from podrepo.exact import (BipParameters, decision_weights, derive_bip_parameters,
+                           export_bip, solve_exact, solve_iterative)
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import CHEAPEST_DECISION, CheapestPolicy, RandomPolicy
+from reference import check_interval_model
 
 
 class TestCostDecomposition:
@@ -48,6 +50,41 @@ class TestCostDecomposition:
         steps = departure_schedule(inst).steps
         for t in derive_bip_parameters(inst).decision_steps:
             assert t + 1 < steps[t].busy_end <= inst.horizon + 1
+
+
+class TestIntervalModel:
+    """``derive_bip_parameters`` restates the schedule: decision steps, busy
+    ends, cost-row keys, first free steps and the base cost."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_tiny_random(self, seed):
+        check_interval_model(harness.build_tiny_random(seed))
+
+    @pytest.mark.parametrize("build", [lambda: build_small_system(1, 1000),
+                                       lambda: build_medium_system(1, 2000)],
+                             ids=["small", "medium"])
+    def test_line_and_grid_systems(self, build):
+        check_interval_model(build())
+
+    def test_empty_place_and_pod_that_never_departs(self):
+        # place 1's pod departs at step 0, place 2 starts empty and place 3's
+        # pod never departs; the queue head (pod 3) returns at step 0 and
+        # leaves again at step 1, when pod 1 returns for good
+        inst = Instance(n_pods=3, n_places=3, station_capacities=(1,),
+                        costs=CostModel(to_station=((2.0,), (3.0,), (5.0,)),
+                                        from_station=((1.0, 4.0, 6.0),)),
+                        initial_storage=(1, None, 2), initial_queues=((3,),),
+                        departures=((1, 1), (3, 1)))
+        validate_instance(inst)
+        check_interval_model(inst)
+        params = derive_bip_parameters(inst)
+        assert params == BipParameters(decision_steps=(0, 1), busy_ends=(2, 3),
+                                       keys=((1, 1), (1, None)),
+                                       initial_busy_end=(1, 0, 3), base_cost=2.0)
+        initial = [iv for iv in occupation_intervals(inst, [2, 1])
+                   if iv.decision_step is None]
+        assert [(iv.place, iv.end, iv.to_station) for iv in initial] == [(1, 1, 1),
+                                                                          (3, 3, None)]
 
 
 class TestSolveExact:

@@ -302,12 +302,34 @@ class TestVerifyCost:
 
     @pytest.mark.parametrize("name", ["tetris:frequency", "tetris:duration",
                                       "iterative:1", "iterative:2"])
-    def test_other_summation_order_passes(self, fractional, name):
+    def test_other_summation_order_passes(self, fractional, monkeypatch, name):
+        verify = harness.verify_cost
+        own = []  # the run's own sum, as it reaches the check
+
+        def recording(inst, name, actions, cost):
+            own.append(cost)
+            return verify(inst, name, actions, cost)
+
+        monkeypatch.setattr(harness, "verify_cost", recording)
         actions, cost = harness.run_policy(fractional, name)[:2]
         check = total_cost(fractional, actions)
         # the orders do differ in the last bits on this instance
-        assert cost != check
-        assert cost == pytest.approx(check, rel=1e-12)
+        assert own[0] != check
+        assert own[0] == pytest.approx(check, rel=1e-12)
+        assert cost == check
+
+    @pytest.mark.parametrize("name", ["iterative:1", "cheapest:decision",
+                                      "tetris:frequency", "tetris:duration",
+                                      "iterative:2"])
+    def test_reported_cost_is_the_replayed_total(self, fractional, name):
+        actions, cost = harness.run_policy(fractional, name)[:2]
+        assert cost == total_cost(fractional, actions)
+
+    def test_one_plan_has_one_cost(self, fractional):
+        window = harness.run_policy(fractional, "iterative:1")
+        greedy = harness.run_policy(fractional, "cheapest:decision")
+        assert window[0] == greedy[0]
+        assert window[1] == greedy[1]
 
     @pytest.mark.parametrize("tamper", [0.1, -0.1])
     def test_one_tenth_leg_still_raises(self, fractional, monkeypatch, tamper):

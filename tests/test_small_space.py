@@ -19,7 +19,7 @@ from podrepo.genetic import (GENETIC1, GENETIC2, GaConfig, _genetic1_fitness,
                              _random_plans, evolve)
 from podrepo.instances import REGIME_RANDOM_UNIFORM, generate_departures
 from podrepo.policies import RandomPolicy
-from reference import reference_cost, total_or_infeasible
+from reference import check_interval_model, reference_cost, total_or_infeasible
 
 ONLINE = ("random", "cheapest:to-storage", "cheapest:avg",
           "cheapest:decision", "most-expensive", "fixed")
@@ -80,6 +80,12 @@ def test_every_solver_and_policy_on_tiny_instances(inst):
     for name in ONLINE:
         harness.run_policy(inst, name, seed=3)
         harness.run_policy(returning, name, seed=3)
+
+
+@given(inst=tiny_instances())
+@settings(max_examples=150, deadline=None)
+def test_interval_model_restates_the_schedule(inst):
+    check_interval_model(inst)
 
 
 @given(inst=tiny_instances(), seed=st.integers(0, 2 ** 32))
