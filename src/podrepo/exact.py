@@ -22,7 +22,6 @@ suite cross-checks.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
@@ -37,9 +36,9 @@ from .policies import decision_cost_table
 # take about 60 thousand, the medium system's 20000 steps billions
 EXPORT_TERM_CAP = 10_000_000
 
-# the node budget of the `exact` policy and of `podrepo solve --exact`: 1.0
-# to 1.5 s of search on a 2-core x86 host; it proves the small system's seed
-# 1 at 20 steps (0.3M nodes) but not at 40
+# the node budget of the `exact` policy and of `podrepo solve --exact`: 1.4
+# to 2.3 s of search on a 2-core x86 host; it proves the small system's seed
+# 1 at 20 steps (0.3M nodes, 0.2 s) but not at 40
 EXACT_NODE_BUDGET = 2_000_000
 
 
@@ -120,52 +119,60 @@ def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
     take at any node, and it is never empty.
     Equal-cost optima are resolved to the lexicographically smallest action
     sequence, so pruning is strict (bound > incumbent).
+
+    The search does not recurse.  One loop keeps an explicit stack with an
+    entry per open level above the current one: the iterator over that
+    level's order, where its scan resumes, its cost so far, and the child it
+    took with the ``busy_until`` value that child replaced.
     """
-    stop = len(decisions)
-    tails = [0.0] * (stop + 1)  # suffix sums of the cheapest free costs
-    for i in range(stop - 1, -1, -1):
-        t, _, order = decisions[i]
-        cheapest = next(c for c, p in order if busy_until[p] <= t + 1)
-        tails[i] = tails[i + 1] + cheapest
-    path: list[int] = []
+    level = None  # each level as (t + 1, busy end, order, tail, next level)
+    tail = 0.0  # suffix sum of the cheapest free costs below the level
+    for t, end, order in reversed(decisions):
+        level = (t + 1, end, order, tail, level)
+        tail += next(c for c, p in order if busy_until[p] <= t + 1)
+    if level is None:
+        return 0.0, [], 0, False
+    limit = inf if node_budget is None else node_budget
+    if limit <= 0:
+        return inf, None, 0, True
     best_cost = inf
     best_path: Optional[list[int]] = None
-    nodes = 0
-
-    def rec(i: int, g: float) -> bool:  # True once the budget has run out
-        nonlocal best_cost, best_path, nodes
-        if i == stop:
+    stack = []
+    nodes = 1
+    begin, end, order, tail, deeper = level
+    it = iter(order)
+    g0 = 0.0
+    while True:
+        # the current level's next child: its first free place left in the
+        # cost-sorted order, unless the bound prunes it and so all the rest
+        child = 0
+        for c, p in it:
+            if busy_until[p] <= begin:
+                g = g0 + c
+                if g + tail <= best_cost:
+                    child = p
+                break
+        if child:
+            stack.append((it, g0, begin, end, tail, deeper, child, busy_until[child]))
+            busy_until[child] = end
+            if deeper is not None:
+                if nodes >= limit:
+                    for *_, p, was in reversed(stack):
+                        busy_until[p] = was
+                    return best_cost, best_path, nodes, True
+                nodes += 1
+                begin, end, order, tail, deeper = deeper
+                it = iter(order)
+                g0 = g
+                continue
+            path = [entry[6] for entry in stack]
             if g < best_cost or (g == best_cost and path < best_path):
-                best_cost, best_path = g, list(path)
-            return False
-        if node_budget is not None and nodes >= node_budget:
-            return True
-        nodes += 1
-        t, end, order = decisions[i]
-        tail = tails[i + 1]
-        for c, p in order:
-            saved = busy_until[p]
-            if saved > t + 1:
-                continue  # still busy when the decision's interval begins
-            g2 = g + c
-            if g2 + tail > best_cost:
-                break  # the order is cost-sorted; the rest only get worse
-            busy_until[p] = end
-            path.append(p)
-            exhausted = rec(i + 1, g2)
-            path.pop()
-            busy_until[p] = saved
-            if exhausted:
-                return True
-        return False
-
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous, 10000, 4 * stop + 1000))
-    try:
-        exhausted = rec(0, 0.0)
-    finally:
-        sys.setrecursionlimit(previous)
-    return best_cost, best_path, nodes, exhausted
+                best_cost, best_path = g, path
+        # the level (or the leaf) is done: back to its parent's scan
+        if not stack:
+            return best_cost, best_path, nodes, False
+        it, g0, begin, end, tail, deeper, p, was = stack.pop()
+        busy_until[p] = was
 
 
 def _solve_windows(inst: Instance, window_size: int,
@@ -200,8 +207,11 @@ def _solve_windows(inst: Instance, window_size: int,
             actions[t] = p
             busy_until[p] = end
         start = stop
-    # the place-disjointness relaxation, summed back to front like the tails
-    relaxed = sum(order[0][0] for _, _, order in reversed(decisions))
+    # the place-disjointness relaxation, summed back to front like the tails:
+    # each decision's cheapest place that no initial pod holds at t + 1
+    first_free = [0, *params.initial_busy_end]
+    relaxed = sum(next(c for c, p in order if first_free[p] <= t + 1)
+                  for t, _, order in reversed(decisions))
     return SolveResult(actions=actions, cost=cost, optimal=optimal, nodes=nodes,
                        lower_bound=params.base_cost + relaxed)
 

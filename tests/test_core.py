@@ -19,9 +19,9 @@ from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           Instance, InvalidInstanceError, Replay, StepInfo,
                           check_feasible, departure_schedule, initial_busy_ends,
                           instance_from_dict, instance_to_dict, load_actions,
-                          load_instance, occupation_intervals, save_actions,
-                          save_instance, terminal_cost, total_cost,
-                          validate_instance)
+                          load_instance, min_cost_assignment,
+                          occupation_intervals, save_actions, save_instance,
+                          terminal_cost, total_cost, validate_instance)
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (RandomPolicy, compute_fixed_assignment,
                               rearranged_instance)
@@ -344,6 +344,27 @@ class TestTerminalCost:
                         initial_queues=((2, 3),), departures=())
         # pods 2 and 3 must go to the free places 2 and 3: 7+5 is minimal
         assert terminal_cost(inst, inst.initial_storage, inst.initial_queues) == 12.0
+
+    @pytest.mark.parametrize("kind", ["integer", "ties", "fractional"])
+    def test_assignment_matches_scipy(self, kind):
+        """The numpy assignment picks scipy's columns, so the terminal cost's
+        sum over them is the same, bit for bit.  The shapes run from one row
+        to square matrices; few distinct values give many equal-cost
+        optima."""
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(["integer", "ties", "fractional"].index(kind))
+        draw = {"integer": lambda shape: rng.integers(0, 100, shape).astype(float),
+                "ties": lambda shape: rng.integers(0, 3, shape).astype(float),
+                "fractional": lambda shape: rng.random(shape) * 10}[kind]
+        shapes = [(1, 1), (1, 9), (6, 6), (10, 10)]
+        shapes += [(k, int(rng.integers(k, 41))) for k in rng.integers(1, 11, 300)]
+        for shape in shapes:
+            matrix = draw(shape)
+            rows, cols = linear_sum_assignment(matrix)
+            mine = min_cost_assignment(matrix)
+            assert mine.tolist() == cols.tolist(), shape
+            assert matrix[rows, mine].sum() == matrix[rows, cols].sum()
 
 
 class TestOccupationIntervals:

@@ -17,6 +17,7 @@ from podrepo.exact import (BipParameters, decision_weights, derive_bip_parameter
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import CHEAPEST_DECISION, CheapestPolicy, RandomPolicy
 from reference import check_interval_model
+from test_imports import run_fresh
 
 
 class TestCostDecomposition:
@@ -112,16 +113,20 @@ class TestSolveExact:
         assert check_feasible(inst, result.actions).ok
 
     def test_recursion_limit_restored(self):
-        import sys
-        outer = sys.getrecursionlimit()
-        sys.setrecursionlimit(3000)  # a value no solve would pick
-        try:
-            inst = build_small_system(n=300)
-            solve_exact(inst, node_budget=2000)
-            solve_iterative(inst, 10, node_budget=2000)
-            assert sys.getrecursionlimit() == 3000
-        finally:
-            sys.setrecursionlimit(outer)
+        """The search keeps its own stack: a 1000-step solve runs in a fresh
+        interpreter under a recursion limit of 100, never sets the limit and
+        leaves it as it was."""
+        code = ("import sys\n"
+                "from podrepo.exact import solve_exact\n"
+                "from podrepo.instances import build_small_system\n"
+                "inst = build_small_system(1, n=1000)\n"
+                "calls = []\n"
+                "set_limit = sys.setrecursionlimit\n"
+                "sys.setrecursionlimit = lambda n: (calls.append(n), set_limit(n))\n"
+                "sys.setrecursionlimit(100)\n"
+                "result = solve_exact(inst, node_budget=20000)\n"
+                "print(result.nodes, calls, sys.getrecursionlimit())\n")
+        assert run_fresh(code) == ["20000", "[100]", "100"]
 
 
 class TestSolveIterative:
@@ -186,20 +191,32 @@ class TestPinnedResults:
 
 class TestLowerBound:
     """Both solvers report the place-disjointness relaxation: the base cost
-    plus every decision's cheapest weight."""
+    plus every decision's cheapest weight among the places that no initial
+    pod holds when its interval begins."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_iterative_bound_equals_exact_bound(self, seed):
         inst = harness.build_tiny_random(seed)
         params = derive_bip_parameters(inst)
         weights = decision_weights(inst, params)
-        relaxed = params.base_cost + sum(min(weights[t]) for t in params.decision_steps)
+        relaxed = params.base_cost + sum(
+            min(w for w, first_free in zip(weights[t], params.initial_busy_end)
+                if first_free <= t + 1)
+            for t in params.decision_steps)
+        unmasked = params.base_cost + sum(min(weights[t]) for t in params.decision_steps)
         bound = solve_exact(inst).lower_bound
         assert bound == pytest.approx(relaxed, abs=1e-9)
+        assert bound >= unmasked
         for window in (1, 3):
             result = solve_iterative(inst, window)
             assert result.lower_bound == bound
             assert result.lower_bound <= result.cost + 1e-9
+
+    def test_initial_pods_raise_the_bound(self):
+        """Seed 7's cheapest places are held by initial pods at first: the
+        mask lifts its bound from 47 to 56, the optimum."""
+        result = solve_exact(harness.build_tiny_random(7))
+        assert (result.lower_bound, result.cost) == (56.0, 56.0)
 
 
 def _terms(expr):

@@ -7,8 +7,9 @@ left out, because it imports names to re-export them.  A name that
 replaces it in that module's namespace.
 
 Importing the package leaves ``scipy.optimize`` unloaded: it is most of the
-import time, and only the fixed assignment and the return-all-pods terminal
-cost need it.
+import time and about 50 MB of resident memory, and only the fixed
+assignment needs it.  The return-all-pods terminal cost solves its
+assignment in numpy, so a run under that cost model leaves it unloaded too.
 """
 
 import ast
@@ -54,10 +55,28 @@ def test_every_import_is_used(path, traced):
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def run_fresh(code: str) -> list[str]:
+    """The words a fresh interpreter prints running ``code`` on ``src/``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, podrepo; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
-    assert loaded == ["False"]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert run_fresh("import sys, podrepo; print('scipy.optimize' in sys.modules)") == ["False"]
+
+
+def test_return_all_pods_run_leaves_scipy_optimize_unloaded():
+    """The run pays a terminal cost: its total is above the same plan's
+    total under the zero terminal cost."""
+    code = ("import sys\n"
+            "from dataclasses import replace\n"
+            "from podrepo import core, harness\n"
+            "from podrepo.instances import build_small_system\n"
+            "inst = build_small_system(1, n=200)\n"
+            "returned = replace(inst, costs=replace(inst.costs,"
+            " terminal=core.TERMINAL_RETURN_ALL))\n"
+            "actions, cost, _ = harness.run_policy(returned, 'cheapest:decision')\n"
+            "print(cost > core.total_cost(inst, actions), 'scipy.optimize' in sys.modules)\n")
+    assert run_fresh(code) == ["True", "False"]
