@@ -24,7 +24,6 @@ class RunTrace:
     """Per-step snapshots of a feasible replay plus its cost series."""
 
     instance: Instance
-    actions: tuple[int, ...]
     snapshots: tuple[tuple[Optional[int], ...], ...]  # length horizon + 1
     step_costs: tuple[float, ...]
 
@@ -47,8 +46,8 @@ def record_trace(inst: Instance, actions: Sequence[int]) -> RunTrace:
     for action in actions:
         costs.append(replay.step(action))
         snapshots.append(replay.storage_tuple())
-    return RunTrace(instance=inst, actions=tuple(actions),
-                    snapshots=tuple(snapshots), step_costs=tuple(costs))
+    return RunTrace(instance=inst, snapshots=tuple(snapshots),
+                    step_costs=tuple(costs))
 
 
 def usage_ranks(inst: Instance) -> list[int]:
@@ -114,11 +113,6 @@ def trace_csv(trace: RunTrace) -> str:
             if pod is not None:
                 lines.append(f"{t},{p},{pod}")
     return "\n".join(lines) + "\n"
-
-
-def emit_trace_csv(trace: RunTrace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(trace_csv(trace))
 
 
 def distinct_pods_per_place(trace: RunTrace) -> list[set[int]]:

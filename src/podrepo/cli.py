@@ -116,8 +116,8 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
 @click.option("--window", type=click.IntRange(min=1), default=None,
               help="Window size for the iterative solver.")
 @click.option("--node-budget", type=click.IntRange(min=0), default=None,
-              help=f"Search nodes per window; --exact defaults to "
-                   f"{exact.EXACT_NODE_BUDGET:,}, --window to no limit.")
+              help=f"Search nodes for the whole solve, all windows together "
+                   f"(default {exact.EXACT_NODE_BUDGET:,}).")
 @click.option("--export-lp", type=click.Path(dir_okay=False), default=None)
 @click.option("--actions-out", type=click.Path(dir_okay=False), default=None)
 def solve(instance: str, use_exact: bool, window: int, node_budget: int,
@@ -133,11 +133,8 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
         click.echo(f"wrote {export_lp}")
         if not use_exact and window is None:
             return
-    if use_exact:
-        result = exact.solve_exact(inst, node_budget=exact.EXACT_NODE_BUDGET
-                                   if node_budget is None else node_budget)
-    else:
-        result = exact.solve_iterative(inst, window, node_budget=node_budget)
+    result = (exact.solve_exact(inst, node_budget=node_budget) if use_exact
+              else exact.solve_iterative(inst, window, node_budget=node_budget))
     result.cost = harness.verify_cost(inst, "solve", result.actions, result.cost)
     if actions_out:
         save_actions(result.actions, actions_out)
@@ -168,7 +165,7 @@ def chart(instance: str, actions: str, t_from: int, t_to: int, out: str,
     trace = chartmod.record_trace(inst, acts)
     chartmod.emit_chart(trace, chartmod.ChartSpec(t_from=t_from, t_to=t_to), out)
     if trace_csv:
-        chartmod.emit_trace_csv(trace, trace_csv)
+        Path(trace_csv).write_text(chartmod.trace_csv(trace))
     click.echo(f"wrote {out} (cost {cost:.6f})")
 
 

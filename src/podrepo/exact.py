@@ -36,9 +36,9 @@ from .policies import decision_cost_table
 # take about 60 thousand, the medium system's 20000 steps billions
 EXPORT_TERM_CAP = 10_000_000
 
-# the node budget of the `exact` policy and of `podrepo solve --exact`: 1.4
-# to 2.3 s of search on a 2-core x86 host; it proves the small system's seed
-# 1 at 20 steps (0.3M nodes, 0.2 s) but not at 40
+# the default node budget of every exact and windowed solve: about 1 s on a
+# 2-core x86 host; it proves the small system's seed 1 at 20 steps (0.3M
+# nodes, 0.2 s) but not at 40
 EXACT_NODE_BUDGET = 2_000_000
 
 
@@ -99,7 +99,7 @@ class SolveResult:
 
 
 def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
-            busy_until: list[int], node_budget: Optional[int]
+            busy_until: list[int], node_budget: int
             ) -> tuple[float, Optional[list[int]], int, bool]:
     """Depth-first branch and bound over ``(step, busy end, order)``
     decisions; returns the best cost and path (``None`` if the budget ran
@@ -132,8 +132,7 @@ def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
         tail += next(c for c, p in order if busy_until[p] <= t + 1)
     if level is None:
         return 0.0, [], 0, False
-    limit = inf if node_budget is None else node_budget
-    if limit <= 0:
+    if node_budget <= 0:
         return inf, None, 0, True
     best_cost = inf
     best_path: Optional[list[int]] = None
@@ -156,7 +155,7 @@ def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
             stack.append((it, g0, begin, end, tail, deeper, child, busy_until[child]))
             busy_until[child] = end
             if deeper is not None:
-                if nodes >= limit:
+                if nodes >= node_budget:
                     for *_, p, was in reversed(stack):
                         busy_until[p] = was
                     return best_cost, best_path, nodes, True
@@ -179,8 +178,11 @@ def _solve_windows(inst: Instance, window_size: int,
                    node_budget: Optional[int]) -> SolveResult:
     """Search the decisions of each window of ``window_size`` steps exactly
     and commit its best path: the committed intervals carry the occupancy
-    into the next window."""
+    into the next window.  The windows share ``node_budget`` nodes
+    (``EXACT_NODE_BUDGET`` if ``None``), each searching with what is left; a
+    window left without a plan raises :class:`BudgetExceededError`."""
     require_zero_terminal(inst)
+    budget = EXACT_NODE_BUDGET if node_budget is None else node_budget
     params = derive_bip_parameters(inst)
     decision_steps = params.decision_steps
     # each cost row ranked once, as (cost, place) pairs
@@ -197,9 +199,12 @@ def _solve_windows(inst: Instance, window_size: int,
     for t0 in range(0, inst.horizon, window_size):
         stop = bisect_left(decision_steps, t0 + window_size)
         window = decisions[start:stop]
-        best_cost, best_path, searched, exhausted = _search(window, busy_until, node_budget)
+        best_cost, best_path, searched, exhausted = _search(window, busy_until,
+                                                            budget - nodes)
         if best_path is None:
-            raise BudgetExceededError("node budget exhausted before any solution was found")
+            last = min(t0 + window_size, inst.horizon) - 1
+            raise BudgetExceededError(f"node budget exhausted: {budget} nodes found "
+                                      f"no plan for the window of steps {t0}-{last}")
         nodes += searched
         optimal = optimal and not exhausted
         cost += best_cost
@@ -219,9 +224,9 @@ def _solve_windows(inst: Instance, window_size: int,
 def solve_exact(inst: Instance, node_budget: Optional[int] = None) -> SolveResult:
     """Minimize the total game cost with zero terminal cost.
 
-    With an exhausted ``node_budget`` the best solution found so far is
-    returned with ``optimal=False``; with none found it raises
-    :class:`BudgetExceededError`.
+    After ``node_budget`` nodes (``EXACT_NODE_BUDGET`` if ``None``) the best
+    solution found so far is returned with ``optimal=False``; with none found
+    it raises :class:`BudgetExceededError`.
     """
     return _solve_windows(inst, max(inst.horizon, 1), node_budget)
 
@@ -231,7 +236,8 @@ def solve_iterative(inst: Instance, window_size: int,
     """Solve each window of ``window_size`` time steps exactly, carrying the
     occupancy (busy-end) state across window boundaries.  Decision costs keep
     the whole-horizon next-destination legs, so future placement costs flow
-    into every window."""
+    into every window.  All windows share ``node_budget`` nodes, as in
+    :func:`solve_exact`; ``optimal=False`` means a window was budget-cut."""
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     return _solve_windows(inst, window_size, node_budget)

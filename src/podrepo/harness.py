@@ -153,8 +153,10 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     A name is ``base`` or ``base:param`` (:func:`parse_policy_name`).  The
     online policies sum their replay total plus the terminal cost; the
     solvers optimise under zero terminal cost and refuse any other cost
-    model.  The cost returned is that of an independent replay of the plan
-    (:func:`verify_cost`), which the run's own sum must match.
+    model; ``exact`` and ``iterative`` also refuse a search that
+    ``exact.EXACT_NODE_BUDGET`` cut.  The cost returned is that of an
+    independent replay of the plan (:func:`verify_cost`), which the run's
+    own sum must match.
     The ``fixed`` policy replays a cost-free rearranged initial state and is
     therefore not directly comparable with the others.
     """
@@ -180,16 +182,14 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
         result = genetic.evolve(inst, base, gamma_name=param or genetic.GAMMA_AVG_COST,
                                 config=genetic.GaConfig(seed=seed))
         actions, cost = result.actions, result.cost
-    elif base == "exact":
-        result = exact.solve_exact(inst, exact.EXACT_NODE_BUDGET)
+    elif base in ("exact", "iterative"):
+        result = (exact.solve_iterative(inst, int(param or 10)) if base == "iterative"
+                  else exact.solve_exact(inst))
         if not result.optimal:
             raise BudgetExceededError(
-                f"exact: node budget {exact.EXACT_NODE_BUDGET} exhausted without "
-                f"a proof: best cost {result.cost}, lower bound "
+                f"{name}: node budget {exact.EXACT_NODE_BUDGET} exhausted before "
+                f"the search finished: best cost {result.cost}, lower bound "
                 f"{result.lower_bound}, gap {result.gap:.2%}")
-        actions, cost = result.actions, result.cost
-    elif base == "iterative":
-        result = exact.solve_iterative(inst, int(param) if param else 10)
         actions, cost = result.actions, result.cost
     else:
         actions, cost = brute_force_optimum(inst)

@@ -255,6 +255,12 @@ class TestSolve:
                      "--node-budget", "0"]) == EXIT_BUDGET
         assert "node budget exhausted" in capsys.readouterr().err
 
+    def test_window_mode_defaults_to_the_policy_budget(self, small_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 20000)
+        assert main(["solve", str(small_path), "--window", "20"]) == EXIT_BUDGET
+        assert "node budget exhausted: 20000 nodes" in capsys.readouterr().err
+
     def test_exact_defaults_to_the_policy_budget(self, small_path, monkeypatch, capsys):
         monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 1000)
         assert main(["solve", str(small_path), "--exact"]) == EXIT_OK

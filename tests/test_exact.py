@@ -162,10 +162,52 @@ def _digest(actions):
     return hashlib.sha256(json.dumps(actions).encode()).hexdigest()
 
 
+def _record_searches(monkeypatch):
+    """Wrap ``exact._search``; the list it returns collects each call's
+    ``(budget, nodes, budget ran out)``."""
+    calls = []
+    search = exact._search
+
+    def recorded(window, busy_until, node_budget):
+        out = search(window, busy_until, node_budget)
+        calls.append((node_budget, out[2], out[3]))
+        return out
+    monkeypatch.setattr(exact, "_search", recorded)
+    return calls
+
+
+class TestNodeBudget:
+    """One budget bounds every solve: all windows together, by default
+    ``EXACT_NODE_BUDGET``."""
+
+    @pytest.mark.parametrize("window", [1, 5, 20])
+    def test_windows_never_pass_the_default_budget(self, window, monkeypatch):
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 20000)
+        calls = _record_searches(monkeypatch)
+        try:
+            result = solve_iterative(build_small_system(1, n=1000), window)
+        except BudgetExceededError:
+            result = None
+        assert (result is None) == (window == 20)  # cut at steps 20-39
+        spent = sum(nodes for _, nodes, _ in calls)
+        assert spent <= 20000
+        assert result is None or result.nodes == spent
+        assert calls[0][0] == 20000
+
+    def test_budget_cut_search_restores_busy_until(self):
+        """A search cut three levels down leaves the state list as it found
+        it; a stale trial placement would wrongly block the next window."""
+        order = [(1.0, 1), (2.0, 2), (3.0, 3)]
+        decisions = [(t, t + 3, order) for t in range(6)]
+        busy_until = [0, 0, 0, 5]
+        best_cost, best_path, nodes, exhausted = exact._search(decisions, busy_until, 3)
+        assert (best_path, nodes, exhausted) == (None, 3, True)
+        assert busy_until == [0, 0, 0, 5]
+
+
 class TestPinnedResults:
-    """Every ``SolveResult`` field on the small system, pinned.  The budget-cut
-    window search catches a search that leaves a trial placement in its state
-    when the node budget runs out: its plan stays feasible, but it differs."""
+    """Every ``SolveResult`` field on the small system, pinned, and where a
+    shared budget runs out."""
 
     def test_exact_at_node_budget(self):
         result = solve_exact(build_small_system(1, n=1000), node_budget=200000)
@@ -181,12 +223,14 @@ class TestPinnedResults:
         assert _digest(result.actions) == (
             "bac3a1f31302df2bd12b531e979ca689c8042caa396024bd17abc3a5db639428")
 
-    def test_iterative_budget_cut_in_every_window(self):
-        result = solve_iterative(build_small_system(1, n=300), 7, node_budget=50)
-        assert (result.cost, result.nodes, result.optimal, result.lower_bound) == (
-            4304.0, 1723, False, 3025.0)
-        assert _digest(result.actions) == (
-            "640c1787534c9ef5ab35a525d43a9a22da3beec3ce2722afcc7bbf0279e2aeb2")
+    def test_iterative_budget_shared_by_the_windows(self, monkeypatch):
+        """Windows of 7 share 50 nodes: the first spends 10, the second is
+        cut at the 40 left, and the third has none left and no plan."""
+        calls = _record_searches(monkeypatch)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^node budget exhausted: 50 nodes .* steps 14-20$"):
+            solve_iterative(build_small_system(1, n=300), 7, node_budget=50)
+        assert calls == [(50, 10, False), (40, 40, True), (0, 0, True)]
 
 
 class TestLowerBound:

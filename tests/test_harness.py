@@ -86,6 +86,21 @@ class TestRunPolicy:
                            match=r"node budget 1000 .*best cost .*lower bound .*gap"):
             harness.run_policy(build_small_system(1, n=100), "exact")
 
+    def test_iterative_shares_the_exact_budget(self, monkeypatch):
+        """Windows of 20 on 1000 small steps need tens of millions of nodes:
+        the shared budget refuses them like ``exact``."""
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 20000)
+        with pytest.raises(BudgetExceededError, match="node budget exhausted"):
+            harness.run_policy(build_small_system(1, n=1000), "iterative:20")
+
+    def test_budget_cut_iterative_is_refused(self, monkeypatch):
+        """A plan whose last window was cut is no solver row either."""
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 3)
+        assert not solve_iterative(harness.build_tiny_random(4), 3).optimal
+        with pytest.raises(BudgetExceededError,
+                           match=r"^iterative:3: node budget 3 .*best cost .*gap"):
+            harness.run_policy(harness.build_tiny_random(4), "iterative:3")
+
     def test_rearranged_instance_keeps_the_schedule(self):
         """``fixed`` replays and re-verifies the rearranged instance on the
         schedule of the original one."""
