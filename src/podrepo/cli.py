@@ -138,7 +138,8 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
     result.cost = harness.verify_cost(inst, "solve", result.actions, result.cost)
     if actions_out:
         save_actions(result.actions, actions_out)
-    status = "optimal" if result.optimal else "budget-limited"
+    status = ("budget-limited" if not result.optimal
+              else "optimal" if use_exact else "windows exact")
     click.echo(f"cost {result.cost:.6f} ({status}, {result.nodes} nodes), "
                f"lower bound {result.lower_bound:.6f}, gap {result.gap:.2%}")
 

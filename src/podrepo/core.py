@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -206,10 +206,18 @@ def departure_schedule(inst: Instance) -> Schedule:
     return schedule
 
 
-def _share_schedule(copy: Instance, original: Instance) -> None:
-    """Cache the schedule of ``original`` on ``copy``, which must have the same
-    departures, queues and set of stored pods."""
-    object.__setattr__(copy, "_schedule", departure_schedule(original))
+def with_initial_storage(inst: Instance, storage: Sequence[Optional[int]]) -> Instance:
+    """``inst`` with the initial storage ``storage``, which must hold the same
+    pods on ``n_places`` places (:class:`InvalidInstanceError` otherwise), so
+    the copy shares the schedule of ``inst``."""
+    storage = tuple(storage)
+    stored = sorted(h for h in inst.initial_storage if h is not None)
+    if len(storage) != inst.n_places or sorted(h for h in storage if h is not None) != stored:
+        raise InvalidInstanceError(f"initial storage must hold the stored pods, each once, "
+                                   f"on {inst.n_places} places")
+    copy = replace(inst, initial_storage=storage)
+    object.__setattr__(copy, "_schedule", departure_schedule(inst))
+    return copy
 
 
 def _simulate_queues(inst: Instance) -> Schedule:

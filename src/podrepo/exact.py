@@ -86,6 +86,9 @@ def decision_weights(inst: Instance, params: BipParameters) -> dict[int, list[fl
 
 @dataclass
 class SolveResult:
+    """``optimal``: no search was budget-cut, so a :func:`solve_exact` plan is
+    optimal, and each window of a :func:`solve_iterative` plan."""
+
     actions: list[int]
     cost: float
     optimal: bool
@@ -237,7 +240,8 @@ def solve_iterative(inst: Instance, window_size: int,
     occupancy (busy-end) state across window boundaries.  Decision costs keep
     the whole-horizon next-destination legs, so future placement costs flow
     into every window.  All windows share ``node_budget`` nodes, as in
-    :func:`solve_exact`; ``optimal=False`` means a window was budget-cut."""
+    :func:`solve_exact`; ``optimal=False`` means a window was budget-cut, and
+    ``optimal=True`` that each window, not the plan, is optimal."""
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     return _solve_windows(inst, window_size, node_budget)

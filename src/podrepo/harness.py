@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +22,10 @@ from . import exact, genetic, tetris
 from .core import (BudgetExceededError, Instance, CostModel, Replay,
                    departure_schedule, require_zero_terminal, terminal_cost,
                    total_cost, validate_instance)
-from .instances import (REGIME_PERIODIC, _Storage, _draw_block, _line_system,
-                        _pod_weight_vector, _station_cdf, REGIMES,
-                        co_simulated_departures, generate_departures,
-                        geometric_weights, medium_cost_model,
-                        random_initial_storage, rng_from_seed,
-                        MEDIUM_N_PODS, MEDIUM_N_PLACES, MEDIUM_QUEUE_CAPACITY,
-                        MEDIUM_STATION_WEIGHTS, MEDIUM_WEIGHT_RATIO)
+from .instances import (REGIMES, build_tiny_symmetric, co_simulated_departures,
+                        generate_departures, geometric_weights,
+                        medium_system_in_seasons, random_initial_storage,
+                        rng_from_seed, MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO)
 from .policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                        CHEAPEST_TO_STORAGE, CheapestPolicy, FixedPolicy,
                        RandomPolicy, compute_fixed_assignment,
@@ -294,10 +291,7 @@ def build_tiny_random(seed: int) -> Instance:
                        for _ in range(n_places))
     from_station = tuple(tuple(float(c) for c in rng.integers(1, 10, size=n_places))
                          for _ in range(n_stations))
-    storage: list[Optional[int]] = [None] * n_places
-    for h, p in enumerate(rng.choice(n_places, size=n_pods, replace=False), start=1):
-        storage[int(p)] = h
-    initial_storage = tuple(storage)
+    initial_storage = random_initial_storage(n_pods, n_places, rng)
     initial_queues = tuple(() for _ in range(n_stations))
     n = int(rng.integers(5, 9))
     departures = generate_departures(
@@ -310,13 +304,6 @@ def build_tiny_random(seed: int) -> Instance:
                     departures=departures)
     validate_instance(inst)
     return inst
-
-
-def build_tiny_symmetric(n_pods: int, regime: str = REGIME_PERIODIC, seed: int = 0,
-                         n: int = 8) -> Instance:
-    """Scaled-down line system (pods = places, two symmetric stations of
-    capacity 1, cost p + 4), with departures under any regime."""
-    return _line_system(n_pods, 1, regime, seed, n)
 
 
 # --- studies ---------------------------------------------------------------
@@ -361,22 +348,6 @@ class SeasonalReport:
         return statistics.median(getattr(self, name))
 
 
-def _medium_instance_with(departure_draw: Callable, seed: int, n: int) -> Instance:
-    rng = rng_from_seed(seed)
-    initial_storage = random_initial_storage(MEDIUM_N_PODS, MEDIUM_N_PLACES, rng)
-    capacities = (MEDIUM_QUEUE_CAPACITY, MEDIUM_QUEUE_CAPACITY)
-    initial_queues = ((), ())
-    departures = co_simulated_departures(
-        MEDIUM_N_PODS, capacities, initial_storage, initial_queues, n,
-        departure_draw(rng))
-    inst = Instance(n_pods=MEDIUM_N_PODS, n_places=MEDIUM_N_PLACES,
-                    station_capacities=capacities, costs=medium_cost_model(),
-                    initial_storage=initial_storage, initial_queues=initial_queues,
-                    departures=departures)
-    validate_instance(inst)
-    return inst
-
-
 SEASONAL_CONCENTRATION = 0.1  # of the symmetric Dirichlet the weights come from
 
 
@@ -388,44 +359,17 @@ def seasonal_medium_instance(seed: int, n: int = 10000, epoch: int = 2000) -> In
     symmetric Dirichlet, so a few dozen pods dominate the demand of every
     season and the dominant set changes completely between seasons.
     """
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
-    stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
     alpha = [SEASONAL_CONCENTRATION] * MEDIUM_N_PODS
-
-    def make_draw(rng):
-        weights = pod_u = picks = None
-
-        def draw(t: int, storage: _Storage) -> tuple[int, int]:
-            nonlocal weights, pod_u, picks
-            i = t % epoch
-            if not i:  # a new season: its weights, then its block of uniforms
-                # the tiny floor keeps every stored pod drawable in every season
-                weights = _pod_weight_vector(rng.dirichlet(alpha) + 1e-300)
-                pod_u, picks = _draw_block(rng, stations, min(epoch, n - t),
-                                           station_first=False)
-            return storage.draw(weights, pod_u[i]), picks[i]
-
-        return draw
-
-    return _medium_instance_with(make_draw, seed, n)
+    # the tiny floor keeps every stored pod drawable in every season
+    return medium_system_in_seasons(seed, n, epoch,
+                                    lambda rng: rng.dirichlet(alpha) + 1e-300)
 
 
 def plain_medium_instance(seed: int, n: int = 10000) -> Instance:
     """Medium system with fixed geometric weights (no seasonal changes)."""
     base = np.asarray(geometric_weights(MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO))
-    stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
-
-    def make_draw(rng):
-        weights = _pod_weight_vector(base[rng.permutation(MEDIUM_N_PODS)])
-        pod_u, picks = _draw_block(rng, stations, n, station_first=False)
-
-        def draw(t: int, storage: _Storage) -> tuple[int, int]:
-            return storage.draw(weights, pod_u[t]), picks[t]
-
-        return draw
-
-    return _medium_instance_with(make_draw, seed, n)
+    return medium_system_in_seasons(seed, n, max(n, 1),
+                                    lambda rng: base[rng.permutation(MEDIUM_N_PODS)])
 
 
 def seasonal_study(seeds: Sequence[int], n: int = 10000,

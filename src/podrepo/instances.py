@@ -81,6 +81,27 @@ def _draw_block(rng: np.random.Generator, stations: np.ndarray, n: int,
     return pod_u.tolist(), (stations.searchsorted(station_u, side="right") + 1).tolist()
 
 
+def _weighted_draw(rng: np.random.Generator, stations: np.ndarray, n: int, epoch: int,
+                   season_weights: Callable[[np.random.Generator], np.ndarray],
+                   station_first: bool) -> Callable[[int, _Storage], tuple[int, int]]:
+    """The draw of :func:`co_simulated_departures` for ``n`` steps whose pod
+    weights change every ``epoch`` steps.  Every season is drawn up front, in
+    step order: its weight vector ``season_weights(rng)`` (a
+    :func:`_pod_weight_vector`), then its :func:`_draw_block`."""
+    weights, pod_u, picks = [], [], []
+    for t0 in range(0, n, epoch):
+        size = min(epoch, n - t0)
+        weights += [season_weights(rng)] * size
+        u, s = _draw_block(rng, stations, size, station_first)
+        pod_u += u
+        picks += s
+
+    def draw(t: int, storage: _Storage) -> tuple[int, int]:
+        return storage.draw(weights[t], pod_u[t]), picks[t]
+
+    return draw
+
+
 def _draw_pod(weights: np.ndarray, in_storage: np.ndarray, u: float) -> int:
     """The stored pod that the uniform double ``u`` draws, with probability
     proportional to its weight.
@@ -235,10 +256,8 @@ def co_simulated_departures(
     storage)`` must return a departure whose pod is set in ``storage.mask``,
     and must not change it.  The loop draws nothing itself and calls
     ``draw`` once per step in step order, so the stream order is the draw's:
-    :func:`generate_departures` states its regimes' orders, and the seasonal
-    and plain medium builders of :mod:`podrepo.harness` draw one block of
-    uniforms per season or per instance, each step's pod double before its
-    station double.
+    :func:`generate_departures` and :func:`medium_system_in_seasons` state
+    theirs.
     """
     storage = _Storage(n_pods, [h for h in initial_storage if h is not None])
     mask = storage.mask
@@ -294,11 +313,8 @@ def generate_departures(
         if regime == REGIME_RANDOM_UNIFORM or pod_weights is None:
             pod_weights = [1.0 / n_pods] * n_pods
         weights = _pod_weight_vector(pod_weights)
-        pod_u, picks = _draw_block(rng, stations, n, station_first=True)
-
-        def draw(t: int, storage: _Storage) -> tuple[int, int]:
-            return storage.draw(weights, pod_u[t]), picks[t]
-
+        draw = _weighted_draw(rng, stations, n, max(n, 1), lambda rng: weights,
+                              station_first=True)
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
                                        initial_queues, n, draw)
 
@@ -306,17 +322,12 @@ def generate_departures(
         block: list[int] = []
 
         def draw(t: int, storage: _Storage) -> tuple[int, int]:
-            nonlocal block
             in_storage = storage.mask
             # correction rule: the block's first stored pod swaps with its
             # head and departs; a block with none gives way to a fresh one
-            while True:
-                if not block:
-                    block = (rng.permutation(n_pods) + 1).tolist()
-                j = next((j for j, h in enumerate(block) if in_storage[h]), None)
-                if j is not None:
-                    break
-                block = []
+            while not any(in_storage[h] for h in block):
+                block[:] = (rng.permutation(n_pods) + 1).tolist()
+            j = next(j for j, h in enumerate(block) if in_storage[h])
             block[0], block[j] = block[j], block[0]
             return block.pop(0), _pick(stations, rng) + 1
 
@@ -370,6 +381,13 @@ def build_small_system(seed: int = 1, n: int = 1000,
     return _line_system(SMALL_N_PODS, SMALL_QUEUE_CAPACITY, regime, seed, n)
 
 
+def build_tiny_symmetric(n_pods: int, regime: str = REGIME_PERIODIC, seed: int = 0,
+                         n: int = 8) -> Instance:
+    """Scaled-down line system (pods = places, two symmetric stations of
+    capacity 1, cost p + 4), with departures under any regime."""
+    return _line_system(n_pods, 1, regime, seed, n)
+
+
 # --- medium test system ----------------------------------------------------
 
 MEDIUM_N_PODS = 441
@@ -379,6 +397,7 @@ MEDIUM_N_PLACES = MEDIUM_GRID_W * MEDIUM_GRID_H
 # stations sit below the grid at different columns and depths (asymmetric)
 MEDIUM_STATIONS = ((5, 2), (21, 4))
 MEDIUM_QUEUE_CAPACITY = 10
+MEDIUM_CAPACITIES = (MEDIUM_QUEUE_CAPACITY, MEDIUM_QUEUE_CAPACITY)
 MEDIUM_STATION_WEIGHTS = (0.6, 0.4)
 MEDIUM_WEIGHT_RATIO = 20.0
 
@@ -405,28 +424,46 @@ def random_initial_storage(n_pods: int, n_places: int,
     return tuple(storage)
 
 
+def _medium_system(seed: int, departures: Callable[..., tuple]) -> Instance:
+    """The medium system, validated: the generator of ``seed`` places the
+    pods, and ``departures(rng, initial_storage)`` gives the sequence."""
+    rng = rng_from_seed(seed)
+    initial_storage = random_initial_storage(MEDIUM_N_PODS, MEDIUM_N_PLACES, rng)
+    inst = Instance(n_pods=MEDIUM_N_PODS, n_places=MEDIUM_N_PLACES,
+                    station_capacities=MEDIUM_CAPACITIES, costs=medium_cost_model(),
+                    initial_storage=initial_storage, initial_queues=((), ()),
+                    departures=departures(rng, initial_storage))
+    validate_instance(inst)
+    return inst
+
+
 def build_medium_system(seed: int, n: int = 20000,
                         regime: str = REGIME_RANDOM_GEOMETRIC) -> Instance:
     """The 504-place/441-pod system: asymmetric stations, random initial pod
     positions, geometric ratio-20 pod weights, station weights 0.6/0.4."""
-    rng = rng_from_seed(seed)
-    initial_storage = random_initial_storage(MEDIUM_N_PODS, MEDIUM_N_PLACES, rng)
-    initial_queues = ((), ())
-    capacities = (MEDIUM_QUEUE_CAPACITY, MEDIUM_QUEUE_CAPACITY)
-    departures = generate_departures(
-        MEDIUM_N_PODS, capacities, initial_storage, initial_queues,
+    return _medium_system(seed, lambda rng, initial_storage: generate_departures(
+        MEDIUM_N_PODS, MEDIUM_CAPACITIES, initial_storage, ((), ()),
         regime=regime, seed=seed + 1, n=n,
         pod_weights=geometric_weights(MEDIUM_N_PODS, MEDIUM_WEIGHT_RATIO),
-        station_weights=MEDIUM_STATION_WEIGHTS,
-    )
-    inst = Instance(
-        n_pods=MEDIUM_N_PODS,
-        n_places=MEDIUM_N_PLACES,
-        station_capacities=capacities,
-        costs=medium_cost_model(),
-        initial_storage=initial_storage,
-        initial_queues=initial_queues,
-        departures=departures,
-    )
-    validate_instance(inst)
-    return inst
+        station_weights=MEDIUM_STATION_WEIGHTS))
+
+
+def medium_system_in_seasons(
+        seed: int, n: int, epoch: int,
+        season_weights: Callable[[np.random.Generator], Sequence[float]]) -> Instance:
+    """The medium system with ``n`` departures whose pod weights change every
+    ``epoch`` steps.  The generator of ``seed`` places the pods, then draws
+    every season in step order: its pod weights ``season_weights(rng)``, then
+    one block of uniforms, each step's pod double before its station double."""
+    if epoch < 1:
+        raise ValueError(f"epoch must be >= 1, got {epoch}")
+    stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
+
+    def departures(rng, initial_storage):
+        draw = _weighted_draw(rng, stations, n, epoch,
+                              lambda rng: _pod_weight_vector(season_weights(rng)),
+                              station_first=False)
+        return co_simulated_departures(MEDIUM_N_PODS, MEDIUM_CAPACITIES, initial_storage,
+                                       ((), ()), n, draw)
+
+    return _medium_system(seed, departures)

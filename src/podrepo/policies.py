@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Instance, Replay, StepInfo, _share_schedule, departure_schedule
+from .core import (Instance, InvalidInstanceError, Replay, StepInfo, departure_schedule,
+                   with_initial_storage)
 from .instances import rng_from_seed
 
 CHEAPEST_TO_STORAGE = "to-storage"
@@ -233,16 +234,16 @@ def sorted_fixed_assignment(inst: Instance) -> dict[int, int]:
 def rearranged_instance(inst: Instance, assignment: dict[int, int]) -> Instance:
     """The instance with its initial storage rewritten so every stored pod sits
     at its assigned place.  This pre-game rearrangement is cost-free, mirroring
-    how fixed-place results are reported (not directly comparable)."""
+    how fixed-place results are reported (not directly comparable).  Raises
+    :class:`InvalidInstanceError` unless the places are distinct and known."""
     storage: list[Optional[int]] = [None] * inst.n_places
     for h in inst.initial_storage:
         if h is not None:
-            storage[assignment[h] - 1] = h
-    from dataclasses import replace
-    arranged = replace(inst, initial_storage=tuple(storage))
-    # same departures, queues and stored pods, hence the same schedule
-    _share_schedule(arranged, inst)
-    return arranged
+            place = assignment[h]
+            if not 1 <= place <= inst.n_places:
+                raise InvalidInstanceError(f"pod {h} assigned to unknown place {place}")
+            storage[place - 1] = h
+    return with_initial_storage(inst, storage)
 
 
 class FixedPolicy:

@@ -279,7 +279,8 @@ class TestSolve:
         result = (exact.solve_exact(inst) if mode == ["--exact"]
                   else exact.solve_iterative(inst, 5))
         line = capsys.readouterr().out
-        match = re.fullmatch(r"cost (\S+) \(\S+, \d+ nodes\), "
+        label = "optimal" if mode == ["--exact"] else "windows exact"
+        match = re.fullmatch(rf"cost (\S+) \({label}, \d+ nodes\), "
                              r"lower bound (\S+), gap (\S+)%\n", line)
         assert match, line
         cost, bound, gap = map(float, match.groups())
@@ -287,6 +288,15 @@ class TestSolve:
         assert bound == pytest.approx(result.lower_bound, abs=1e-6)
         assert gap == pytest.approx(100 * (result.cost - result.lower_bound) / result.cost,
                                     abs=0.005)
+
+    def test_finished_windows_are_not_labelled_optimal(self, tmp_path, capsys):
+        path = tmp_path / "small.json"
+        assert main(["gen", "--system", "small", "--seed", "1", "--steps", "300",
+                     "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", str(path), "--window", "10"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            "cost 4098.000000 (windows exact, 23286 nodes)")
 
     def test_reported_cost_is_reverified(self, tiny_path, tmp_path, monkeypatch, capsys):
         solve_exact = exact.solve_exact

@@ -224,6 +224,19 @@ class TestScheduleCache:
             assert departure_schedule(moved) is departure_schedule(inst)
             assert departure_schedule(replace(moved)) == departure_schedule(moved)
 
+    def test_with_initial_storage_checks_the_pods(self):
+        inst = harness.build_tiny_random(1)
+        storage = inst.initial_storage
+        moved = core.with_initial_storage(inst, storage[::-1])
+        assert moved.initial_storage == storage[::-1]
+        assert departure_schedule(moved) is departure_schedule(inst)
+        pod = next(h for h in storage if h is not None)
+        for bad in (storage[1:], storage + (None,),
+                    tuple(pod if h is None else h for h in storage),
+                    tuple(None if h == pod else h for h in storage)):
+            with pytest.raises(InvalidInstanceError):
+                core.with_initial_storage(inst, bad)
+
 
 class TestReplay:
     @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,5 @@
-"""No module of the library imports a name that its code never uses.
+"""No module of the library imports a name that its code never uses, nor a
+private (leading-underscore) name of another of its modules.
 
 A refactor that removes the last use of an imported name leaves the import
 behind; this scan of each module's syntax tree finds it.  ``__init__.py`` is
@@ -53,6 +54,42 @@ def traced(monkeypatch):
 def test_every_import_is_used(path, traced):
     unused = unused_imports(path.read_text()) - set(traced.get(f"podrepo.{path.stem}", ()))
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def private_imports(source: str) -> set[str]:
+    """The private names that ``source`` takes from a podrepo module: imported
+    by name, or read as an attribute of an imported podrepo module."""
+    tree = ast.parse(source)
+    modules, private = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "podrepo"):
+            for a in node.names:
+                if a.name.startswith("_"):
+                    private.add(a.name)
+                elif node.module in (None, "podrepo"):  # a module: from . import core
+                    modules.add(a.asname or a.name)
+    return private | {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules and node.attr.startswith("_")
+                      and not node.attr.endswith("__")}
+
+
+def test_scan_finds_a_private_import():
+    assert private_imports("from __future__ import annotations\n"
+                           "from . import core as c, instances\n"
+                           "from .core import Instance, _helper\n"
+                           "from podrepo.exact import _search\n"
+                           "from numpy import _private\n"
+                           "x = c._cache, instances.build, instances.__name__\n"
+                           ) == {"_helper", "_search", "c._cache"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "podrepo").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    private = private_imports(path.read_text())
+    assert not private, f"{path.name} takes private names {sorted(private)}"
 
 
 def run_fresh(code: str) -> list[str]:

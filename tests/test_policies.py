@@ -7,7 +7,8 @@ import json
 import pytest
 
 from podrepo import harness
-from podrepo.core import NO_OP, Replay, check_feasible, departure_schedule
+from podrepo.core import (NO_OP, InvalidInstanceError, Replay, check_feasible,
+                          departure_schedule)
 from podrepo.genetic import GENETIC1, GaConfig, evolve
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
@@ -309,6 +310,23 @@ class TestFixedPolicy:
         schedule = departure_schedule(arranged)
         returned = [info.returning_pod for info in schedule.steps if not info.fill]
         assert decisions == [fa[h] for h in returned]
+
+    def test_rearranged_instance_refuses_a_shared_place(self):
+        """Two pods sent to one place leave a pod out of storage; the copy
+        would still replay on the original's schedule."""
+        inst = build_small_system(1, 50)
+        fa = compute_fixed_assignment(inst)
+        fa[2] = fa[1]
+        with pytest.raises(InvalidInstanceError, match="stored pods"):
+            rearranged_instance(inst, fa)
+
+    @pytest.mark.parametrize("place", [0, -1, 11])
+    def test_rearranged_instance_refuses_an_unknown_place(self, place):
+        inst = build_small_system(1, 50)
+        fa = compute_fixed_assignment(inst)
+        fa[3] = place
+        with pytest.raises(InvalidInstanceError, match=f"unknown place {place}"):
+            rearranged_instance(inst, fa)
 
     def test_inconsistent_initial_state_detected(self):
         inst = build_small_system(n=300)

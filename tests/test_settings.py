@@ -24,9 +24,6 @@ SETTINGS = {
     "genetic.evolve(config)",
     "genetic.evolve(encoding)",
     "genetic.evolve(gamma_name)",
-    "harness.build_tiny_symmetric(n)",
-    "harness.build_tiny_symmetric(regime)",
-    "harness.build_tiny_symmetric(seed)",
     "harness.plain_medium_instance(n)",
     "harness.run_comparison(out_dir)",
     "harness.run_comparison(seed)",
@@ -40,6 +37,9 @@ SETTINGS = {
     "instances.build_small_system(n)",
     "instances.build_small_system(regime)",
     "instances.build_small_system(seed)",
+    "instances.build_tiny_symmetric(n)",
+    "instances.build_tiny_symmetric(regime)",
+    "instances.build_tiny_symmetric(seed)",
     "instances.generate_departures(pod_weights)",
     "instances.generate_departures(station_weights)",
     "policies.CheapestPolicy.__init__(variant)",
