@@ -275,12 +275,21 @@ def _simulate_queues(inst: Instance) -> Schedule:
 
 
 def validate_instance(inst: Instance) -> None:
-    """Structural checks plus the one-shot dynamic departure check."""
+    """Structural checks, a bound on the costs that keeps every plan total
+    finite, and the one-shot dynamic departure check."""
     if inst.n_pods < 1 or inst.n_places < 1 or inst.n_stations < 1:
         raise InvalidInstanceError("empty pod, place or station set")
     if any(c < 1 for c in inst.station_capacities):
         raise InvalidInstanceError("station capacity must be positive")
     inst.costs.validate(inst.n_places, inst.n_stations)
+    # a plan pays at most one to-leg and one from-leg per step, and one
+    # from-leg per pod at the end: keep every plan total, in any summation
+    # order, far from overflowing to inf
+    legs = max(map(max, inst.costs.to_station)) + max(map(max, inst.costs.from_station))
+    if (inst.horizon + inst.n_pods) * legs >= sys.float_info.max / 2:
+        raise InvalidInstanceError(
+            f"costs too large: (horizon + pods) x (largest to-leg + largest "
+            f"from-leg) must be below {sys.float_info.max / 2:.6g}")
     if inst.costs.terminal == TERMINAL_RETURN_ALL and inst.n_pods > inst.n_places:
         # the queued pods outnumber the free places at the end of any plan
         raise InvalidInstanceError(
@@ -509,15 +518,14 @@ def total_cost(inst: Instance, actions: Sequence[int]) -> float:
 
 
 def check_feasible(inst: Instance, actions: Sequence[int]) -> Verdict:
-    """Replay ``actions`` and report OK or the first violation."""
+    """OK, or the first violation of ``actions`` under the interval rule of
+    :func:`occupation_intervals`; ``step`` is ``None`` on a length mismatch."""
     if len(actions) != inst.horizon:
         return Verdict(ok=False, step=None, reason=REASON_LENGTH)
-    replay = Replay(inst)
-    for a in actions:
-        try:
-            replay.step(a)
-        except InfeasibleActionError as err:
-            return Verdict(ok=False, step=err.step, reason=err.reason)
+    try:
+        occupation_intervals(inst, actions)
+    except InfeasibleActionError as err:
+        return Verdict(ok=False, step=err.step, reason=err.reason)
     return Verdict(ok=True)
 
 
@@ -528,7 +536,7 @@ def occupation_intervals(inst: Instance, actions: Sequence[int]) -> list[Occupat
     action must be the no-op exactly on fill steps, and a decision's place
     must be free when it begins, so the intervals on one place are disjoint.
     An infeasible plan raises :class:`InfeasibleActionError` at the step and
-    with the reason that :func:`check_feasible` reports.
+    with the reason at which a :class:`Replay` of it would raise.
     """
     if len(actions) != inst.horizon:
         raise InfeasibleActionError(0, REASON_LENGTH, "cannot build intervals")

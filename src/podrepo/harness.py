@@ -20,8 +20,8 @@ import numpy as np
 
 from . import exact, genetic, tetris
 from .core import (BudgetExceededError, Instance, CostModel, Replay,
-                   departure_schedule, require_zero_terminal, terminal_cost,
-                   total_cost, validate_instance)
+                   departure_schedule, require_zero_terminal, total_cost,
+                   validate_instance)
 from .instances import (REGIMES, build_tiny_symmetric, co_simulated_departures,
                         generate_departures, geometric_weights,
                         medium_system_in_seasons, random_initial_storage,
@@ -148,12 +148,11 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     """Run one named policy or solver; returns (actions, cost, wall_seconds).
 
     A name is ``base`` or ``base:param`` (:func:`parse_policy_name`).  The
-    online policies sum their replay total plus the terminal cost; the
-    solvers optimise under zero terminal cost and refuse any other cost
-    model; ``exact`` and ``iterative`` also refuse a search that
-    ``exact.EXACT_NODE_BUDGET`` cut.  The cost returned is that of an
-    independent replay of the plan (:func:`verify_cost`), which the run's
-    own sum must match.
+    cost is the total of an independent replay of the plan, after the clock
+    stops: it alone prices an online plan, and a solver's own sum must match
+    it (:func:`verify_cost`).  The solvers optimise under zero terminal cost
+    and refuse any other cost model; ``exact`` and ``iterative`` also refuse
+    a search that ``exact.EXACT_NODE_BUDGET`` cut.
     The ``fixed`` policy replays a cost-free rearranged initial state and is
     therefore not directly comparable with the others.
     """
@@ -191,11 +190,10 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     else:
         actions, cost = brute_force_optimum(inst)
     if policy is not None:
-        replay = (replay or Replay(run_inst)).run(policy)
-        actions = list(replay.actions)
-        cost = replay.total + terminal_cost(run_inst, replay.storage_tuple(),
-                                            replay.schedule.final_queues)
+        actions = list((replay or Replay(run_inst)).run(policy).actions)
     wall = time.perf_counter() - started
+    if policy is not None:
+        return actions, total_cost(run_inst, actions), wall
     return actions, verify_cost(run_inst, name, actions, cost), wall
 
 

@@ -45,18 +45,23 @@ def geometric_weights(n_pods: int, ratio: float) -> list[float]:
     return [w / total for w in raw]
 
 
-def _pod_weight_vector(pod_weights: Sequence[float]) -> np.ndarray:
+def _pod_weight_vector(pod_weights: Sequence[float], n_pods: int) -> np.ndarray:
     """Pod weights as an array indexed by pod id (entry 0 unused), checked
-    once: every weight must be finite and non-negative."""
+    once: one weight per pod, each finite and non-negative."""
+    if len(pod_weights) != n_pods:
+        raise ValueError(f"expected {n_pods} pod weights, got {len(pod_weights)}")
     weights = np.concatenate(([0.0], np.asarray(pod_weights, dtype=float)))
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("pod weights must be finite and non-negative")
     return weights
 
 
-def _station_cdf(station_weights: Sequence[float]) -> np.ndarray:
+def _station_cdf(station_weights: Sequence[float], n_stations: int) -> np.ndarray:
     """The cumulative distribution ``Generator.choice(k, p=station_weights)``
-    builds, after the same check that the weights are probabilities."""
+    builds, after the same check that the weights are probabilities, one per
+    station."""
+    if len(station_weights) != n_stations:
+        raise ValueError(f"expected {n_stations} station weights, got {len(station_weights)}")
     p = np.asarray(station_weights, dtype=float)
     if not ((p >= 0).all() and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
         raise ValueError("station weights must be non-negative and sum to 1")
@@ -307,12 +312,12 @@ def generate_departures(
         return tuple(((t % n_pods) + 1, (t % n_stations) + 1) for t in range(n))
 
     rng = rng_from_seed(seed)
-    stations = _station_cdf(station_weights)
+    stations = _station_cdf(station_weights, n_stations)
 
     if regime in (REGIME_RANDOM_GEOMETRIC, REGIME_RANDOM_UNIFORM):
         if regime == REGIME_RANDOM_UNIFORM or pod_weights is None:
             pod_weights = [1.0 / n_pods] * n_pods
-        weights = _pod_weight_vector(pod_weights)
+        weights = _pod_weight_vector(pod_weights, n_pods)
         draw = _weighted_draw(rng, stations, n, max(n, 1), lambda rng: weights,
                               station_first=True)
         return co_simulated_departures(n_pods, station_capacities, initial_storage,
@@ -326,6 +331,8 @@ def generate_departures(
             # correction rule: the block's first stored pod swaps with its
             # head and departs; a block with none gives way to a fresh one
             while not any(in_storage[h] for h in block):
+                if not in_storage.any():
+                    raise ValueError("storage is empty")
                 block[:] = (rng.permutation(n_pods) + 1).tolist()
             j = next(j for j, h in enumerate(block) if in_storage[h])
             block[0], block[j] = block[j], block[0]
@@ -457,11 +464,12 @@ def medium_system_in_seasons(
     one block of uniforms, each step's pod double before its station double."""
     if epoch < 1:
         raise ValueError(f"epoch must be >= 1, got {epoch}")
-    stations = _station_cdf(MEDIUM_STATION_WEIGHTS)
+    stations = _station_cdf(MEDIUM_STATION_WEIGHTS, len(MEDIUM_CAPACITIES))
 
     def departures(rng, initial_storage):
         draw = _weighted_draw(rng, stations, n, epoch,
-                              lambda rng: _pod_weight_vector(season_weights(rng)),
+                              lambda rng: _pod_weight_vector(season_weights(rng),
+                                                             MEDIUM_N_PODS),
                               station_first=False)
         return co_simulated_departures(MEDIUM_N_PODS, MEDIUM_CAPACITIES, initial_storage,
                                        ((), ()), n, draw)

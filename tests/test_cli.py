@@ -1,15 +1,21 @@
 """Command-line interface: subcommands and exit codes."""
 
+import copy
+import io
 import json
+import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from podrepo import exact, harness
 from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_UNVERIFIED, main
 from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance, Replay,
-                          load_actions, load_instance, save_instance)
+                          instance_to_dict, load_actions, load_instance,
+                          save_instance)
 from podrepo.harness import build_tiny_random
 from podrepo.instances import build_small_system
 from reference import fractional_medium
@@ -177,6 +183,8 @@ class TestRun:
                      "cost_to_station", id="nan-cost"),
         pytest.param(lambda d: d["cost_from_station"][0].__setitem__(0, float("inf")),
                      "cost_from_station", id="inf-cost"),
+        pytest.param(lambda d: d["cost_to_station"][0].__setitem__(0, 1e308),
+                     "costs too large", id="overflowing-costs"),
         pytest.param(lambda d: d["departures"][0].__setitem__(0, True),
                      "departure", id="bool-pod"),
         pytest.param(lambda d: d["departures"][0].__setitem__(0, 1.5),
@@ -211,6 +219,64 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error: instance file" in err and "nested too deeply" in err
         assert "Traceback" not in err
+
+
+FUZZ_DOC = instance_to_dict(build_small_system(1, n=30))
+DELETE = object()  # an edit that deletes the field
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field of ``node`` and, recursively, of theirs."""
+    keys = (node.keys() if type(node) is dict
+            else range(len(node)) if type(node) is list else ())
+    for key in keys:
+        yield prefix + (key,)
+        yield from _field_paths(node[key], prefix + (key,))
+
+
+def _edited(edits):
+    """A copy of ``FUZZ_DOC`` with ``edits`` applied in turn; an edit whose
+    path an earlier one removed is skipped."""
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    for path, value in edits:
+        try:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = copy.deepcopy(value)  # [] and {} are shared
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "hostile.json"
+
+
+@given(edits=st.lists(st.tuples(
+           st.sampled_from(list(_field_paths(FUZZ_DOC))),
+           st.sampled_from([DELETE, None, -1, 1.5, "x", [], {}, True, 1e308, math.nan])),
+           min_size=1, max_size=3),
+       policy=st.sampled_from(["random", "cheapest:decision", "most-expensive",
+                               "tetris:frequency", "fixed"]))
+@example(edits=[(("cost_from_station", 0, 9), 1e308), (("cost_to_station", 9, 0), 1e308)],
+         policy="tetris:frequency")
+@settings(max_examples=100, deadline=None)
+def test_hostile_document_runs_or_is_refused(fuzz_path, edits, policy):
+    """A mutated instance document either runs to a finite cost or is
+    refused with exit code 1; no exception escapes."""
+    fuzz_path.write_text(json.dumps(_edited(edits)))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["run", str(fuzz_path), "--policy", policy])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        cost, relative = re.search(r": cost (\S+) \(relative (\S+),", out.getvalue()).groups()
+        assert math.isfinite(float(cost)) and math.isfinite(float(relative))
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from podrepo import core, harness
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           TERMINAL_RETURN_ALL, CostModel, InfeasibleActionError,
                           Instance, InvalidInstanceError, Replay, StepInfo,
+                          Verdict,
                           check_feasible, departure_schedule, initial_busy_ends,
                           instance_from_dict, instance_to_dict, load_actions,
                           load_instance, min_cost_assignment,
@@ -339,6 +340,20 @@ class TestCheckFeasible:
         replay = Replay(inst).run(RandomPolicy(0))
         assert check_feasible(inst, replay.actions).ok
 
+    def test_builds_no_replay(self, monkeypatch):
+        inst = build_small_system(1, n=100)
+        plan = Replay(inst).run(RandomPolicy(0)).actions
+
+        def refuse(self, inst):
+            raise AssertionError("check_feasible built a Replay")
+
+        monkeypatch.setattr(core.Replay, "__init__", refuse)
+        assert check_feasible(inst, plan) == Verdict(ok=True)
+        assert check_feasible(inst, plan[:-1]) == Verdict(ok=False, step=None,
+                                                          reason=REASON_LENGTH)
+        assert check_feasible(six_pod_instance(), [1, 2]) == Verdict(
+            ok=False, step=0, reason=REASON_BUSY)
+
 
 class TestTerminalCost:
     def test_zero_terminal(self):
@@ -396,8 +411,9 @@ class TestOccupationIntervals:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rejects_exactly_what_a_replay_rejects(self, seed):
-        # plans with one or two actions changed; the interval check must
-        # agree with check_feasible on the verdict, the step and the reason
+        # plans with one or two actions changed; the interval rule must agree
+        # with the step kernel, a fresh Replay stepping the plan, on the
+        # verdict, the step and the reason
         inst = build_small_system(seed + 1, n=200)
         plan = Replay(inst).run(RandomPolicy(seed)).actions
         rng = np.random.default_rng(seed)
@@ -406,15 +422,19 @@ class TestOccupationIntervals:
             changed = list(plan)
             for t in rng.integers(0, inst.horizon, size=rng.integers(1, 3)):
                 changed[t] = int(rng.integers(-1, inst.n_places + 2))
-            verdict = check_feasible(inst, changed)
-            if verdict.ok:
-                occupation_intervals(inst, changed)
-                continue
-            rejected += 1
-            with pytest.raises(InfeasibleActionError) as err:
-                occupation_intervals(inst, changed)
-            assert (err.value.step, err.value.reason) == (verdict.step, verdict.reason)
+            replay = Replay(inst)
+            try:
+                for a in changed:
+                    replay.step(a)
+            except InfeasibleActionError as err:
+                stepped = Verdict(ok=False, step=err.step, reason=err.reason)
+            else:
+                stepped = Verdict(ok=True)
+            assert check_feasible(inst, changed) == stepped
+            rejected += not stepped.ok
         assert rejected > 0
+        assert check_feasible(inst, plan[:-1]) == Verdict(ok=False, step=None,
+                                                          reason=REASON_LENGTH)
         with pytest.raises(InfeasibleActionError) as err:
             occupation_intervals(inst, plan[:-1])
         assert err.value.reason == REASON_LENGTH
@@ -602,6 +622,20 @@ class TestHostileInstanceFiles:
                            match="terminal cost return-all-pods .*3 pods, 2 places"):
             load_instance(path)
         validate_instance(replace(inst, costs=replace(inst.costs, terminal="zero")))
+
+    def test_costs_whose_plan_totals_could_overflow(self):
+        # finite legs of 1e308 to and from place 10: two visits sum to inf
+        doc = instance_to_dict(build_small_system(1, n=30))
+        doc["cost_from_station"][0][9] = doc["cost_to_station"][9][0] = 1e308
+        with pytest.raises(InvalidInstanceError, match="costs too large"):
+            instance_from_dict(doc)
+
+    def test_large_costs_below_the_bound_run(self):
+        doc = instance_to_dict(build_small_system(1, n=30))
+        doc["cost_from_station"][0][9] = doc["cost_to_station"][9][0] = 1e300
+        inst = instance_from_dict(doc)
+        for name in ("random", "most-expensive", "tetris:frequency"):
+            assert math.isfinite(harness.run_policy(inst, name)[1])
 
     def test_programmatic_nan_cost_rejected(self):
         costs = CostModel(to_station=((float("nan"),),), from_station=((1.0,),))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from podrepo import exact, harness
+from podrepo import core, exact, harness
 from podrepo.core import (TERMINAL_RETURN_ALL, BudgetExceededError, Replay,
                           check_feasible, departure_schedule, total_cost)
 from podrepo.exact import solve_exact, solve_iterative
@@ -136,6 +136,23 @@ class TestReturnAllPods:
         for a in actions:
             replay.step(a)
         assert cost > replay.total
+
+    @pytest.mark.parametrize("name", ["random", "cheapest:decision",
+                                      "most-expensive", "fixed"])
+    def test_online_run_prices_the_terminal_once(self, return_all_pods, monkeypatch,
+                                                 name):
+        """The verification replay alone prices an online plan."""
+        calls = []
+        price = core.terminal_cost
+
+        def counting(*args):
+            calls.append(args)
+            return price(*args)
+
+        monkeypatch.setattr(core, "terminal_cost", counting)
+        monkeypatch.setattr(harness, "terminal_cost", counting, raising=False)
+        harness.run_policy(return_all_pods, name, seed=1)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["tetris:frequency", "genetic1", "genetic2",
                                       "exact", "iterative:5", "brute-force"])

@@ -1,6 +1,10 @@
 """Test-system builders and departure-sequence generation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +26,8 @@ def draw_departure(storage_pods, pod_weights, station_weights, rng):
     station by weight, then a stored pod by weight."""
     in_storage = np.zeros(len(pod_weights) + 1, dtype=bool)
     in_storage[list(storage_pods)] = True
-    station = _pick(_station_cdf(station_weights), rng) + 1
-    return _draw_pod(_pod_weight_vector(pod_weights), in_storage, rng.random()), station
+    station = _pick(_station_cdf(station_weights, len(station_weights)), rng) + 1
+    return _draw_pod(_pod_weight_vector(pod_weights, len(pod_weights)), in_storage, rng.random()), station
 
 
 class TestGeometricWeights:
@@ -113,7 +117,7 @@ class TestDrawPodMatchesChoice:
         w = weights[[h - 1 for h in pods]]
         assume(pods and w.sum() > 0)
         in_storage = np.array([False, *stored])
-        vector = _pod_weight_vector(weights)
+        vector = _pod_weight_vector(weights, len(weights))
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
         for _ in range(20):
             assert (_draw_pod(vector, in_storage, rng_a.random())
@@ -161,7 +165,7 @@ class TestStorageDraw:
     def test_same_pod_as_reference_along_a_walk(self, case, walk, scale, seed):
         weights, stored = case
         n = len(weights)
-        vector = _pod_weight_vector(weights * scale)
+        vector = _pod_weight_vector(weights * scale, n)
         storage = _Storage(n, [h for h in range(1, n + 1) if stored[h - 1]])
         rng = rng_from_seed(seed)
         for i, h in enumerate(walk):
@@ -181,7 +185,7 @@ class TestStorageDraw:
     def test_tree_holds_exact_stored_sums_after_a_walk(self, case, walk):
         weights, stored = case
         n = len(weights)
-        vector = _pod_weight_vector(weights)
+        vector = _pod_weight_vector(weights, n)
         storage = _Storage(n, [h for h in range(1, n + 1) if stored[h - 1]])
         storage._build(vector)
         for h in walk:
@@ -219,7 +223,7 @@ class TestStorageDraw:
             return _draw_pod(*args)
 
         monkeypatch.setattr(instances, "_draw_pod", reference)
-        vector = _pod_weight_vector([1.0, 1.0, 2.0])
+        vector = _pod_weight_vector([1.0, 1.0, 2.0], 3)
         storage = _Storage(3, [1, 2, 3])
         # 0.25 is a cdf edge: choice's entry for pod 1 equals it exactly
         assert storage.draw(vector, 0.25) == 2 and calls == [0.25]
@@ -351,6 +355,33 @@ class TestDrawErrors:
         with pytest.raises(ValueError, match="storage is empty"):
             generate_departures(1, (2,), (1,), ((),), regime="random-uniform",
                                 seed=0, n=2)
+
+    def test_empty_storage_in_periodic_random_generation(self):
+        # two pods fill a queue of two: the third step finds storage empty.
+        # A child process, so a draw that loops forever fails on the timeout.
+        code = ("from podrepo.instances import generate_departures\n"
+                "try:\n"
+                "    generate_departures(2, (2,), (1, 2), ((),), 'periodic-random', 0, 5)\n"
+                "except ValueError as error:\n"
+                "    print(error)\n")
+        src = str(Path(instances.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=10)
+        assert done.stdout == "storage is empty\n", done.stderr
+
+    @pytest.mark.parametrize("kwargs, count", [
+        (dict(pod_weights=[0.5, 0.5]), "3 pod weights, got 2"),
+        (dict(pod_weights=[0.25] * 4), "3 pod weights, got 4"),
+        (dict(station_weights=[1.0]), "2 station weights, got 1"),
+        (dict(station_weights=[0.5, 0.25, 0.25]), "2 station weights, got 3"),
+    ], ids=["two-pod-weights", "four-pod-weights", "one-station-weight",
+            "three-station-weights"])
+    def test_weight_vectors_of_the_wrong_length(self, kwargs, count):
+        with pytest.raises(ValueError, match=f"expected {count}"):
+            generate_departures(3, (1, 1), (1, 2, 3), ((), ()), "random-geometric",
+                                0, 40, **kwargs)
 
     @pytest.mark.parametrize("pod", [0, -1, 4, 2])
     def test_draw_outside_storage_is_invalid(self, pod):
