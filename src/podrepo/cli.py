@@ -141,7 +141,7 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
     status = ("budget-limited" if not result.optimal
               else "optimal" if use_exact else "windows exact")
     click.echo(f"cost {result.cost:.6f} ({status}, {result.nodes} nodes), "
-               f"lower bound {result.lower_bound:.6f}, gap {result.gap:.2%}")
+               f"lower bound {result.lower_bound:.6f}, {result.gap_text}")
 
 
 @cli.command()

@@ -100,6 +100,15 @@ class SolveResult:
         """The cost's relative distance above the lower bound (0 at cost 0)."""
         return (self.cost - self.lower_bound) / self.cost if self.cost else 0.0
 
+    @property
+    def gap_text(self) -> str:
+        """The gap as the messages print it after the lower bound.  A
+        budget-cut search whose bound meets its cost was still breaking ties
+        (pruning is strict), so it says that instead of a 0% gap."""
+        if not self.optimal and self.lower_bound >= self.cost:
+            return "which meets the best cost: the budget ran out while breaking ties"
+        return f"gap {self.gap:.2%}"
+
 
 def _search(decisions: list[tuple[int, int, list[tuple[float, int]]]],
             busy_until: list[int], node_budget: int
@@ -258,8 +267,9 @@ def export_bip(inst: Instance, path) -> None:
     constant ``base_cost``, noted in a comment.  Like the solvers, it refuses
     a non-zero terminal cost; it raises :class:`BudgetExceededError` before
     building any text when its place rows would hold more than
-    ``EXPORT_TERM_CAP`` terms.  Each row is written as it is built, so its
-    memory stays about one row, not the whole text."""
+    ``EXPORT_TERM_CAP`` terms.  Each row, and the objective one decision's
+    terms at a time, is written as it is built, so its memory stays about
+    one row, not the whole text."""
     require_zero_terminal(inst)
     params = derive_bip_parameters(inst)
     # decision i's place rows hold x_i_p and the i earlier decisions less
@@ -275,10 +285,11 @@ def export_bip(inst: Instance, path) -> None:
     with open(path, "w") as fh:
         fh.write("\\ pod repositioning placement model\n"
                  f"\\ constant cost not in objective: {params.base_cost}\n"
-                 "Minimize\n")
-        fh.write(" obj: " + " + ".join(f"{weights[t][p - 1]:.17g} x_{t}_{p}"
-                                       for t in params.decision_steps for p in places)
-                 + "\nSubject To\n")
+                 "Minimize\n obj: ")
+        for i, t in enumerate(params.decision_steps):
+            fh.write((" + " if i else "") + " + ".join(f"{weights[t][p - 1]:.17g} x_{t}_{p}"
+                                                       for p in places))
+        fh.write("\nSubject To\n")
         alive: list[tuple[int, int]] = []  # (step, busy end) covering t + 1
         for t, end in zip(params.decision_steps, params.busy_ends):
             alive = [(tau, e) for tau, e in alive if e > t + 1]

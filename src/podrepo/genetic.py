@@ -70,7 +70,8 @@ def place_order(inst: Instance, name: str) -> list[int]:
 
 def _decode2_batch(inst: Instance, genes: np.ndarray,
                    gamma: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Decode every row of ``genes`` (individuals x steps, int64) at once.
+    """Decode every row of ``genes`` (individuals x steps, int64 or a
+    narrower integer dtype) at once.
 
     A copy of the ``Replay.step`` dynamics, vectorised over the individuals:
     the schedule is shared, so only the occupancy differs between rows.
@@ -79,8 +80,10 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
     depend on the actions, so a decision step's pick is one entry of
     ``np.flatnonzero(free)``, fixed in advance by the gene.  A step's cost is
     summed as ``Replay.step`` sums it, so the totals are bit-identical to a
-    replay of the actions.  Returns the totals and the actions (individuals
-    x steps, place ids, ``NO_OP`` on fills).
+    replay of the actions.  The genes, negative and extreme int64 ones
+    included, are reduced with ``%`` straight into one steps x rows ``intp``
+    array.  Returns the totals and the actions (individuals x steps, place
+    ids, ``NO_OP`` on fills).
     """
     rows, length = genes.shape
     n_places = inst.n_places
@@ -106,8 +109,10 @@ def _decode2_batch(inst: Instance, genes: np.ndarray,
     # admissible-set size per step; 1 on a fill step keeps the division defined
     sizes = np.array(schedule.choices[:length], dtype=np.int64)
     # pick[t, r]: the entry of np.flatnonzero(free) that row r takes at step t
-    pick = np.ascontiguousarray(genes.T % sizes[:, None])
-    pick += sizes[:, None] * np.arange(rows)
+    pick = np.empty((length, rows), dtype=np.intp)
+    np.remainder(genes.T, sizes[:, None], out=pick)
+    for r in range(1, rows):
+        pick[:, r] += sizes * r
 
     flat = free.reshape(-1)
     total = np.zeros(rows)
@@ -143,7 +148,7 @@ def _random_plans(inst: Instance, seeds: Sequence[int]) -> np.ndarray:
     schedule = departure_schedule(inst)
     decisions = [t for t, info in enumerate(schedule.steps) if not info.fill]
     highs = np.array(schedule.choices, dtype=np.int64)[decisions]
-    genes = np.zeros((len(seeds), inst.horizon), dtype=np.int64)
+    genes = np.zeros((len(seeds), inst.horizon), dtype=np.min_scalar_type(inst.n_places))
     for row, seed in zip(genes, seeds):
         row[decisions] = rng_from_seed(seed).integers(highs)
     return _decode2_batch(inst, genes, place_order(inst, GAMMA_CLOSE))[1]
@@ -248,17 +253,19 @@ def evolve(inst: Instance, encoding: str = GENETIC2,
     cfg = config or GaConfig()
     n = inst.horizon
     rng = rng_from_seed(cfg.seed)
-    # Genetic-2's genes are int64, which ``_decode2_batch`` reduces with ``%``
-    # (negative and extreme genes included).  Genetic-1's keep the plans'
-    # ``np.min_scalar_type(n_places)``: numpy's stable argsort in its fitness
-    # is a radix sort only for integers of 16 bits or fewer.
+    # Both encodings hold genes in ``np.min_scalar_type(n_places)``, the
+    # plans' dtype: numpy's stable argsort in genetic-1's fitness is a radix
+    # sort only for integers of 16 bits or fewer, and a genetic-2 population
+    # takes an eighth of int64's memory (``_decode2_batch`` still reduces
+    # int64 genes with ``%``).
     if encoding == GENETIC2:
         low = 0  # genes are free-place indices
         fitness_of = partial(_decode2_batch, inst, gamma=place_order(inst, gamma_name))
+        population = np.empty((POPULATION, n), dtype=np.min_scalar_type(inst.n_places))
         # one call per individual: a single (POPULATION, n) call draws a
         # different stream, as each call discards its last unused 32 bits
-        population = np.array([rng.integers(0, inst.n_places, size=n)
-                               for _ in range(POPULATION)])
+        for row in population:
+            row[:] = rng.integers(0, inst.n_places, size=n)
     else:
         low = 1  # genes are place ids
         score = _genetic1_fitness(inst)

@@ -185,7 +185,7 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
             raise BudgetExceededError(
                 f"{name}: node budget {exact.EXACT_NODE_BUDGET} exhausted before "
                 f"the search finished: best cost {result.cost}, lower bound "
-                f"{result.lower_bound}, gap {result.gap:.2%}")
+                f"{result.lower_bound}, {result.gap_text}")
         actions, cost = result.actions, result.cost
     else:
         actions, cost = brute_force_optimum(inst)

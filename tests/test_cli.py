@@ -355,6 +355,31 @@ class TestSolve:
         assert gap == pytest.approx(100 * (result.cost - result.lower_bound) / result.cost,
                                     abs=0.005)
 
+    @pytest.mark.parametrize("leg, ending", [
+        (None, "lower bound 325.000000, gap 20.15%\n"),
+        (1e300, "which meets the best cost: the budget ran out while breaking ties\n"),
+    ])
+    def test_budget_cut_tie_break_is_not_a_zero_gap(self, tmp_path, monkeypatch, capsys,
+                                                     leg, ending):
+        """At 1e300 the float sums absorb every other leg, so the bound meets
+        the incumbent while the strict search still breaks ties: neither
+        `solve` nor the refusal of `run --policy exact` prints a 0% gap."""
+        path = tmp_path / "small.json"
+        assert main(["gen", "--system", "small", "--seed", "1", "--steps", "30",
+                     "--out", str(path)]) == EXIT_OK
+        if leg is not None:
+            data = json.loads(path.read_text())
+            data["cost_from_station"][0][9] = data["cost_to_station"][9][0] = leg
+            path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["solve", str(path), "--exact", "--node-budget", "20000"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(budget-limited, 20000 nodes)" in out and out.endswith(ending)
+        monkeypatch.setattr(exact, "EXACT_NODE_BUDGET", 20000)
+        assert main(["run", str(path), "--policy", "exact"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.endswith(ending.replace(".000000", ".0")), err
+
     def test_finished_windows_are_not_labelled_optimal(self, tmp_path, capsys):
         path = tmp_path / "small.json"
         assert main(["gen", "--system", "small", "--seed", "1", "--steps", "300",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,18 @@ class TestBatchedDecode:
         gamma = place_order(inst, GAMMA_CLOSE)
         genes = [0, 2 ** 63 - 1, -2 ** 63]
         assert decode_row(inst, genes, gamma) == replay_decode2(inst, genes, gamma).actions
+
+    def test_gene_dtype_does_not_change_the_decode(self):
+        """The populations hold genes in the plans' small dtype; the decode of
+        the same genes as int64 is the same, bit for bit."""
+        inst = build_small_system(1, n=1000)
+        gamma = place_order(inst, GAMMA_AVG_COST)
+        genes = rng_from_seed(5).integers(0, inst.n_places, size=(100, inst.horizon))
+        small = genes.astype(np.uint8)
+        wide_totals, wide_actions = _decode2_batch(inst, genes, gamma)
+        small_totals, small_actions = _decode2_batch(inst, small, gamma)
+        assert wide_totals.tobytes() == small_totals.tobytes()
+        assert np.array_equal(wide_actions, small_actions)
 
 
 START_CASES = {
@@ -350,7 +363,7 @@ class TestEvolve:
          "9dc1c25d6566acffd19a274baae71fdeeae55a043be1f7d291705eae0a7f63ca"),
     ])
     def test_medium_result_pinned(self, encoding, cost, history, infeasible, digest):
-        # 504 places: genetic-1's genes are uint16, genetic-2's int64
+        # 504 places: both encodings' genes are uint16
         result = evolve(build_medium_system(1, n=300), encoding,
                         config=GaConfig(seed=1, max_generations=3))
         assert result.cost == cost and result.history == history
@@ -361,6 +374,20 @@ class TestEvolve:
         assert type(result.cost) is float
         assert all(type(h) is float for h in result.history)
         assert all(type(a) is int for a in result.actions)
+
+    @pytest.mark.parametrize("encoding", [GENETIC1, GENETIC2])
+    def test_working_memory_stays_small(self, encoding):
+        """Both populations are ``uint8`` on the small system and the decode
+        reduces them into one steps x rows array: two generations on 1000
+        steps trace under 2 MB (3.4 MB for genetic-2 with int64 genes)."""
+        inst = build_small_system(1, n=1000)
+        tracemalloc.start()
+        try:
+            evolve(inst, encoding, config=GaConfig(seed=1, max_generations=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_genetic2_never_infeasible(self):
         inst = build_small_system(n=120)
