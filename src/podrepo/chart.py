@@ -99,12 +99,6 @@ def chart_svg(trace: RunTrace, spec: ChartSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_chart(trace: RunTrace, spec: ChartSpec, path) -> None:
-    svg = chart_svg(trace, spec)  # a refused window leaves no file behind
-    with open(path, "w") as fh:
-        fh.write(svg)
-
-
 def trace_csv(trace: RunTrace) -> str:
     """(t, place, pod) triples for every occupied cell, CSV text."""
     lines = ["t,place,pod"]
@@ -113,13 +107,3 @@ def trace_csv(trace: RunTrace) -> str:
             if pod is not None:
                 lines.append(f"{t},{p},{pod}")
     return "\n".join(lines) + "\n"
-
-
-def distinct_pods_per_place(trace: RunTrace) -> list[set[int]]:
-    """Which pods ever occupy each place; a fixed-place run has at most one."""
-    per_place: list[set[int]] = [set() for _ in range(trace.instance.n_places)]
-    for snapshot in trace.snapshots:
-        for p, pod in enumerate(snapshot):
-            if pod is not None:
-                per_place[p].add(pod)
-    return per_place

@@ -25,6 +25,10 @@ EXIT_BUDGET = 2
 EXIT_UNVERIFIED = 3
 
 
+def cost_text(cost: float) -> str:
+    return f"{cost:.6f}" if abs(cost) < 1e15 else f"{cost:.6g}"
+
+
 @click.group()
 def cli() -> None:
     """Pod repositioning simulator and solver suite."""
@@ -88,7 +92,7 @@ def run(instance: str, policy: str, seed: int, out_dir: str,
     row = rows[0]
     if actions_out:
         save_actions(row.actions, actions_out)
-    click.echo(f"{row.policy}: cost {row.cost:.6f} "
+    click.echo(f"{row.policy}: cost {cost_text(row.cost)} "
                f"(relative {row.relative_cost:.4f}, {row.decisions} decisions)")
 
 
@@ -105,7 +109,7 @@ def compare(instance: str, policies: tuple[str, ...], seed: int,
     rows = harness.run_comparison(inst, list(policies), seed=seed,
                                   out_dir=Path(out_dir) if out_dir else None)
     for row in rows:
-        click.echo(f"{row.policy}: cost {row.cost:.6f} "
+        click.echo(f"{row.policy}: cost {cost_text(row.cost)} "
                    f"(relative {row.relative_cost:.4f})")
 
 
@@ -140,8 +144,8 @@ def solve(instance: str, use_exact: bool, window: int, node_budget: int,
         save_actions(result.actions, actions_out)
     status = ("budget-limited" if not result.optimal
               else "optimal" if use_exact else "windows exact")
-    click.echo(f"cost {result.cost:.6f} ({status}, {result.nodes} nodes), "
-               f"lower bound {result.lower_bound:.6f}, {result.gap_text}")
+    click.echo(f"cost {cost_text(result.cost)} ({status}, {result.nodes} nodes), "
+               f"lower bound {cost_text(result.lower_bound)}, {result.gap_text}")
 
 
 @cli.command()
@@ -164,10 +168,10 @@ def chart(instance: str, actions: str, t_from: int, t_to: int, out: str,
     acts = load_actions(actions)
     cost = total_cost(inst, acts)  # an infeasible plan raises here
     trace = chartmod.record_trace(inst, acts)
-    chartmod.emit_chart(trace, chartmod.ChartSpec(t_from=t_from, t_to=t_to), out)
+    Path(out).write_text(chartmod.chart_svg(trace, chartmod.ChartSpec(t_from, t_to)))
     if trace_csv:
         Path(trace_csv).write_text(chartmod.trace_csv(trace))
-    click.echo(f"wrote {out} (cost {cost:.6f})")
+    click.echo(f"wrote {out} (cost {cost_text(cost)})")
 
 
 @cli.group()
@@ -226,8 +230,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except click.Abort:
         return EXIT_CONFIG
-    except (GameError, ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as err:
+    except (GameError, ValueError, KeyError, TypeError, OSError) as err:
         click.echo(f"error: {err}", err=True)
         return EXIT_CONFIG
     return EXIT_OK

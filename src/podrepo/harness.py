@@ -109,11 +109,11 @@ def brute_force_optimum(inst: Instance) -> tuple[list[int], float]:
 # --- policy names ----------------------------------------------------------
 
 class _PositiveIntegers:
-    """The decimal strings of the positive integers (``iterative``'s window)."""
+    """The positive integers, each in its one spelling ``str(n)`` (``iterative``'s window)."""
 
     def __contains__(self, param: str) -> bool:
         try:
-            return param.isdecimal() and int(param) > 0
+            return int(param) > 0 and str(int(param)) == param
         except ValueError:  # more digits than int() converts
             return False
 

@@ -347,7 +347,6 @@ def generate_departures(
 # --- line systems ----------------------------------------------------------
 
 SMALL_N_PODS = 10
-SMALL_N_PLACES = 10
 SMALL_QUEUE_CAPACITY = 2
 SMALL_WEIGHT_RATIO = 20.0
 SMALL_BASE_COST = 4

@@ -220,17 +220,6 @@ def compute_fixed_assignment(inst: Instance) -> dict[int, int]:
     return {int(h) + 1: int(p) + 1 for h, p in zip(rows, cols)}
 
 
-def sorted_fixed_assignment(inst: Instance) -> dict[int, int]:
-    """Sort-based shortcut: pods by usage frequency, places by average cost,
-    paired index by index.  Optimal when all pods share the station mix."""
-    schedule = departure_schedule(inst)
-    freq = [len(schedule.pod_departure_steps[h - 1]) for h in range(1, inst.n_pods + 1)]
-    pods = sorted(range(1, inst.n_pods + 1), key=lambda h: (-freq[h - 1], h))
-    avg = avg_costs(inst)
-    places = sorted(range(1, inst.n_places + 1), key=lambda p: (avg[p - 1], p))
-    return {h: p for h, p in zip(pods, places)}
-
-
 def rearranged_instance(inst: Instance, assignment: dict[int, int]) -> Instance:
     """The instance with its initial storage rewritten so every stored pod sits
     at its assigned place.  This pre-game rearrangement is cost-free, mirroring

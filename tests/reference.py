@@ -18,6 +18,10 @@ per-pod walk over ``pod_departure_steps``) as the reference base cost.
 the oracle for the library's bitmap sweep.  Its most-expensive-place start
 takes the argmax of the admissible list, so it also checks the library's
 cost-level policy.
+
+:func:`sorted_fixed_assignment` is the sort-based fixed assignment that the
+optimal assignment matches on symmetric systems, and
+:func:`distinct_pods_per_place` reads from a trace which pods each place held.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from podrepo.chart import RunTrace
 from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           InfeasibleActionError, Instance, InvalidInstanceError,
                           Replay, departure_schedule, initial_busy_ends,
@@ -34,7 +39,7 @@ from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
 from podrepo.exact import derive_bip_parameters
 from podrepo.genetic import INFEASIBLE
 from podrepo.instances import build_medium_system
-from podrepo.policies import decision_cost_table
+from podrepo.policies import avg_costs, decision_cost_table
 from podrepo.tetris import SORT_DURATION, SORT_FREQUENCY
 
 
@@ -261,3 +266,24 @@ def fractional_medium(n: int = 2000) -> Instance:
         costs,
         to_station=tuple(tuple(c + 0.1 for c in row) for row in costs.to_station),
         from_station=tuple(tuple(c + 0.3 for c in row) for row in costs.from_station)))
+
+
+def sorted_fixed_assignment(inst: Instance) -> dict[int, int]:
+    """Sort-based shortcut: pods by usage frequency, places by average cost,
+    paired index by index.  Optimal when all pods share the station mix."""
+    schedule = departure_schedule(inst)
+    freq = [len(schedule.pod_departure_steps[h - 1]) for h in range(1, inst.n_pods + 1)]
+    pods = sorted(range(1, inst.n_pods + 1), key=lambda h: (-freq[h - 1], h))
+    avg = avg_costs(inst)
+    places = sorted(range(1, inst.n_places + 1), key=lambda p: (avg[p - 1], p))
+    return {h: p for h, p in zip(pods, places)}
+
+
+def distinct_pods_per_place(trace: RunTrace) -> list[set[int]]:
+    """Which pods ever occupy each place; a fixed-place run has at most one."""
+    per_place: list[set[int]] = [set() for _ in range(trace.instance.n_places)]
+    for snapshot in trace.snapshots:
+        for p, pod in enumerate(snapshot):
+            if pod is not None:
+                per_place[p].add(pod)
+    return per_place

@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from podrepo import harness
-from podrepo.chart import (ChartSpec, distinct_pods_per_place, emit_chart,
-                           record_trace)
+from podrepo.chart import ChartSpec, chart_svg, record_trace
 from podrepo.core import Replay, check_feasible, total_cost
 from podrepo.exact import solve_exact, solve_iterative
 from podrepo.genetic import GENETIC1, GENETIC2, GaConfig, evolve
@@ -20,10 +19,10 @@ from podrepo.instances import (REGIME_PERIODIC, build_medium_system,
 from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                               CHEAPEST_TO_STORAGE, CheapestPolicy, FixedPolicy,
                               RandomPolicy, compute_fixed_assignment,
-                              fixed_assignment_costs, rearranged_instance,
-                              sorted_fixed_assignment)
+                              fixed_assignment_costs, rearranged_instance)
 from podrepo.tetris import (SORT_DURATION, SORT_FREQUENCY,
                             MostExpensivePlacePolicy, tetris)
+from reference import distinct_pods_per_place, sorted_fixed_assignment
 
 GOLDEN_SVG = Path(__file__).parent / "golden" / "small_cheapest_0_60.svg"
 
@@ -217,7 +216,6 @@ def test_criterion_10_deterministic_artifacts(tmp_path, report):
     full = build_small_system()
     replay = Replay(full).run(CheapestPolicy(full))
     trace = record_trace(full, replay.actions)
-    out = tmp_path / "chart.svg"
-    emit_chart(trace, ChartSpec(t_from=0, t_to=60), out)
-    assert out.read_bytes() == GOLDEN_SVG.read_bytes()
+    svg = chart_svg(trace, ChartSpec(t_from=0, t_to=60))
+    assert svg.encode() == GOLDEN_SVG.read_bytes()
     report(10, "byte-identical CSVs and frozen chart rendering")

@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from podrepo.chart import (ChartSpec, chart_svg, distinct_pods_per_place,
-                           emit_chart, pod_color, record_trace, trace_csv,
-                           usage_ranks)
+from podrepo.chart import (ChartSpec, chart_svg, pod_color, record_trace,
+                           trace_csv, usage_ranks)
 from podrepo.core import Replay
 from podrepo.instances import build_small_system
 from podrepo.policies import (CheapestPolicy, FixedPolicy,
                               compute_fixed_assignment, rearranged_instance)
+from reference import distinct_pods_per_place
 
 GOLDEN = Path(__file__).parent / "golden" / "small_cheapest_0_60.svg"
 
@@ -72,13 +72,12 @@ class TestChartSvg:
         # one background rect plus one per occupied cell
         assert svg.count("<rect") == occupied + 1
 
-    def test_golden_small_system_chart(self, tmp_path):
+    def test_golden_small_system_chart(self):
         inst = build_small_system()
         replay = Replay(inst).run(CheapestPolicy(inst))
         trace = record_trace(inst, replay.actions)
-        out = tmp_path / "chart.svg"
-        emit_chart(trace, ChartSpec(t_from=0, t_to=60), out)
-        assert out.read_bytes() == GOLDEN.read_bytes()
+        svg = chart_svg(trace, ChartSpec(t_from=0, t_to=60))
+        assert svg.encode() == GOLDEN.read_bytes()
 
 
 class TestTraceCsv:

@@ -15,7 +15,7 @@ from podrepo import exact, harness
 from podrepo.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_UNVERIFIED, main
 from podrepo.core import (TERMINAL_RETURN_ALL, CostModel, Instance, Replay,
                           instance_to_dict, load_actions, load_instance,
-                          save_instance)
+                          save_instance, total_cost)
 from podrepo.harness import build_tiny_random
 from podrepo.instances import build_small_system
 from reference import fractional_medium
@@ -301,6 +301,19 @@ class TestCompare:
                 == (tmp_path / "b" / "results.csv").read_bytes())
 
 
+def small_30_steps(tmp_path, leg=None):
+    """The 30-step small system, with ``cost_from_station[0][9]`` and
+    ``cost_to_station[9][0]`` set to ``leg`` when one is given."""
+    path = tmp_path / "small.json"
+    assert main(["gen", "--system", "small", "--seed", "1", "--steps", "30",
+                 "--out", str(path)]) == EXIT_OK
+    if leg is not None:
+        data = json.loads(path.read_text())
+        data["cost_from_station"][0][9] = data["cost_to_station"][9][0] = leg
+        path.write_text(json.dumps(data))
+    return path
+
+
 class TestSolve:
     def test_exact_with_actions(self, tiny_path, tmp_path):
         actions = tmp_path / "solution.json"
@@ -364,13 +377,7 @@ class TestSolve:
         """At 1e300 the float sums absorb every other leg, so the bound meets
         the incumbent while the strict search still breaks ties: neither
         `solve` nor the refusal of `run --policy exact` prints a 0% gap."""
-        path = tmp_path / "small.json"
-        assert main(["gen", "--system", "small", "--seed", "1", "--steps", "30",
-                     "--out", str(path)]) == EXIT_OK
-        if leg is not None:
-            data = json.loads(path.read_text())
-            data["cost_from_station"][0][9] = data["cost_to_station"][9][0] = leg
-            path.write_text(json.dumps(data))
+        path = small_30_steps(tmp_path, leg)
         capsys.readouterr()
         assert main(["solve", str(path), "--exact", "--node-budget", "20000"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -439,6 +446,37 @@ class TestSolve:
         assert main(["solve", str(tiny_path), "--export-lp", str(lp)]) == EXIT_BUDGET
         assert not lp.exists()
         assert "place-row terms exceed the export cap 10" in capsys.readouterr().err
+
+
+NUMBER = re.compile(r"\d[\d.]*(?:e[+-]\d+)?")
+
+
+def test_huge_costs_print_six_significant_digits(tmp_path, capsys):
+    """With two 1e300 legs every number that `run`, `compare`, `solve` and
+    `chart` print fits in 20 characters, and each printed cost is the
+    replayed total to six significant digits."""
+    path = small_30_steps(tmp_path, 1e300)
+    inst = load_instance(path)
+    most, cheapest = (total_cost(inst, harness.run_policy(inst, name)[0])
+                      for name in ("most-expensive", "cheapest:decision"))
+    best = total_cost(inst, exact.solve_exact(inst, node_budget=20000).actions)
+    actions, svg = tmp_path / "actions.json", tmp_path / "chart.svg"
+    commands = [
+        (["run", str(path), "--policy", "most-expensive", "--actions-out", str(actions)],
+         [most]),
+        (["compare", str(path), "--policy", "most-expensive",
+          "--policy", "cheapest:decision"], [most, cheapest]),
+        (["solve", str(path), "--exact", "--node-budget", "20000"], [best]),
+        (["chart", str(path), str(actions), "--out", str(svg)], [most]),
+    ]
+    capsys.readouterr()
+    for args, totals in commands:
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out.replace(str(svg), "chart.svg")
+        assert all(len(number) <= 20 for number in NUMBER.findall(out)), out
+        costs = [float(cost) for cost in re.findall(r"\bcost (\S+?)[ )]", out)]
+        assert costs == pytest.approx(totals, rel=1e-6), out
+        assert min(totals) >= 1e15
 
 
 class TestChart:

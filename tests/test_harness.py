@@ -51,11 +51,13 @@ class TestRunPolicy:
     def test_unknown_policy(self):
         inst = build_small_system(n=50)
         # only cheapest, tetris, genetic2 and iterative take a :param, each
-        # from its own list; iterative's is a positive integer
+        # from its own list; iterative's is a positive integer in ASCII
+        # digits without a leading zero, so each window has one name
         for name in ("telepathy", "cheapestx", "tetris-frequency", "genetic2abc",
                      "iterativeX", "random:1", "exact:5", "cheapest:",
                      "cheapest:bogus", "tetris:bogus", "genetic2:bogus",
-                     "iterative:abc", "iterative:0", "iterative:" + "1" * 5000):
+                     "iterative:abc", "iterative:0", "iterative:" + "1" * 5000,
+                     "iterative:03", "iterative:\u0663", "iterative:\uff13"):
             with pytest.raises(ValueError, match="unknown policy"):
                 harness.run_policy(inst, name)
 

@@ -15,9 +15,10 @@ from podrepo.policies import (CHEAPEST_DECISION, CHEAPEST_ON_AVERAGE,
                               CHEAPEST_TO_STORAGE, CheapestPolicy, FixedPolicy,
                               RandomPolicy, avg_costs, compute_fixed_assignment,
                               decision_cost, fixed_assignment_costs,
-                              rearranged_instance, sorted_fixed_assignment,
-                              station_fractions, station_frequencies)
+                              rearranged_instance, station_fractions,
+                              station_frequencies)
 from podrepo.tetris import MostExpensivePlacePolicy
+from reference import sorted_fixed_assignment
 
 
 class TestAvgCosts:
