@@ -18,10 +18,14 @@ simulates them once per :class:`Instance` object and caches the result on it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -429,72 +433,29 @@ def terminal_cost(inst: Instance, final_storage: Sequence[Optional[int]],
     if len(queued) > len(free):
         raise GameError("cannot return all pods: not enough free places")
     matrix = np.array([[inst.costs.from_stn(s, p) for p in free] for _, s in queued])
-    cols = min_cost_assignment(matrix)
-    return float(matrix[np.arange(len(queued)), cols].sum())
+    rows, cols = linear_sum_assignment(matrix)
+    return float(matrix[rows, cols].sum())
 
 
-def min_cost_assignment(matrix) -> np.ndarray:
-    """The column of each row in a minimum-cost assignment of a finite
-    ``k x m`` cost matrix with ``k <= m``.
+@functools.cache
+def _lsap() -> Callable:
+    """scipy's compiled assignment kernel, loaded from its extension file
+    without importing ``scipy.optimize`` (about 49 MB of resident memory)
+    or touching ``sys.modules``; other scipy layouts take the public import."""
+    scipy_dirs = find_spec("scipy").submodule_search_locations
+    spec = PathFinder.find_spec("_lsap", [os.path.join(d, "optimize") for d in scipy_dirs])
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
 
-    Shortest augmenting paths with row and column potentials (Jonker &
-    Volgenant 1987, in the rectangular form of Crouse 2016): each row is
-    added by a Dijkstra search over reduced costs, and each step of that
-    search relaxes every unscanned column in one vectorised pass.  The scan
-    order and tie rule are those of scipy's ``linear_sum_assignment``
-    (the columns in reverse order, a swap removing each scanned one, and an
-    unassigned column preferred among the cheapest), so both pick the same
-    columns.  It makes O(k^2) numpy calls over at most ``m`` columns each: on
-    a 2-core x86 host about 75 µs at 4 x 10, the small system's largest
-    terminal matrix, but 0.55-0.77 s against scipy's 35-47 ms on the medium
-    system's 441 x 504 fixed-assignment matrices.  Only a final state whose
-    queues still hold hundreds of pods needs a matrix that size.
-    """
-    cost = np.asarray(matrix, dtype=float)
-    k, m = cost.shape
-    u = np.zeros(k)
-    v = np.zeros(m)
-    col_of = np.full(k, -1)
-    row_of = np.full(m, -1)
-    via = np.full(m, -1)  # the row before each column on its shortest path
-    for row in range(k):
-        shortest = np.full(m, math.inf)
-        scanned = np.zeros(m, dtype=bool)
-        remaining = np.arange(m - 1, -1, -1)
-        left = m
-        rows = [row]
-        low = 0.0
-        while True:
-            i = rows[-1]
-            cols = remaining[:left]
-            reduced = low + cost[i, cols] - u[i] - v[cols]
-            better = reduced < shortest[cols]
-            improved = cols[better]
-            via[improved] = i
-            shortest[improved] = reduced[better]
-            dist = shortest[cols]
-            low = dist.min()
-            ties = np.flatnonzero(dist == low)
-            open_ties = ties[row_of[cols[ties]] < 0]
-            index = open_ties[-1] if len(open_ties) else ties[0]
-            j = cols[index]
-            scanned[j] = True
-            left -= 1
-            remaining[index] = remaining[left]
-            if row_of[j] < 0:
-                break
-            rows.append(row_of[j])
-        u[row] += low
-        for i in rows[1:]:
-            u[i] += low - shortest[col_of[i]]
-        v[scanned] -= low - shortest[scanned]
-        while True:  # flip the path's assignments, back from its free end j
-            i = via[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == row:
-                break
-    return col_of
+
+def linear_sum_assignment(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of a minimum-cost assignment, by scipy's shortest
+    augmenting paths (Jonker & Volgenant 1987; Crouse 2016)."""
+    return _lsap()(matrix)
 
 
 def require_zero_terminal(inst: Instance) -> None:

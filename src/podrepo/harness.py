@@ -119,7 +119,7 @@ class _PositiveIntegers:
 
 
 # base name -> the parameters it accepts after a colon; without one, each
-# runs on its default
+# runs on its entry in POLICY_DEFAULTS
 POLICY_PARAMETERS = {
     "random": (),
     "cheapest": (CHEAPEST_TO_STORAGE, CHEAPEST_ON_AVERAGE, CHEAPEST_DECISION),
@@ -135,13 +135,19 @@ POLICY_PARAMETERS = {
 }
 
 
+# base name -> the parameter it runs on when its name gives none
+POLICY_DEFAULTS = {"cheapest": CHEAPEST_DECISION, "tetris": tetris.SORT_FREQUENCY,
+                   "genetic2": genetic.GAMMA_AVG_COST, "iterative": "10"}
+
+
 def parse_policy_name(name: str) -> tuple[str, str]:
-    """Split ``base`` or ``base:param`` into (base, param); raise
-    ``ValueError`` unless :data:`POLICY_PARAMETERS` accepts both."""
+    """Split ``base`` or ``base:param`` into (base, param), a missing param
+    taken from :data:`POLICY_DEFAULTS`; raise ``ValueError`` unless
+    :data:`POLICY_PARAMETERS` accepts both."""
     base, colon, param = name.partition(":")
     if base not in POLICY_PARAMETERS or colon and param not in POLICY_PARAMETERS[base]:
         raise ValueError(f"unknown policy: {name}")
-    return base, param
+    return base, param or POLICY_DEFAULTS.get(base, "")
 
 
 def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], float, float]:
@@ -164,7 +170,7 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
     if base == "random":
         policy = RandomPolicy(seed)
     elif base == "cheapest":
-        policy = CheapestPolicy(inst, param or CHEAPEST_DECISION)
+        policy = CheapestPolicy(inst, param)
     elif base == "most-expensive":
         # the start that tetris shares: played once per instance
         policy, replay = tetris.most_expensive_start(inst)
@@ -173,13 +179,14 @@ def run_policy(inst: Instance, name: str, seed: int = 0) -> tuple[list[int], flo
         run_inst = rearranged_instance(inst, assignment)
         policy = FixedPolicy(assignment)
     elif base == "tetris":
-        actions, cost = tetris.tetris(inst, param or tetris.SORT_FREQUENCY)
+        actions, cost = tetris.tetris(inst, param)
     elif base in ("genetic1", "genetic2"):
-        result = genetic.evolve(inst, base, gamma_name=param or genetic.GAMMA_AVG_COST,
+        # genetic-1 reads no gamma: its param stays empty
+        result = genetic.evolve(inst, base, gamma_name=param,
                                 config=genetic.GaConfig(seed=seed))
         actions, cost = result.actions, result.cost
     elif base in ("exact", "iterative"):
-        result = (exact.solve_iterative(inst, int(param or 10)) if base == "iterative"
+        result = (exact.solve_iterative(inst, int(param)) if base == "iterative"
                   else exact.solve_exact(inst))
         if not result.optimal:
             raise BudgetExceededError(
@@ -228,32 +235,35 @@ def run_comparison(inst: Instance, policy_names: Sequence[str], seed: int = 0,
     """Replay every policy on the identical instance.
 
     Costs are reported relative to the random baseline (run with the same
-    seed even when not requested).  Each distinct policy runs once; the
-    random baseline doubles as the ``random`` row.  The most-expensive start
-    that the ``most-expensive`` and ``tetris`` rows share is played before
-    the first of them, so no row's wall time holds it.  When ``out_dir`` is
-    given, writes a deterministic ``results.csv`` plus a ``timings.json``
-    manifest, which times the start as ``"most-expensive start"``.
+    seed even when not requested).  Each policy runs once, however many
+    names give it (``tetris`` is ``tetris:frequency``), and each name gets a
+    row; the random baseline doubles as the ``random`` row.  The
+    most-expensive start that the ``most-expensive`` and ``tetris`` rows
+    share is played before the first of them, so no row's wall time holds
+    it.  When ``out_dir`` is given, writes a deterministic ``results.csv``
+    plus a ``timings.json`` manifest, which times the start as
+    ``"most-expensive start"``.
     """
     names = list(policy_names)
-    for name in names:
-        parse_policy_name(name)
+    keys = [parse_policy_name(name) for name in names]  # equal for names of one policy
     decisions = sum(1 for info in departure_schedule(inst).steps if not info.fill)
-    runs = {"random": run_policy(inst, "random", seed)}
+    runs = {("random", ""): run_policy(inst, "random", seed)}
     start_s = None  # the shared most-expensive start, timed on its own
-    for name in names:
-        if name in runs:
+    for name, key in zip(names, keys):
+        if key in runs:
             continue
-        if start_s is None and parse_policy_name(name)[0] in ("most-expensive", "tetris"):
+        if start_s is None and key[0] in ("most-expensive", "tetris"):
             started = time.perf_counter()
             policy, replay = tetris.most_expensive_start(inst)
             replay.run(policy)
             start_s = time.perf_counter() - started
-        runs[name] = run_policy(inst, name, seed)
-    random_cost = runs["random"][1]
+        runs[key] = run_policy(inst, name, seed)
+    random_cost = runs["random", ""][1]
     rows = []
-    for name in names:
-        actions, cost, wall = runs[name]
+    for i, (name, key) in enumerate(zip(names, keys)):
+        actions, cost, wall = runs[key]
+        if key in keys[:i]:  # an earlier row of the same policy holds the list
+            actions = list(actions)
         rows.append(ResultRow(policy=name, cost=cost,
                               relative_cost=cost / random_cost if random_cost else 1.0,
                               wall_time=wall, decisions=decisions, actions=actions))

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Instance, InvalidInstanceError, Replay, StepInfo, departure_schedule,
-                   with_initial_storage)
+                   linear_sum_assignment, with_initial_storage)
 from .instances import rng_from_seed
 
 CHEAPEST_TO_STORAGE = "to-storage"
@@ -212,9 +212,6 @@ def compute_fixed_assignment(inst: Instance) -> dict[int, int]:
     assignment problem."""
     if inst.n_pods > inst.n_places:
         raise ValueError("more pods than places: fixed assignment infeasible")
-    # imported here: scipy.optimize would be most of `import podrepo`
-    from scipy.optimize import linear_sum_assignment
-
     matrix = fixed_assignment_costs(inst)
     rows, cols = linear_sum_assignment(matrix)
     return {int(h) + 1: int(p) + 1 for h, p in zip(rows, cols)}

@@ -4,6 +4,7 @@ The replay engine is checked against the functional reference model in
 ``reference.py``.
 """
 
+import importlib.machinery
 import json
 import math
 from dataclasses import fields, replace
@@ -11,6 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 import podrepo
 from podrepo import core, harness
@@ -20,12 +22,12 @@ from podrepo.core import (NO_OP, REASON_BUSY, REASON_LENGTH, REASON_PHASE,
                           Verdict,
                           check_feasible, departure_schedule, initial_busy_ends,
                           instance_from_dict, instance_to_dict, load_actions,
-                          load_instance, min_cost_assignment,
+                          load_instance,
                           occupation_intervals, save_actions, save_instance,
                           terminal_cost, total_cost, validate_instance)
 from podrepo.instances import build_medium_system, build_small_system
 from podrepo.policies import (RandomPolicy, compute_fixed_assignment,
-                              rearranged_instance)
+                              fixed_assignment_costs, rearranged_instance)
 from reference import (admissible_actions, enqueue, initial_state, step_cost,
                        transition)
 
@@ -375,12 +377,10 @@ class TestTerminalCost:
 
     @pytest.mark.parametrize("kind", ["integer", "ties", "fractional"])
     def test_assignment_matches_scipy(self, kind):
-        """The numpy assignment picks scipy's columns, so the terminal cost's
-        sum over them is the same, bit for bit.  The shapes run from one row
-        to square matrices; few distinct values give many equal-cost
+        """The kernel loaded from scipy's extension file picks the rows and
+        columns of ``scipy.optimize``'s public function.  The shapes run from
+        one row to square matrices; few distinct values give many equal-cost
         optima."""
-        from scipy.optimize import linear_sum_assignment
-
         rng = np.random.default_rng(["integer", "ties", "fractional"].index(kind))
         draw = {"integer": lambda shape: rng.integers(0, 100, shape).astype(float),
                 "ties": lambda shape: rng.integers(0, 3, shape).astype(float),
@@ -388,11 +388,33 @@ class TestTerminalCost:
         shapes = [(1, 1), (1, 9), (6, 6), (10, 10)]
         shapes += [(k, int(rng.integers(k, 41))) for k in rng.integers(1, 11, 300)]
         for shape in shapes:
-            matrix = draw(shape)
-            rows, cols = linear_sum_assignment(matrix)
-            mine = min_cost_assignment(matrix)
-            assert mine.tolist() == cols.tolist(), shape
-            assert matrix[rows, mine].sum() == matrix[rows, cols].sum()
+            self.assert_matches_scipy(draw(shape))
+
+    def test_assignment_matches_scipy_on_the_medium_fixed_matrix(self):
+        matrix = fixed_assignment_costs(build_medium_system(1))
+        assert matrix.shape == (441, 504)
+        self.assert_matches_scipy(matrix)
+
+    def test_assignment_falls_back_to_the_public_import(self, monkeypatch):
+        """Without the extension file the kernel is ``scipy.optimize``'s
+        function itself."""
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            lambda name, path=None, target=None:
+                            None if name == "_lsap" else find_spec(name, path, target))
+        core._lsap.cache_clear()
+        try:
+            assert core._lsap() is scipy_assignment
+            self.assert_matches_scipy(np.random.default_rng(3).integers(0, 3, (8, 12)))
+        finally:
+            core._lsap.cache_clear()
+
+    @staticmethod
+    def assert_matches_scipy(matrix):
+        rows, cols = core.linear_sum_assignment(matrix)
+        expected_rows, expected_cols = scipy_assignment(matrix)
+        assert rows.tolist() == expected_rows.tolist(), matrix.shape
+        assert cols.tolist() == expected_cols.tolist(), matrix.shape
 
 
 class TestOccupationIntervals:

@@ -256,6 +256,30 @@ class TestRunComparison:
         _, random_cost, _ = run_policy(inst, "random", seed=3)
         assert rows[0].relative_cost == rows[0].cost / random_cost
 
+    def test_names_of_one_policy_run_it_once(self, monkeypatch):
+        """A base name runs on its default parameter, so it and the name that
+        spells the default out are one run and two equal rows."""
+        calls = []
+        run_policy = harness.run_policy
+        monkeypatch.setattr(harness, "run_policy", lambda inst, name, *args:
+                            calls.append(name) or run_policy(inst, name, *args))
+        inst = build_small_system(1, n=200)
+        names = ["tetris", "tetris:frequency", "cheapest:decision", "cheapest",
+                 "iterative", "iterative:10"]
+        rows = harness.run_comparison(inst, names)
+        assert calls == ["random", "tetris", "cheapest:decision", "iterative"]
+        assert [row.policy for row in rows] == names
+        for row, same in zip(rows[::2], rows[1::2]):
+            assert (row.cost, row.actions, row.wall_time) == (
+                same.cost, same.actions, same.wall_time)
+            assert row.actions is not same.actions
+
+    def test_every_default_is_an_accepted_parameter(self):
+        for base, param in harness.POLICY_DEFAULTS.items():
+            assert param in harness.POLICY_PARAMETERS[base], base
+            assert harness.parse_policy_name(base) == (base, param)
+            assert harness.parse_policy_name(f"{base}:{param}") == (base, param)
+
     def test_names_are_checked_before_any_run(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_policy",

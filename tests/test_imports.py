@@ -13,10 +13,10 @@ by the benchmark, or wrapped by the tracer.  A helper only the tests call
 lives under ``tests/``.  ``cli.py`` is left out, because click registers its
 commands by decorator.
 
-Importing the package leaves ``scipy.optimize`` unloaded: it is most of the
-import time and about 50 MB of resident memory, and only the fixed
-assignment needs it.  The return-all-pods terminal cost solves its
-assignment in numpy, so a run under that cost model leaves it unloaded too.
+No run loads ``scipy.optimize``: importing it adds about 49 MB of resident
+memory and half a second.  The fixed assignment and the return-all-pods
+terminal cost call scipy's compiled assignment kernel, which
+``core.linear_sum_assignment`` loads from its extension file alone.
 """
 
 import ast
@@ -27,6 +27,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from podrepo.core import save_instance
+from podrepo.instances import build_small_system
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "podrepo").glob("*.py")
@@ -198,3 +201,23 @@ def test_return_all_pods_run_leaves_scipy_optimize_unloaded():
             "actions, cost, _ = harness.run_policy(returned, 'cheapest:decision')\n"
             "print(cost > core.total_cost(inst, actions), 'scipy.optimize' in sys.modules)\n")
     assert run_fresh(code) == ["True", "False"]
+
+
+def test_fixed_run_leaves_scipy_optimize_unloaded():
+    code = ("import sys\n"
+            "from podrepo import harness\n"
+            "from podrepo.instances import build_small_system\n"
+            "actions, cost, _ = harness.run_policy(build_small_system(1, n=200), 'fixed')\n"
+            "print(len(actions), 'scipy.optimize' in sys.modules)\n")
+    assert run_fresh(code) == ["200", "False"]
+
+
+def test_fixed_comparison_from_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
+    path = tmp_path / "small.json"
+    save_instance(build_small_system(1, n=200), path)
+    code = ("import sys\n"
+            "from podrepo import cli\n"
+            f"code = cli.main(['compare', {str(path)!r}, '--policy', 'fixed',"
+            " '--policy', 'random'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n")
+    assert run_fresh(code)[-2:] == ["0", "False"]
